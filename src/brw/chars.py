@@ -6,49 +6,75 @@ smallest prime l = 1 (mod exponent) with l > 2*sqrt(|G|), and the eigenvalue
 data is lifted to cyclotomic integers through the discrete Fourier inversion
 at a fixed root of unity mod l. Every table is re-verified against the
 orthogonality relations before it is returned.
+
+Where values live: a Character keeps its values twice. `values` is a tuple of
+Cyclotomic numbers in normal form (reduced mod Phi_m), read by rendering and
+by callers. Arithmetic runs on group-ring vectors instead: per class a sparse
+((exponent, coeff), ...) vector in Q[C_m] at one conductor m per character,
+not reduced mod Phi_m. For table characters these are the eigenvalue
+multiplicities of the lift (at most deg(chi) nonzeros per class); for every
+other character they are read off `values` on first use. Inner products,
+both orthogonality checks and induction add up integer (or rational) vectors
+and reduce mod Phi_m once per resulting scalar.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import isqrt, lcm
 
 from .errors import (CliffordFailure, GroupMismatch, LiftFailure, NotOverTheta,
                      NotSubgroup, TooLarge)
-from .exact import Cyclotomic, kernel_basis, mod_inv, reduce_vector, rref
+from .exact import (Cyclotomic, is_prime, kernel_basis, mod_inv, reduce_vector,
+                    rref)
 from .groups import (DEFAULT_ORDER_CAP, ConjData, FiniteGroup, LinearChar,
                      char_orbit, conjugacy_classes)
 
 
 class Character:
-    """Exact class function on a finite group; values are cyclotomic numbers."""
+    """Exact class function on a finite group; values are cyclotomic numbers.
 
-    __slots__ = ("group", "conj", "values")
+    `vectors`, when given, is (m, rows) with rows[k] a sparse vector in Q[C_m]
+    whose image in Q(zeta_m) is values[k]; otherwise it is read off the values
+    on first use.
+    """
 
-    def __init__(self, group: FiniteGroup, conj: ConjData, values):
+    __slots__ = ("group", "conj", "values", "_vec")
+
+    def __init__(self, group: FiniteGroup, conj: ConjData, values, vectors=None):
         self.group = group
         self.conj = conj
         self.values = tuple(values)
+        self._vec = vectors
         assert len(self.values) == conj.k
 
     @property
     def degree(self):
         return self.values[0].rational()
 
+    @property
+    def conductor(self):
+        return self._vectors()[0]
+
+    def _vectors(self):
+        if self._vec is None:
+            m = lcm(*(v.m for v in self.values))
+            self._vec = (m, tuple(tuple((k * (m // v.m), x) for k, x in enumerate(v.coeffs) if x)
+                                  for v in self.values))
+        return self._vec
+
+    def vectors(self, m):
+        """Per-class sparse vectors in Q[C_m]; the conductor must divide m."""
+        m0, rows = self._vectors()
+        if m == m0:
+            return rows
+        step = m // m0
+        return tuple(tuple((e * step, x) for e, x in row) for row in rows)
+
     def value_on_class(self, k) -> Cyclotomic:
         return self.values[k]
 
     def value_of(self, coords) -> Cyclotomic:
         return self.values[self.conj.class_of[self.group.index[coords]]]
-
-    def __add__(self, other):
-        assert self.group is other.group
-        return Character(self.group, self.conj,
-                         [a + b for a, b in zip(self.values, other.values)])
-
-    def __mul__(self, other):
-        assert self.group is other.group
-        return Character(self.group, self.conj,
-                         [a * b for a, b in zip(self.values, other.values)])
 
     def __eq__(self, other):
         if not isinstance(other, Character):
@@ -65,9 +91,17 @@ class Character:
             return self
         if other_group.elements != self.group.elements:
             raise GroupMismatch("transfer requires identical element sets")
-        conj = conjugacy_classes(other_group)
-        return Character(other_group, conj, [self.value_of(other_group.elements[r])
-                                             for r in conj.reps])
+        return self._on(other_group)
+
+    def _on(self, H: FiniteGroup):
+        """The values at the classes of H (a subset of the group), vectors included."""
+        conj = conjugacy_classes(H)
+        ks = [self.conj.class_of[self.group.index[H.elements[r]]] for r in conj.reps]
+        vec = None
+        if self._vec is not None:
+            m, rows = self._vec
+            vec = (m, tuple(rows[k] for k in ks))
+        return Character(H, conj, [self.values[k] for k in ks], vec)
 
     def __repr__(self):
         return f"Character(deg={self.degree}, k={self.conj.k})"
@@ -92,39 +126,41 @@ def regular_character(G: FiniteGroup) -> Character:
     return Character(G, conj, vals)
 
 
+def _hermitian_sum(terms, m) -> Cyclotomic:
+    """sum of c * x * conj(y) over (c, x, y), for sparse vectors x, y in Q[C_m].
+
+    The products are added into one coefficient list indexed by exponent
+    difference and reduced mod Phi_m once, in the single Cyclotomic returned.
+    """
+    acc = [0] * m
+    for c, x, y in terms:
+        for e, a in x:
+            ca = c * a
+            for f, b in y:
+                acc[e - f] += ca * b   # -m < e - f < m: a negative index wraps mod m
+    return Cyclotomic(m, acc)
+
+
 def inner_product(chi: Character, psi: Character) -> Fraction:
     """(1/|G|) sum chi(g) conj(psi(g)), computed class-wise; exact rational."""
     if chi.group is not psi.group:
         raise GroupMismatch("characters live on different groups")
-    total = Cyclotomic.zero()
-    for size, a, b in zip(chi.conj.sizes, chi.values, psi.values):
-        total = total + a * b.conjugate() * size
-    total = total / chi.group.order
+    m = lcm(chi.conductor, psi.conductor)
+    total = _hermitian_sum(zip(chi.conj.sizes, chi.vectors(m), psi.vectors(m)), m)
     if not total.is_rational():
         raise LiftFailure("inner product is not rational")
-    return total.rational()
+    return total.rational() / chi.group.order
 
 
 # ---------------------------------------------------------------------------
 # Dixon class-sum method
 # ---------------------------------------------------------------------------
 
-def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def _dixon_prime(order, exponent):
     """Smallest prime l = 1 (mod exponent) with l*l > 4*order."""
     l = exponent + 1
     while True:
-        if l * l > 4 * order and _is_prime(l):
+        if l * l > 4 * order and is_prime(l):
             return l
         l += exponent
 
@@ -235,21 +271,24 @@ class CharTable:
             return False
         if sum(int(ch.degree) ** 2 for ch in self.irreducibles) != G.order:
             return False
-        for i, chi in enumerate(self.irreducibles):
-            for j in range(i, k):
-                expect = Fraction(1 if i == j else 0)
-                if inner_product(chi, self.irreducibles[j]) != expect:
-                    return False
-        # column orthogonality
+        if not _rows_orthonormal(self.irreducibles):
+            return False
+        # column orthogonality: sum_chi chi(a) conj(chi(b)) = delta_ab |G| / |C_a|
+        m = lcm(*(ch.conductor for ch in self.irreducibles))
+        rows = [ch.vectors(m) for ch in self.irreducibles]
         for a in range(k):
             for b in range(a, k):
-                tot = Cyclotomic.zero()
-                for ch in self.irreducibles:
-                    tot = tot + ch.values[a] * ch.values[b].conjugate()
-                want = Fraction(G.order, self.conj.sizes[a]) if a == b else Fraction(0)
-                if not tot == Cyclotomic.from_rational(want):
+                tot = _hermitian_sum(((1, r[a], r[b]) for r in rows), m)
+                want = Fraction(G.order, self.conj.sizes[a]) if a == b else 0
+                if not (tot.is_rational() and tot.rational() == want):
                     return False
         return True
+
+
+def _rows_orthonormal(chars):
+    """Row orthonormality <chi_i, chi_j> = delta_ij over a list of characters."""
+    return all(inner_product(chi, chars[j]) == (1 if i == j else 0)
+               for i, chi in enumerate(chars) for j in range(i, len(chars)))
 
 
 @lru_cache(maxsize=None)
@@ -257,13 +296,7 @@ def _char_table(G: FiniteGroup) -> CharTable:
     conj = conjugacy_classes(G)
     n = conj.k
     order = G.order
-    m = 1
-    rep_orders = []
-    for r in conj.reps:
-        o = G.element_order(r)
-        rep_orders.append(o)
-        g = _gcd(m, o)
-        m = m // g * o
+    m = lcm(*(G.element_order(r) for r in conj.reps))
     l = _dixon_prime(order, m)
     mats = _class_matrices(G, conj)
     eigvecs = _refine_spaces(mats, n, l)
@@ -301,8 +334,9 @@ def _char_table(G: FiniteGroup) -> CharTable:
         if deg is None:
             raise LiftFailure("no integral degree matches the eigenvector")
         vals_mod = [(deg * ratios[k]) % l for k in range(n)]
-        values = []
+        values, vecs = [], []
         for k in range(n):
+            # multiplicity of each eigenvalue zeta^j: chi(g) = sum_j coeffs[j] zeta^j
             coeffs = []
             for j in range(m):
                 c = sum(vals_mod[pm[k][s]] * zinvpow[(j * s) % m] for s in range(m))
@@ -313,26 +347,18 @@ def _char_table(G: FiniteGroup) -> CharTable:
             if sum(coeffs) != deg:
                 raise LiftFailure("multiplicities do not sum to the degree")
             values.append(Cyclotomic(m, coeffs))
-        rows.append(values)
+            vecs.append(tuple((j, c) for j, c in enumerate(coeffs) if c))
+        rows.append(Character(G, conj, values, (m, tuple(vecs))))
 
-    chars = [Character(G, conj, values) for values in rows]
-    chars.sort(key=lambda ch: (ch.degree, [v.key(m) for v in ch.values]))
+    chars = sorted(rows, key=lambda ch: (ch.degree, [v.key(m) for v in ch.values]))
     table = CharTable(G, conj, chars, m)
     # construction gate: row orthonormality, degree equation, completeness
     # (column orthogonality follows and is re-checked by CharTable.verify)
     if len(chars) != n or sum(int(c.degree) ** 2 for c in chars) != order:
         raise LiftFailure("degree equation failed after lifting")
-    for i, chi in enumerate(chars):
-        for j in range(i, n):
-            if inner_product(chi, chars[j]) != Fraction(1 if i == j else 0):
-                raise LiftFailure("row orthogonality failed after lifting")
+    if not _rows_orthonormal(chars):
+        raise LiftFailure("row orthogonality failed after lifting")
     return table
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def char_table(G: FiniteGroup, cap=DEFAULT_ORDER_CAP) -> CharTable:
@@ -356,18 +382,24 @@ def induce(G: FiniteGroup, H: FiniteGroup, chi: Character) -> Character:
     if chi.group is not H:
         chi = chi.transfer(H)
     conj = conjugacy_classes(G)
+    m = chi.conductor
+    rows = chi.vectors(m)
     values = []
-    for k in range(conj.k):
-        tot = Cyclotomic.zero()
+    for k, cls in enumerate(conj.classes):
+        # sum of chi over the class's elements in H, as one vector in Q[C_m]
+        acc = [0] * m
         hit = False
-        for xid in conj.classes[k]:
-            v = G.elements[xid]
-            if v in H.index:
-                tot = tot + chi.value_of(v)
+        for xid in cls:
+            i = H.index.get(G.elements[xid])
+            if i is not None:
                 hit = True
+                for e, x in rows[chi.conj.class_of[i]]:
+                    acc[e] += x
         if hit:
-            tot = tot * Fraction(G.order, conj.sizes[k] * H.order)
-        values.append(tot)
+            scale = Fraction(G.order, conj.sizes[k] * H.order)
+            values.append(Cyclotomic(m, [x * scale for x in acc]))
+        else:
+            values.append(Cyclotomic.zero())
     return Character(G, conj, values)
 
 
@@ -376,8 +408,7 @@ def restrict(G: FiniteGroup, H: FiniteGroup, chi: Character) -> Character:
     _check_subgroup(G, H)
     if chi.group is not G:
         chi = chi.transfer(G)
-    conj_h = conjugacy_classes(H)
-    return Character(H, conj_h, [chi.value_of(H.elements[r]) for r in conj_h.reps])
+    return chi._on(H)
 
 
 def constituents(chi: Character, table: CharTable):

@@ -20,7 +20,8 @@ from .algebra import (Subalgebra, algebra_from_spec, cached_decomposition,
                       is_split_basic, radical_power)
 from .chars import char_table
 from .corpus import ALL_CORPUS, DEFAULT_CORPUS, load_spec
-from .errors import (BrwError, SpecError, TooLarge, VerificationFailure)
+from .errors import (BrwError, NotSplitBasic, SpecError, TooLarge,
+                     VerificationFailure)
 from .groups import (DEFAULT_ORDER_CAP, char_orbit, ideal_subgroup,
                      linear_characters, radical_subgroup, torus_subgroup,
                      unit_group)
@@ -449,7 +450,8 @@ def main(argv=None):
         if getattr(args, "cap_order", 1) <= 0 or (getattr(args, "cap_scan", None) or 1) <= 0:
             raise SpecError("caps must be positive")
         return args.fn(args)
-    except SpecError as exc:
+    except (SpecError, NotSplitBasic) as exc:
+        # a non-split algebra is outside the theorem's domain: an input error
         print(f"spec error: {exc}", file=sys.stderr)
         return EXIT_SPEC
     except TooLarge as exc:

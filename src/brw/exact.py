@@ -4,6 +4,13 @@ No floating point anywhere: prime-field work is done on int residues and
 cyclotomic numbers carry Fraction coefficients over the power basis
 z^0 .. z^(m-1), kept in the normal form obtained by reducing modulo the
 m-th cyclotomic polynomial.
+
+Every Cyclotomic is reduced mod Phi_m when it is constructed, so each
+arithmetic operation on Cyclotomic values pays one reduction. Character
+arithmetic (brw.chars) therefore sums unreduced group-ring vectors in Z[C_m]
+(Q[C_m] for rational class functions) and builds a Cyclotomic only for each
+final scalar: one reduction per inner product, orthogonality sum or induced
+value.
 """
 
 from fractions import Fraction
@@ -99,6 +106,17 @@ class Fp:
 # ---------------------------------------------------------------------------
 # modular linear algebra on plain int rows (workhorse; any prime modulus)
 # ---------------------------------------------------------------------------
+
+def is_prime(n):
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
 
 def mod_inv(a, p):
     a %= p

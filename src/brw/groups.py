@@ -7,6 +7,7 @@ keeps memory flat for orders up to the configured cap.
 
 from functools import lru_cache
 from itertools import product
+from math import lcm
 
 from .algebra import (Algebra, Subspace, cached_decomposition, vec_add,
                       vec_scale)
@@ -43,6 +44,7 @@ class FiniteGroup:
         self.identity = self.index[algebra.one]
         self._inv = [None] * len(self.elements)
         self._gens = None
+        self._conj = None
 
     @property
     def order(self):
@@ -51,17 +53,11 @@ class FiniteGroup:
     def mul_ids(self, i, j):
         return self.index[self.algebra.mul(self.elements[i], self.elements[j])]
 
-    def mul_coords(self, x, y):
-        return self.algebra.mul(x, y)
-
     def inv_id(self, i):
         if self._inv[i] is None:
             x = self.algebra.power(self.elements[i], self.order - 1)
             self._inv[i] = self.index[x]
         return self._inv[i]
-
-    def inv_coords(self, x):
-        return self.elements[self.inv_id(self.index[x])]
 
     def conj_id(self, g, x):
         """id of g x g^-1."""
@@ -84,8 +80,7 @@ class FiniteGroup:
             known = {self.algebra.one}
             for v in self.elements:
                 if v not in known:
-                    gens.append(v)
-                    known = _mult_closure(self.algebra, known | {v})
+                    _grow(self.algebra, known, gens, v)
                     if len(known) == self.order:
                         break
             self._gens = tuple(gens)
@@ -104,42 +99,36 @@ class FiniteGroup:
             n += 1
         return n
 
-    def exponent(self):
-        m = 1
-        seen = set()
-        for i in range(self.order):
-            o = self.element_order(i)
-            if o not in seen:
-                seen.add(o)
-                g = _gcd(m, o)
-                m = m // g * o
-        return m
-
     def __repr__(self):
         return f"FiniteGroup({self.kind}, order={self.order})"
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
+def _grow(A, elems, gens, g):
+    """Grow the subgroup elems = <gens> (a set, updated in place) to <gens, g>.
 
-
-def _mult_closure(A, seed):
-    """Closure of a finite set of units under multiplication (hence a subgroup)."""
-    out = set(seed)
-    out.add(A.one)
-    frontier = list(out)
+    Breadth-first search under right multiplication by the generators (the
+    orbit algorithm): old elements are multiplied by g only, new ones by every
+    generator, so a call costs O(|old| + |new| * |gens|) products. g is
+    appended to gens unless it already lies in elems.
+    """
+    if g in elems:
+        return
+    gens.append(g)
+    frontier = []
+    for x in list(elems):
+        y = A.mul(x, g)
+        if y not in elems:
+            elems.add(y)
+            frontier.append(y)
     while frontier:
         new = []
         for x in frontier:
-            for y in list(out):
-                for z in (A.mul(x, y), A.mul(y, x)):
-                    if z not in out:
-                        out.add(z)
-                        new.append(z)
+            for h in gens:
+                y = A.mul(x, h)
+                if y not in elems:
+                    elems.add(y)
+                    new.append(y)
         frontier = new
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -273,9 +262,10 @@ def center(G: FiniteGroup) -> FiniteGroup:
 def set_product(G: FiniteGroup, H: FiniteGroup, K: FiniteGroup) -> FiniteGroup:
     """Subgroup H*K of G (valid when one factor normalizes the product set)."""
     A = G.algebra
-    elems = {A.mul(h, k) for h in H.elements for k in K.elements}
-    closed = _mult_closure(A, elems)
-    return intern_group(A, closed, kind="product")
+    elems, gens = {A.one}, []
+    for g in H.generators() + K.generators():
+        _grow(A, elems, gens, g)
+    return intern_group(A, elems, kind="product")
 
 
 # ---------------------------------------------------------------------------
@@ -297,10 +287,17 @@ class ConjData:
         return len(self.reps)
 
 
-def conjugacy_classes(G: FiniteGroup, cap=DEFAULT_ORDER_CAP) -> ConjData:
-    if G.order > cap:
+def conjugacy_classes(G: FiniteGroup, cap=None) -> ConjData:
+    """Conjugacy classes of G, computed once per group and kept on it.
+
+    The cap is checked only when given. Inner calls (building, inducing and
+    restricting characters) pass none: the entry that took the caller's order
+    cap, such as char_table, has checked it already.
+    """
+    if cap is not None and G.order > cap:
         raise TooLarge(f"group order {G.order} exceeds cap {cap}")
-    A = G.algebra
+    if G._conj is not None:
+        return G._conj
     gens = G.generators()
     gen_ids = [G.index[g] for g in gens]
     class_of = [None] * G.order
@@ -327,7 +324,8 @@ def conjugacy_classes(G: FiniteGroup, cap=DEFAULT_ORDER_CAP) -> ConjData:
     remap = {old: new for new, old in enumerate(order)}
     classes = [classes[old] for old in order]
     class_of = [remap[c] for c in class_of]
-    return ConjData(G, [c[0] for c in classes], classes, class_of)
+    G._conj = ConjData(G, [c[0] for c in classes], classes, class_of)
+    return G._conj
 
 
 # ---------------------------------------------------------------------------
@@ -403,28 +401,23 @@ def abelian_invariants(elems, mul, identity):
 def commutator_subgroup(G: FiniteGroup) -> FiniteGroup:
     """[G,G]: normal closure of the commutators of a generating set."""
     A = G.algebra
-    gens = G.generators()
-    gen_ids = [G.index[g] for g in gens]
-    seed = {G.elements[G.commutator_id(a, b)] for a in gen_ids for b in gen_ids}
-    elems = _mult_closure(A, seed)
-    while True:
-        extra = set()
-        for g in gen_ids:
-            gi = G.elements[g]
-            gin = G.elements[G.inv_id(g)]
-            for x in elems:
-                y = A.mul(A.mul(gi, x), gin)
-                if y not in elems:
-                    extra.add(y)
-        if not extra:
-            break
-        elems = _mult_closure(A, elems | extra)
+    gen_ids = [G.index[g] for g in G.generators()]
+    elems, gens = {A.one}, []
+    pending = {G.elements[G.commutator_id(a, b)] for a in gen_ids for b in gen_ids}
+    while pending:
+        for y in pending:
+            _grow(A, elems, gens, y)
+        pending = {G.elements[G.conj_id(g, G.index[x])] for g in gen_ids for x in elems}
+        pending -= elems
     return intern_group(A, elems, kind="commutator")
 
 
-def abelianization(G: FiniteGroup, cap=DEFAULT_ORDER_CAP):
-    """(elementary divisors, projection id -> exponent tuple) of G/[G,G]."""
-    if G.order > cap:
+def abelianization(G: FiniteGroup, cap=None):
+    """(elementary divisors, projection id -> exponent tuple) of G/[G,G].
+
+    Like conjugacy_classes, checks the order cap only when one is given.
+    """
+    if cap is not None and G.order > cap:
         raise TooLarge(f"group order {G.order} exceeds cap {cap}")
     K = commutator_subgroup(G)
     A = G.algebra
@@ -486,13 +479,13 @@ class LinearChar:
         """Equality as functions, tolerating different conductors."""
         if self.domain.elements != other.domain.elements:
             return False
-        L = self.m * other.m // _gcd(self.m, other.m)
+        L = lcm(self.m, other.m)
         a = self.rebase(L)
         b = other.rebase(L)
         return a.exps == b.exps
 
     def mul(self, other):
-        L = self.m * other.m // _gcd(self.m, other.m)
+        L = lcm(self.m, other.m)
         a, b = self.rebase(L), other.rebase(L)
         return LinearChar(self.domain, L, [x + y for x, y in zip(a.exps, b.exps)])
 
@@ -507,7 +500,7 @@ class LinearChar:
         return f"LinearChar(m={self.m}, exps={self.exps})"
 
 
-def linear_characters(G: FiniteGroup, cap=DEFAULT_ORDER_CAP):
+def linear_characters(G: FiniteGroup, cap=None):
     """All |G/[G,G]| linear characters, ordered by exponent table."""
     divisors, proj = abelianization(G, cap=cap)
     m = divisors[0] if divisors else 1

@@ -11,7 +11,7 @@ from math import gcd
 
 from .algebra import Subalgebra, cached_decomposition
 from .errors import SpecError
-from .exact import Cyclotomic
+from .exact import Cyclotomic, is_prime
 from .groups import abelian_invariants
 
 
@@ -19,6 +19,8 @@ class ResidueUnits:
     """(Z/p^k)^x as a plain multiplicative group of integer residues."""
 
     def __init__(self, p, k):
+        if not is_prime(p):
+            raise SpecError(f"residue characteristic must be a prime, got {p}")
         if k < 0:
             raise SpecError("level must be nonnegative")
         self.p = p
@@ -105,6 +107,8 @@ class SmoothCharLocal:
         r = Fraction(r)
         if r <= 0:
             raise SpecError("uniformizer modulus must be positive")
+        if phase_m < 1:
+            raise SpecError(f"phase conductor must be a positive integer, got {phase_m}")
         self.p = p
         self.k = k
         self.unit_part = unit_part

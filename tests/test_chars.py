@@ -3,12 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from brw.algebra import radical_power
-from brw.chars import (char_from_linear, char_table, clifford_correspondent,
-                       constituents, induce, inner_product, regular_character,
-                       restrict, trivial_character)
+from brw.algebra import borel_algebra, radical_power
+from brw.chars import (Character, char_from_linear, char_table,
+                       clifford_correspondent, constituents, induce,
+                       inner_product, regular_character, restrict,
+                       trivial_character)
+from brw.corpus import corpus_algebra
 from brw.errors import (GroupMismatch, NotOverTheta, NotSubgroup, TooLarge)
-from brw.groups import (center, ideal_subgroup, linear_characters,
+from brw.exact import Cyclotomic
+from brw.groups import (DEFAULT_ORDER_CAP, FiniteGroup, center,
+                        conjugacy_classes, ideal_subgroup, linear_characters,
                         radical_subgroup, set_product, torus_subgroup,
                         unit_group)
 
@@ -212,3 +216,77 @@ def test_constituent_decomposition(b2_f3):
     reg = regular_character(G)
     cons = constituents(reg, tab)
     assert {(m, int(c.degree)) for m, c in cons} == {(1, 1), (2, 2)}
+
+
+def reference_inner_product(chi, psi):
+    """Sum of |C_k| chi_k conj(psi_k) over the classes, divided by |G|, in
+    plain Cyclotomic arithmetic on the values (no group-ring vectors)."""
+    total = Cyclotomic.zero()
+    for size, a, b in zip(chi.conj.sizes, chi.values, psi.values):
+        total = total + a * b.conjugate() * size
+    return (total / chi.group.order).rational()
+
+
+def test_inner_product_against_reference(b2_f3, b3_f2):
+    rng = random.Random(2026)
+    checked = mixed_conductors = 0
+    for A, conductor in ((b2_f3, 6), (borel_algebra(7, 2), 42), (b3_f2, 4)):
+        G = unit_group(A)
+        tab = char_table(G)
+        assert tab.conductor == conductor
+        P, T = radical_subgroup(A), torus_subgroup(A)
+        pool = list(tab.irreducibles)
+        # induced class functions; inducing a third of a linear character
+        # gives values with Fraction coefficients
+        for H in (P, T):
+            for lam in linear_characters(H)[:3]:
+                theta = char_from_linear(lam)
+                pool.append(induce(G, H, theta))
+                pool.append(induce(G, H, Character(H, theta.conj,
+                                                   [v * Fraction(1, 3) for v in theta.values])))
+        # the same irrational values written at two conductors in one class function
+        for chi in [c for c in tab.irreducibles if not all(v.is_rational() for v in c.values)][:2]:
+            mixed = Character(G, chi.conj, [v.embed(2 * v.m) if k % 2 else v
+                                            for k, v in enumerate(chi.values)])
+            assert mixed == chi
+            pool.append(mixed)
+            mixed_conductors += 1
+        assert any(not isinstance(c, int) for chi in pool for v in chi.values for c in v.coeffs)
+        for _ in range(40):
+            chi, psi = rng.choice(pool), rng.choice(pool)
+            assert inner_product(chi, psi) == reference_inner_product(chi, psi)
+            checked += 1
+        # on subgroups: restrictions at the table conductor against linear
+        # characters at the subgroup's own, different conductor
+        for H in (P, T):
+            lins = [char_from_linear(lam) for lam in linear_characters(H)]
+            for _ in range(10):
+                res = restrict(G, H, rng.choice(tab.irreducibles))
+                lin = rng.choice(lins)
+                assert inner_product(res, lin) == reference_inner_product(res, lin)
+                assert inner_product(lin, res) == reference_inner_product(lin, res)
+                checked += 2
+    assert checked == 3 * (40 + 40) and mixed_conductors > 0
+
+
+def test_order_cap_checked_once_at_entry():
+    # |G| = 8000 lies above the default cap; the entry applies it, but inner
+    # calls under a larger caller cap must not add a second, default one
+    A = corpus_algebra("b3_f5")
+    G = unit_group(A)
+    assert G.order > DEFAULT_ORDER_CAP
+    with pytest.raises(TooLarge):
+        char_table(G)
+    with pytest.raises(TooLarge):
+        conjugacy_classes(G, cap=DEFAULT_ORDER_CAP)
+    one = trivial_character(G)
+    P = radical_subgroup(A)
+    assert restrict(G, P, one) == trivial_character(P)
+    copy = FiniteGroup(A, G.elements, kind="unit")   # same elements, another object
+    assert one.transfer(copy).values == one.values
+    theta = next(c for c in linear_characters(P) if not c.is_trivial())
+    ind = induce(G, P, char_from_linear(theta))
+    assert ind.degree == G.order // P.order
+    assert inner_product(ind, one) == 0
+    assert inner_product(regular_character(G), one) == 1
+    assert conjugacy_classes(G, cap=8000) is one.conj

@@ -163,3 +163,21 @@ def test_explicit_sc_spec_file(tmp_path):
     assert code == 0
     rep = load(out, "info_scalar.json")
     assert rep["group_order"] == 2
+
+
+def test_non_split_spec_is_a_spec_error(tmp_path):
+    # F_9 written as F_3[x]/(x^2 + 1): semisimple but not split over F_3
+    spec = {"p": 3, "dim": 2, "one": [1, 0],
+            "sc": [[[1, 0], [0, 1]], [[0, 1], [2, 0]]]}
+    path = tmp_path / "f9.json"
+    path.write_text(json.dumps(spec))
+    for command in ("gutkin", "chartable", "orbits"):
+        assert main([command, str(path), "--out", str(tmp_path / "out")]) == 2, command
+
+
+def test_local_malformed_arguments(capsys):
+    assert main(["local", "factor", "--p", "3", "--k", "1", "--phase", "0:1"]) == 2
+    assert main(["local", "chargroup", "--p", "4", "--k", "2"]) == 2
+    assert main(["local", "factor", "--p", "6", "--k", "1"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 3 and all(line.startswith("spec error: ") for line in err)

@@ -9,7 +9,8 @@ finite enumeration at construction time.
 from functools import lru_cache
 from itertools import product
 
-from .errors import NotBimodule, NotSplitBasic, SpecError, TooLarge
+from .errors import (CertificationFailure, NotBimodule, NotSplitBasic, SpecError,
+                     TooLarge)
 from .exact import SUPPORTED_PRIMES, kernel_basis, reduce_vector, rref
 
 # subalgebra enumeration caps: max algebra dimension per field, and a budget
@@ -121,9 +122,6 @@ class Algebra:
                 return True
             y = self.mul(y, y)
         return vec_is_zero(y)
-
-    def elem(self, coords):
-        return AlgElem(self, coords)
 
     def basis_vector(self, i):
         return tuple(1 if k == i else 0 for k in range(self.dim))
@@ -508,7 +506,8 @@ def bimodule_decompose(D: Subalgebra, V: Subspace):
             if comp.dim:
                 comps.append((i, j, comp))
                 total += comp.dim
-    assert total == V.dim, "homogeneous components do not exhaust V"
+    if total != V.dim:
+        raise CertificationFailure("homogeneous components do not exhaust V")
     return comps
 
 
@@ -739,11 +738,24 @@ def diagonal_algebra(p, n) -> Algebra:
     return pattern_algebra(p, n, [])
 
 
+def _check_int_array(value, shape, field):
+    """Check that value is a nested list of ints of the given shape."""
+    if not shape:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise SpecError(f"{field} must be an integer, got {type(value).__name__}")
+        return
+    if not isinstance(value, list) or len(value) != shape[0]:
+        raise SpecError(f"{field} must be a list of length {shape[0]}")
+    for i, v in enumerate(value):
+        _check_int_array(v, shape[1:], f"{field}[{i}]")
+
+
 def algebra_from_spec(spec: dict) -> Algebra:
     """Build an Algebra from the JSON ingestion format.
 
     Either {"p", "dim", "one", "sc", "labels"?} with explicit structure
-    constants, or {"p", "pattern": {"n", "closed_pairs"}}.
+    constants, or {"p", "pattern": {"n", "closed_pairs"}}. Shapes and integer
+    entries are checked here, so malformed input raises SpecError.
     """
     if not isinstance(spec, dict):
         raise SpecError("algebra spec must be a JSON object")
@@ -754,11 +766,22 @@ def algebra_from_spec(spec: dict) -> Algebra:
         pat = spec["pattern"]
         if not isinstance(pat, dict) or "n" not in pat or "closed_pairs" not in pat:
             raise SpecError("pattern spec needs fields 'n' and 'closed_pairs'")
-        return pattern_algebra(p, pat["n"], pat["closed_pairs"])
+        pairs = pat["closed_pairs"]
+        if not isinstance(pairs, list):
+            raise SpecError("closed_pairs must be a list of [i, j] pairs")
+        for t, pair in enumerate(pairs):
+            _check_int_array(pair, (2,), f"closed_pairs[{t}]")
+        return pattern_algebra(p, pat["n"], pairs)
     for field in ("dim", "one", "sc"):
         if field not in spec:
             raise SpecError(f"algebra spec missing field '{field}'")
     sc = spec["sc"]
-    if len(sc) != spec["dim"]:
+    if not isinstance(sc, list) or len(sc) != spec["dim"]:
         raise SpecError("field 'dim' disagrees with the sc tensor")
-    return Algebra(p, sc, spec["one"], spec.get("labels"))
+    dim = len(sc)
+    _check_int_array(sc, (dim, dim, dim), "sc")
+    _check_int_array(spec["one"], (dim,), "one")
+    labels = spec.get("labels")
+    if labels is not None and not isinstance(labels, list):
+        raise SpecError("field 'labels' must be a list")
+    return Algebra(p, sc, spec["one"], labels)

@@ -385,7 +385,6 @@ def _add_common(sub):
                      help="max algebra dimension for subalgebra enumeration")
     sub.add_argument("--seed", type=int, default=0, help="recorded in reports")
     sub.add_argument("--out", default=None, help="directory for report files")
-    sub.add_argument("--format", default="json", choices=["json", "csv"])
 
 
 def build_parser():

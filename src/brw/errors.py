@@ -74,7 +74,8 @@ class NoExtension(BrwError):
 
 
 class CertificationFailure(BrwError):
-    """A stabilizer could not be certified as the unit group of a subalgebra."""
+    """A mathematical certificate failed: a stabilizer is not the unit group of
+    a subalgebra, or an identity the construction relies on does not hold."""
 
 
 class DecompositionFailure(BrwError):

@@ -11,7 +11,8 @@ from math import lcm
 
 from .algebra import (Algebra, Subspace, cached_decomposition, vec_add,
                       vec_scale)
-from .errors import (NotInsideRadical, NotNormal, NotSplitBasic, TooLarge)
+from .errors import (CertificationFailure, GroupMismatch, NotInsideRadical,
+                     NotNormal, NotSplitBasic, TooLarge)
 from .exact import Cyclotomic, mat_mul_vec, mod_matrix_inverse
 
 DEFAULT_ORDER_CAP = 5000
@@ -45,6 +46,7 @@ class FiniteGroup:
         self._inv = [None] * len(self.elements)
         self._gens = None
         self._conj = None
+        self._conj_action = {}
 
     @property
     def order(self):
@@ -183,7 +185,8 @@ def unit_group(A: Algebra) -> FiniteGroup:
         for j in jvecs:
             elems.append(vec_add(d, j, p))
     G = intern_group(A, elems, kind="unit")
-    assert G.order == (p - 1) ** dec.n * p ** dec.radical.dim
+    if G.order != (p - 1) ** dec.n * p ** dec.radical.dim:
+        raise CertificationFailure("unit group order differs from (p-1)^n p^dim(J)")
     return G
 
 
@@ -394,7 +397,8 @@ def abelian_invariants(elems, mul, identity):
             for _ in range(e):
                 v = mul(v, g)
         dlog[v] = exps
-    assert len(dlog) == len(elems), "cyclic factors do not span the group"
+    if len(dlog) != len(elems):
+        raise CertificationFailure("cyclic factors do not span the group")
     return divisors, tuple(gens), dlog
 
 
@@ -530,43 +534,72 @@ class CharOrbit:
 
 
 def check_normal(G: FiniteGroup, Q: FiniteGroup):
+    """Check that Q is normal in G and return the conjugation action of G on Q.
+
+    The action is one tuple per generator g of G, perm[x] = id in Q of
+    g x g^-1 for x an id in Q; building it is the normality test, since an
+    image outside Q raises NotNormal. It is built once per (G, Q) and kept
+    on G.
+    """
+    perms = G._conj_action.get(Q)
+    if perms is not None:
+        return perms
     if not G.contains_group(Q):
         raise NotNormal("Q is not a subset of G")
     A = G.algebra
+    index = Q.index
+    perms = []
     for g in G.generators():
-        gid = G.index[g]
-        gin = G.elements[G.inv_id(gid)]
+        gin = G.elements[G.inv_id(G.index[g])]
+        perm = []
         for q in Q.elements:
-            if A.mul(A.mul(g, q), gin) not in Q.index:
+            y = index.get(A.mul(A.mul(g, q), gin))
+            if y is None:
                 raise NotNormal("Q is not normal in G")
+            perm.append(y)
+        perms.append(tuple(perm))
+    perms = tuple(perms)
+    G._conj_action[Q] = perms
+    return perms
 
 
 def char_orbit(G: FiniteGroup, Q: FiniteGroup, theta: LinearChar) -> CharOrbit:
-    """Orbit of theta in Q^ under conjugation by G, with its stabilizer."""
-    check_normal(G, Q)
-    assert theta.domain is Q
-    gen_ids = [G.index[g] for g in G.generators()]
+    """Orbit of theta in Q^ under conjugation by G, with its stabilizer.
+
+    The orbit is a breadth-first search over the generators of G acting on
+    exponent tables through the permutations of check_normal. The stabilizer
+    is {g in G : theta(g q g^-1) = theta(q) for q in Q.generators()}: as Q is
+    normal, theta o c_g and theta are both homomorphisms on Q, so they agree
+    once they agree on generators. The orbit-stabilizer identity
+    |orbit| * |G_theta| = |G| certifies orbit and stabilizer together; a
+    failure raises CertificationFailure.
+    """
+    perms = check_normal(G, Q)
+    if theta.domain is not Q:
+        raise GroupMismatch("theta is not a character of Q")
     seen = {theta.exps: theta}
-    frontier = [theta]
+    frontier = [theta.exps]
     while frontier:
         new = []
-        for ch in frontier:
-            for g in gen_ids:
-                img = ch.conj_by(G, g)
-                if img.exps not in seen:
-                    seen[img.exps] = img
+        for e in frontier:
+            for perm in perms:
+                img = tuple(e[y] for y in perm)
+                if img not in seen:
+                    seen[img] = LinearChar(Q, theta.m, img)
                     new.append(img)
         frontier = new
     orbit = [seen[k] for k in sorted(seen)]
     A = G.algebra
+    exps = theta.exps
+    tests = [(q, exps[Q.index[q]]) for q in Q.generators()]
     stab = []
-    for gid in range(G.order):
-        img = theta.conj_by(G, gid)
-        if img.exps == theta.exps:
-            stab.append(G.elements[gid])
-    stabilizer = intern_group(A, stab, kind="stabilizer")
-    assert len(orbit) * stabilizer.order == G.order, "orbit-stabilizer identity failed"
-    return CharOrbit(theta, G, orbit, stabilizer)
+    for gid, g in enumerate(G.elements):
+        gin = G.elements[G.inv_id(gid)]
+        if all(exps[Q.index[A.mul(A.mul(g, q), gin)]] == e for q, e in tests):
+            stab.append(g)
+    if len(orbit) * len(stab) != G.order:
+        raise CertificationFailure("orbit-stabilizer identity failed")
+    return CharOrbit(theta, G, orbit, intern_group(A, stab, kind="stabilizer"))
 
 
 def orbit_count_P_dual(q: int) -> int:

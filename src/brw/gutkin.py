@@ -166,12 +166,10 @@ def _conj_char(A: Algebra, theta: LinearChar, g):
 
 def _unit_inverse(A: Algebra, g):
     """Inverse of a unit: g has finite order r in A^x, so g^(r-1) inverts it."""
-    y = g
-    n = 1
+    prev, y = A.one, g
     while y != A.one:
-        y = A.mul(y, g)
-        n += 1
-    return A.power(g, n - 1)
+        prev, y = y, A.mul(y, g)
+    return prev
 
 
 def diag_centraliser(A: Algebra, Q: FiniteGroup, theta: LinearChar) -> Subalgebra:
@@ -278,7 +276,8 @@ def phi_sigma(S: SigmaData, g) -> LinearChar:
         exps.append(S.sigma.exps[S.N.index[c]])
     ch = LinearChar(Q, S.sigma.m, exps)
     # image lies in the annihilator of N
-    assert all(ch.exps[Q.index[v]] == 0 for v in S.N.elements), "phi_sigma(g) not trivial on N"
+    if any(ch.exps[Q.index[v]] for v in S.N.elements):
+        raise CertificationFailure("phi_sigma(g) not trivial on N")
     return ch
 
 
@@ -322,9 +321,10 @@ def extend_character(S: SigmaData) -> ExtensionResult:
     A = level.ambient
     Q, N, sigma = S.Q, S.N, S.sigma
     # [Q,Q] <= ker sigma
-    for q1 in Q.elements:
-        for q2 in Q.elements:
-            c = A.mul(A.mul(_unit_inverse(A, q1), _unit_inverse(A, q2)), A.mul(q1, q2))
+    inv = [Q.elements[Q.inv_id(i)] for i in range(Q.order)]
+    for q1, i1 in zip(Q.elements, inv):
+        for q2, i2 in zip(Q.elements, inv):
+            c = A.mul(A.mul(i1, i2), A.mul(q1, q2))
             if sigma.exps[N.index[c]] != 0:
                 raise NoExtension("sigma does not kill [Q,Q]")
     exts = []

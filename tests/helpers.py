@@ -4,8 +4,9 @@ walk, all-pairs conjugation instead of the generator BFS, and so on)."""
 
 from itertools import combinations, product
 
-from brw.algebra import vec_add, vec_scale
-from brw.exact import rref
+from brw.algebra import Algebra, vec_add, vec_scale
+from brw.exact import mod_matrix_inverse, rref
+from brw.groups import char_orbit, linear_characters
 
 
 def echelon_subspaces(p, n, k):
@@ -90,3 +91,42 @@ def subspace_vectors(A, rows):
                 v = vec_add(v, vec_scale(c, r, A.p), A.p)
         out.append(v)
     return out
+
+
+def brute_char_orbit(G, theta):
+    """(orbit exponent tables, stabilizer elements) of a linear character of a
+    normal subgroup, by conjugating with every element of G (no generators,
+    no cached action)."""
+    orbit, stab = set(), set()
+    for gid, g in enumerate(G.elements):
+        img = theta.conj_by(G, gid)
+        orbit.add(img.exps)
+        if img.exps == theta.exps:
+            stab.add(g)
+    return orbit, stab
+
+
+def assert_orbits_match_oracle(G, Q):
+    """char_orbit against brute_char_orbit, for every linear character of Q."""
+    for theta in linear_characters(Q):
+        orb = char_orbit(G, Q, theta)
+        ref_orbit, ref_stab = brute_char_orbit(G, theta)
+        assert [c.exps for c in orb.orbit] == sorted(ref_orbit)
+        assert all(c.domain is Q and c.m == theta.m for c in orb.orbit)
+        assert set(orb.stabilizer.elements) == ref_stab
+
+
+def rebased(A, rng):
+    """A in a random basis b'_i = sum_k M[i][k] b_k, M invertible over F_p."""
+    p, n = A.p, A.dim
+    while True:
+        M = [tuple(rng.randrange(p) for _ in range(n)) for _ in range(n)]
+        if len(rref(M, p)[0]) == n:
+            break
+    Minv = mod_matrix_inverse(M, p)
+
+    def coords(v):  # c with c . M = v
+        return [sum(v[k] * Minv[k][i] for k in range(n)) % p for i in range(n)]
+
+    sc = [[coords(A.mul(M[i], M[j])) for j in range(n)] for i in range(n)]
+    return Algebra(p, sc, coords(A.one))

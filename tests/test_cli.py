@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from brw.cli import main
 
 
@@ -181,3 +183,18 @@ def test_local_malformed_arguments(capsys):
     assert main(["local", "factor", "--p", "6", "--k", "1"]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 3 and all(line.startswith("spec error: ") for line in err)
+
+
+@pytest.mark.parametrize("spec", [
+    {"p": 3, "dim": 1, "one": [1], "sc": [1]},
+    {"p": 3, "dim": 1, "one": [1], "sc": [[["a"]]]},
+    {"p": 3, "dim": 1, "one": "x", "sc": [[[1]]]},
+    {"p": 3, "pattern": {"n": 2, "closed_pairs": 5}},
+], ids=["sc_plane_not_a_list", "sc_entry_not_an_integer", "one_not_a_list",
+        "closed_pairs_not_a_list"])
+def test_malformed_spec_is_a_spec_error(tmp_path, capsys, spec):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(spec))
+    assert main(["chartable", str(path)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("spec error: ")

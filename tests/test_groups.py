@@ -1,15 +1,22 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
 from brw.algebra import (Subspace, diagonal_algebra, radical, radical_power)
-from brw.errors import NotInsideRadical, NotNormal, TooLarge
+from brw.corpus import corpus_algebra
+from brw.errors import (CertificationFailure, NotInsideRadical, NotNormal,
+                        TooLarge)
 from brw.groups import (abelian_invariants, abelianization, center,
-                        char_orbit, commutator_subgroup, conjugacy_classes,
-                        ideal_subgroup, linear_characters, orbit_count_P_dual,
-                        radical_subgroup, set_product, torus_factorization,
-                        torus_subgroup, unit_group, units_of_subspace)
-from helpers import brute_conj_partition
+                        char_orbit, check_normal, commutator_subgroup,
+                        conjugacy_classes, ideal_subgroup, linear_characters,
+                        orbit_count_P_dual, radical_subgroup, set_product,
+                        torus_factorization, torus_subgroup, unit_group,
+                        units_of_subspace)
+from helpers import assert_orbits_match_oracle, brute_conj_partition, rebased
 
 
 def test_unit_group_orders(b2_f3, b3_f2):
@@ -181,6 +188,8 @@ def test_char_orbit_requires_normal(b2_f3):
     ch = linear_characters(T)[0]
     with pytest.raises(NotNormal):
         char_orbit(G, T, ch)  # T is not normal in G
+    with pytest.raises(NotNormal):
+        char_orbit(G, T, ch)  # a failed normality check is not cached
 
 
 def test_orbit_count_P_dual():
@@ -205,3 +214,62 @@ def test_invertibility_criterion_against_exhaustive_search(b2_f3, pattern3_f3):
             has_inv = any(A.mul(v, w) == A.one and A.mul(w, v) == A.one
                           for w in A.elements())
             assert has_inv == (v in units)
+
+
+def test_char_orbit_against_all_of_G(b2_f3, b3_f2, pattern3_f3, b3_f3):
+    for A in (b2_f3, b3_f2, pattern3_f3, b3_f3):
+        assert_orbits_match_oracle(unit_group(A), radical_subgroup(A))
+
+
+def test_char_orbit_against_all_of_G_rebased():
+    # a corpus algebra in a seeded dense basis: radical and idempotents
+    # off the coordinate axes
+    A = rebased(corpus_algebra("pattern3_f3"), random.Random(11))
+    assert any(x not in (0, 1) for plane in A.sc for row in plane for x in row)
+    assert_orbits_match_oracle(unit_group(A), radical_subgroup(A))
+
+
+def test_check_normal_builds_the_action_once(b3_f3):
+    G = unit_group(b3_f3)
+    P = radical_subgroup(b3_f3)
+    perms = check_normal(G, P)
+    assert check_normal(G, P) is perms
+    assert len(perms) == len(G.generators())
+    for g, perm in zip(G.generators(), perms):
+        assert sorted(perm) == list(range(P.order))
+        for ch in linear_characters(P):
+            assert tuple(ch.exps[y] for y in perm) == ch.conj_by(G, G.index[g]).exps
+
+
+def test_char_orbit_certifies_the_generator_shortcut(b2_f3, monkeypatch):
+    # a stabilizer tested on a set that does not generate Q admits too much;
+    # the orbit-stabilizer identity must catch it
+    G = unit_group(b2_f3)
+    P = radical_subgroup(b2_f3)
+    nt = next(c for c in linear_characters(P) if not c.is_trivial())
+    monkeypatch.setattr(P, "generators", lambda: (P.elements[P.identity],))
+    with pytest.raises(CertificationFailure):
+        char_orbit(G, P, nt)
+
+
+def test_certificate_survives_optimized_mode():
+    # the same mutation as above, under python -O, where asserts are stripped
+    code = textwrap.dedent("""
+        from brw.algebra import borel_algebra
+        from brw.errors import CertificationFailure
+        from brw.groups import char_orbit, linear_characters, radical_subgroup, unit_group
+        A = borel_algebra(3, 2)
+        G, P = unit_group(A), radical_subgroup(A)
+        nt = next(c for c in linear_characters(P) if not c.is_trivial())
+        P.generators = lambda: (A.one,)
+        try:
+            char_orbit(G, P, nt)
+        except CertificationFailure:
+            print("raised")
+    """)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "raised"

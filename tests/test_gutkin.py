@@ -13,6 +13,7 @@ from brw.gutkin import (SigmaData, certify_stabilizer_subalgebra,
                         diag_centraliser, extend_character, gutkin_decompose,
                         ideal_intersection_test, j_sigma, phi_sigma, top_level,
                         verify_gutkin_brute)
+from helpers import assert_orbits_match_oracle
 
 
 # -- fixtures for the worked sigma instances ---------------------------------
@@ -263,6 +264,13 @@ def test_extend_character_b3f3(sigma_b3f3):
     for theta in ext.extensions:
         orb = char_orbit(sigma_b3f3.level.P, sigma_b3f3.Q, theta)
         assert set(orb.stabilizer.elements) == expected
+
+
+def test_char_orbit_on_sigma_step_against_all_of_G(sigma_b3f3):
+    # Q = 1 + L for the step ideal L, under P and under the whole unit group
+    S = sigma_b3f3
+    for G in (S.level.P, S.level.units):
+        assert_orbits_match_oracle(G, S.Q)
 
 
 def test_extend_trivial_sigma(b3_f2):

@@ -530,7 +530,8 @@ def bimodule_complement(D: Subalgebra, V: Subspace, V1: Subspace) -> Subspace:
                 rows.append(v)
                 comp_rows.append(v)
     V2 = Subspace(A, comp_rows)
-    assert V1.dim + V2.dim == V.dim and V1.intersect(V2).dim == 0
+    if V1.dim + V2.dim != V.dim or V1.intersect(V2).dim != 0:
+        raise CertificationFailure("V1 and the complement do not span V as a direct sum")
     return V2
 
 

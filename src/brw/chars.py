@@ -1,11 +1,17 @@
 """Exact character tables, induction/restriction and the Clifford correspondence.
 
-Tables are computed by the class-sum eigenvector method: all class
-multiplication matrices are simultaneously diagonalized over F_l for the
-smallest prime l = 1 (mod exponent) with l > 2*sqrt(|G|), and the eigenvalue
-data is lifted to cyclotomic integers through the discrete Fourier inversion
-at a fixed root of unity mod l. Every table is re-verified against the
-orthogonality relations before it is returned.
+Tables are computed by the class-sum eigenvector method (Dixon 1967,
+Schneider 1990): the class multiplication matrices are simultaneously
+diagonalized over F_l for the smallest prime l = 1 (mod exponent) with
+l > 2*sqrt(|G|), and the eigenvalue data is lifted to cyclotomic integers
+through discrete Fourier inversion at a fixed root of unity mod l. A class
+matrix is built only when the split reaches its class (smallest classes
+first), as sparse rows ((k, count), ...) from |C_r| * k products. In each
+subspace the eigenvalues are the roots in F_l of the characteristic
+polynomial of the restricted matrix (Hessenberg form, valid for any
+dimension), with one kernel solve per root. The lift at a class of elements
+of order o runs a length-o DFT: s -> chi(g^s) has period o. Every table is
+re-verified against the orthogonality relations before it is returned.
 
 Where values live: a Character keeps its values twice. `values` is a tuple of
 Cyclotomic numbers in normal form (reduced mod Phi_m), read by rendering and
@@ -22,8 +28,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt, lcm
 
-from .errors import (CliffordFailure, GroupMismatch, LiftFailure, NotOverTheta,
-                     NotSubgroup, TooLarge)
+from .errors import (CertificationFailure, CliffordFailure, GroupMismatch,
+                     LiftFailure, NotOverTheta, NotSubgroup, TooLarge)
 from .exact import (Cyclotomic, is_prime, kernel_basis, mod_inv, reduce_vector,
                     rref)
 from .groups import (DEFAULT_ORDER_CAP, ConjData, FiniteGroup, LinearChar,
@@ -188,67 +194,147 @@ def _root_of_order(m, l):
     raise LiftFailure(f"no element of order {m} mod {l}")
 
 
-def _class_matrices(G: FiniteGroup, conj: ConjData):
-    """M_r[j][k] = #{(x,y) in C_r x C_j : x y = rep_k}."""
-    n = conj.k
-    mats = [[[0] * n for _ in range(n)] for _ in range(n)]
+def _power_classes(G: FiniteGroup, conj: ConjData, r):
+    """Classes of g^0, g^1, ..., g^(o-1) for g = G.elements[r] of order o."""
     A = G.algebra
-    inv_coords = {v: G.elements[G.inv_id(i)] for i, v in enumerate(G.elements)}
-    reps = [G.elements[r] for r in conj.reps]
-    for xid, x in enumerate(G.elements):
-        r = conj.class_of[xid]
-        xin = inv_coords[x]
-        row = mats[r]
+    g = G.elements[r]
+    out = [conj.class_of[G.identity]]
+    y = g
+    while y != A.one:
+        out.append(conj.class_of[G.index[y]])
+        y = A.mul(y, g)
+    return out
+
+
+def _class_matrix(G: FiniteGroup, conj: ConjData, r, r_inv):
+    """Sparse rows of M_r[j][k] = #{(x,y) in C_r x C_j : x y = rep_k}.
+
+    Row j is ((k, M_r[j][k]), ...) over the nonzero entries. r_inv is the class
+    of the inverses of C_r: x runs over C_r as u = x^-1 in C_{r_inv}, so that
+    y = u rep_k costs |C_r| * k products and no inversion.
+    """
+    A = G.algebra
+    reps = [G.elements[i] for i in conj.reps]
+    counts = [{} for _ in reps]
+    for u in conj.classes[r_inv]:
+        x = G.elements[u]
         for k, z in enumerate(reps):
-            y = A.mul(xin, z)
-            row[conj.class_of[G.index[y]]][k] += 1
-    return mats
+            row = counts[conj.class_of[G.index[A.mul(x, z)]]]
+            row[k] = row.get(k, 0) + 1
+    return [tuple(sorted(row.items())) for row in counts]
 
 
-def _refine_spaces(mats, n, l):
-    """Common one-dimensional eigenspaces of the class matrices over F_l."""
-    spaces = [tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))]
-    for M in mats[1:]:
-        if all(len(S) == 1 for S in spaces):
+def _charpoly(B, l):
+    """det(x I - B) over F_l for a square matrix B, little-endian and monic.
+
+    B is brought to upper Hessenberg form by similarity (Cohen, A Course in
+    Computational Algebraic Number Theory, Alg. 2.2.9), then the polynomials
+    of its leading blocks follow by a recurrence. Nothing divides by 1..d, so
+    any size d works, d >= l included.
+    """
+    d = len(B)
+    H = [[x % l for x in row] for row in B]
+    for m in range(1, d - 1):
+        piv = next((i for i in range(m, d) if H[i][m - 1]), None)
+        if piv is None:
+            continue
+        if piv != m:
+            H[piv], H[m] = H[m], H[piv]
+            for row in H:
+                row[piv], row[m] = row[m], row[piv]
+        inv = mod_inv(H[m][m - 1], l)
+        for i in range(m + 1, d):
+            u = H[i][m - 1] * inv % l
+            if u:
+                # row i -= u row m, then column m += u column i
+                H[i] = [(a - u * b) % l for a, b in zip(H[i], H[m])]
+                for row in H:
+                    row[m] = (row[m] + u * row[i]) % l
+    polys = [[1]]
+    for m in range(d):
+        # p_(m+1) = (x - H[m][m]) p_m
+        #           - sum_(i<m) H[i][m] H[i+1][i] ... H[m][m-1] p_i
+        p = polys[m]
+        new = [0] + p
+        for e, c in enumerate(p):
+            new[e] = (new[e] - H[m][m] * c) % l
+        t = 1
+        for i in range(m - 1, -1, -1):
+            t = t * H[i + 1][i] % l
+            if not t:
+                break
+            c = t * H[i][m] % l
+            for e, a in enumerate(polys[i]):
+                new[e] = (new[e] - c * a) % l
+        polys.append(new)
+    return polys[d]
+
+
+def _roots(poly, l):
+    """Roots in F_l, ascending, of a little-endian polynomial (Horner at each point)."""
+    out = []
+    for lam in range(l):
+        v = 0
+        for c in reversed(poly):
+            v = (v * lam + c) % l
+        if not v:
+            out.append(lam)
+    return out
+
+
+def _refine_spaces(G: FiniteGroup, conj: ConjData, inv_class, l):
+    """Common one-dimensional eigenspaces of the class matrices over F_l.
+
+    Each space is (rows, pivots) in reduced echelon form. Classes are taken
+    smallest first, since the matrix of C_r costs |C_r| * k products, and a
+    matrix is built only while some space still has dimension > 1.
+    """
+    n = conj.k
+    spaces = [(tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n)),
+               tuple(range(n)))]
+    for r in sorted(range(1, n), key=lambda r: conj.sizes[r]):
+        if all(len(rows) == 1 for rows, _ in spaces):
             break
+        M = _class_matrix(G, conj, r, inv_class[r])
         new_spaces = []
-        for S in spaces:
-            d = len(S)
+        for rows, pivots in spaces:
+            d = len(rows)
             if d == 1:
-                new_spaces.append(S)
+                new_spaces.append((rows, pivots))
                 continue
-            rows, pivots = rref(S, l)
-            assert len(rows) == d
-            images = []
+            # B[i] = coordinates of M w_i in the basis rows
+            B = []
             for w in rows:
-                u = tuple(sum(M[j][k] * w[k] for k in range(n)) % l for j in range(n))
+                u = [sum(c * w[k] for k, c in row) % l for row in M]
                 res, coeffs = reduce_vector(u, rows, pivots, l)
                 if any(res):
                     raise LiftFailure("class-matrix action left the subspace")
-                images.append(coeffs)
-            # row eigenvectors a of B (a.B = lam.a): kernel of (B - lam I)^T
+                B.append(coeffs)
+            # row eigenvectors a of B (a.B = lam.a): kernel of (B - lam I)^T,
+            # one kernel per root lam of the characteristic polynomial
             found = 0
-            for lam in range(l):
-                bt = [[(images[i][j] - (lam if i == j else 0)) % l for i in range(d)]
+            for lam in _roots(_charpoly(B, l), l):
+                bt = [[(B[i][j] - (lam if i == j else 0)) % l for i in range(d)]
                       for j in range(d)]
                 ker = kernel_basis(bt, d, l)
-                if not ker:
-                    continue
                 vecs = []
                 for a in ker:
-                    v = tuple(sum(a[i] * rows[i][k] for i in range(d)) % l
-                              for k in range(n))
-                    vecs.append(v)
-                new_spaces.append(tuple(rref(vecs, l)[0]))
+                    v = [0] * n
+                    for ai, w in zip(a, rows):
+                        if ai:
+                            v = [x + ai * y for x, y in zip(v, w)]
+                    vecs.append([x % l for x in v])
+                red, piv = rref(vecs, l)
+                if not ker or len(red) != len(ker):
+                    raise LiftFailure("eigenvalue without independent eigenvectors")
+                new_spaces.append((red, piv))
                 found += len(ker)
-                if found == d:
-                    break
             if found != d:
                 raise LiftFailure("class matrix is not diagonalizable mod l")
         spaces = new_spaces
-    if not all(len(S) == 1 for S in spaces):
+    if not all(len(rows) == 1 for rows, _ in spaces):
         raise LiftFailure("class matrices not simultaneously diagonalizable")
-    return [S[0] for S in spaces]
+    return [rows[0] for rows, _ in spaces]
 
 
 class CharTable:
@@ -296,34 +382,23 @@ def _char_table(G: FiniteGroup) -> CharTable:
     conj = conjugacy_classes(G)
     n = conj.k
     order = G.order
-    m = lcm(*(G.element_order(r) for r in conj.reps))
+    powers = [_power_classes(G, conj, r) for r in conj.reps]
+    m = lcm(*(len(pk) for pk in powers))
     l = _dixon_prime(order, m)
-    mats = _class_matrices(G, conj)
-    eigvecs = _refine_spaces(mats, n, l)
-
-    inv_class = [conj.class_of[G.inv_id(r)] for r in conj.reps]
-    pm = []
-    for r in conj.reps:
-        powers = []
-        y = G.algebra.one
-        for _ in range(m):
-            powers.append(conj.class_of[G.index[y]])
-            y = G.algebra.mul(y, G.elements[r])
-        pm.append(powers)
+    inv_class = [pk[-1] for pk in powers]   # class of g^(o-1) = g^-1
+    eigvecs = _refine_spaces(G, conj, inv_class, l)
 
     z = _root_of_order(m, l)
-    zpow = [pow(z, s, l) for s in range(m)]
-    zinv = mod_inv(z, l)
-    zinvpow = [pow(zinv, s, l) for s in range(m)]
-    m_inv = mod_inv(m % l, l)
+    zinvpow = [pow(z, -s, l) for s in range(m)]
+    size_inv = [mod_inv(s % l, l) for s in conj.sizes]
+    bound = 2 * isqrt(order)
 
     rows = []
     for w in eigvecs:
         if w[0] == 0:
             raise LiftFailure("central character vanishes on the identity class")
         scale = mod_inv(w[0], l)
-        w = [(x * scale) % l for x in w]
-        ratios = [(w[k] * mod_inv(conj.sizes[k] % l, l)) % l for k in range(n)]
+        ratios = [x * scale * size_inv[k] % l for k, x in enumerate(w)]
         den = sum(conj.sizes[k] * ratios[k] * ratios[inv_class[k]] for k in range(n)) % l
         chi1sq = (order % l) * mod_inv(den, l) % l
         deg = None
@@ -333,17 +408,23 @@ def _char_table(G: FiniteGroup) -> CharTable:
                 break
         if deg is None:
             raise LiftFailure("no integral degree matches the eigenvector")
-        vals_mod = [(deg * ratios[k]) % l for k in range(n)]
+        vals_mod = [(deg * x) % l for x in ratios]
         values, vecs = [], []
-        for k in range(n):
-            # multiplicity of each eigenvalue zeta^j: chi(g) = sum_j coeffs[j] zeta^j
-            coeffs = []
-            for j in range(m):
-                c = sum(vals_mod[pm[k][s]] * zinvpow[(j * s) % m] for s in range(m))
-                c = (c * m_inv) % l
-                if c > 2 * isqrt(order):
+        for pk in powers:
+            # s -> chi(g^s) has period o = ord(g), so the multiplicity of the
+            # eigenvalue zeta^j vanishes unless t = m/o divides j; the others
+            # come from a length-o DFT at the root z^t:
+            # coeffs[t i] = (1/o) sum_(s<o) chi(g^s) z^(-t i s)
+            o = len(pk)
+            t = m // o
+            o_inv = mod_inv(o, l)
+            chi_s = [vals_mod[c] for c in pk]
+            coeffs = [0] * m
+            for i in range(o):
+                c = sum(x * zinvpow[t * i * s % m] for s, x in enumerate(chi_s)) * o_inv % l
+                if c > bound:
                     raise LiftFailure("eigenvalue multiplicity out of range")
-                coeffs.append(c)
+                coeffs[t * i] = c
             if sum(coeffs) != deg:
                 raise LiftFailure("multiplicities do not sum to the degree")
             values.append(Cyclotomic(m, coeffs))
@@ -417,7 +498,8 @@ def constituents(chi: Character, table: CharTable):
     for irr in table.irreducibles:
         mult = inner_product(chi, irr)
         if mult:
-            assert mult.denominator == 1 and mult > 0
+            if mult.denominator != 1 or mult < 0:
+                raise CertificationFailure(f"multiplicity {mult} is not a natural number")
             out.append((int(mult), irr))
     return out
 

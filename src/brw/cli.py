@@ -300,7 +300,7 @@ def _parse_phase(text):
 
 def cmd_local(args):
     if args.local_cmd == "chargroup":
-        grp = LocalCharGroup(args.p, args.k)
+        grp = LocalCharGroup(args.p, args.k, cap=args.cap_order)
         report = {
             "schema": "brw.local.chargroup/1",
             "config": _config_block(args),
@@ -309,7 +309,7 @@ def cmd_local(args):
         _emit(args, f"chargroup_p{args.p}k{args.k}", report)
         return EXIT_OK
     if args.local_cmd == "factor":
-        chars = unit_characters(args.p, args.k)
+        chars = unit_characters(args.p, args.k, cap=args.cap_order)
         if not (0 <= args.unit < len(chars)):
             raise SpecError(f"--unit index out of range (0..{len(chars) - 1})")
         m, e = _parse_phase(args.phase)

@@ -17,7 +17,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .errors import DivisionByZero, FieldMismatch, InvalidConductor
+from .errors import (CertificationFailure, DivisionByZero, FieldMismatch,
+                     InvalidConductor)
 
 SUPPORTED_PRIMES = (2, 3, 5, 7)
 
@@ -317,12 +318,14 @@ def _poly_divmod_int(num, den):
     out = [0] * (len(num) - len(den) + 1)
     for k in range(len(out) - 1, -1, -1):
         lead = num[k + len(den) - 1]
-        assert lead % den[-1] == 0
+        if lead % den[-1]:
+            raise CertificationFailure("polynomial division is not exact")
         q = lead // den[-1]
         out[k] = q
         for i, d in enumerate(den):
             num[k + i] -= q * d
-    assert all(x == 0 for x in num[:len(den) - 1])
+    if any(num[:len(den) - 1]):
+        raise CertificationFailure("polynomial division leaves a remainder")
     return out
 
 

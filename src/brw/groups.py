@@ -91,16 +91,6 @@ class FiniteGroup:
     def contains_group(self, other):
         return all(v in self.index for v in other.elements)
 
-    def element_order(self, i):
-        A = self.algebra
-        x = self.elements[i]
-        y = x
-        n = 1
-        while y != A.one:
-            y = A.mul(y, x)
-            n += 1
-        return n
-
     def __repr__(self):
         return f"FiniteGroup({self.kind}, order={self.order})"
 
@@ -384,7 +374,8 @@ def abelian_invariants(elems, mul, identity):
         for _ in range(d):
             gd = mul(gd, g)
         s = dlog_cyc[gd]
-        assert s % d == 0, "lift adjustment failed"
+        if s % d:
+            raise CertificationFailure("lift adjustment failed: g^d is not a d-th power in <g1>")
         corr = (d1 - s // d) % d1
         for _ in range(corr):
             g = mul(g, g1)

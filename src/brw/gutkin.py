@@ -580,7 +580,8 @@ def gutkin_decompose(A: Algebra, chi: Character, cap=DEFAULT_ORDER_CAP) -> Gutki
     level = top_level(A)
     G = level.units
     chi0 = chi.transfer(G)
-    assert inner_product(chi0, chi0) == 1, "gutkin_decompose requires an irreducible"
+    if inner_product(chi0, chi0) != 1:
+        raise PreconditionFailure("gutkin_decompose requires an irreducible character")
     steps = []
     leaf, lam = _decompose(level, chi0, steps, cap)
     witness = GutkinWitness(A, G, chi0, steps, leaf.rows, leaf.units, lam)

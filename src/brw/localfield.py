@@ -10,19 +10,26 @@ from fractions import Fraction
 from math import gcd
 
 from .algebra import Subalgebra, cached_decomposition
-from .errors import SpecError
+from .errors import SpecError, TooLarge
 from .exact import Cyclotomic, is_prime
 from .groups import abelian_invariants
 
 
 class ResidueUnits:
-    """(Z/p^k)^x as a plain multiplicative group of integer residues."""
+    """(Z/p^k)^x as a plain multiplicative group of integer residues.
 
-    def __init__(self, p, k):
+    The order (p-1) p^(k-1) is checked against cap, when one is given,
+    before any residue is enumerated.
+    """
+
+    def __init__(self, p, k, cap=None):
         if not is_prime(p):
             raise SpecError(f"residue characteristic must be a prime, got {p}")
         if k < 0:
             raise SpecError("level must be nonnegative")
+        # p^bit_length(cap) > cap, so a larger exponent need not be computed
+        if cap is not None and k and (p - 1) * p ** min(k - 1, cap.bit_length()) > cap:
+            raise TooLarge(f"|(Z/{p}^{k})^x| = {p - 1}*{p}^{k - 1} exceeds cap {cap}")
         self.p = p
         self.k = k
         self.modulus = p ** k
@@ -79,9 +86,9 @@ class UnitChar:
         return f"UnitChar(p^k={self.group.modulus}, m={self.m})"
 
 
-def unit_characters(p, k):
+def unit_characters(p, k, cap=None):
     """All characters of (Z/p^k)^x, ordered by exponent table."""
-    group = ResidueUnits(p, k)
+    group = ResidueUnits(p, k, cap)
     divisors, gens, dlog = group.invariants()
     m = divisors[0] if divisors else 1
     from itertools import product
@@ -164,12 +171,12 @@ def factor_unitary(chi: SmoothCharLocal):
 class LocalCharGroup:
     """Generators of the smooth characters of k^x at residue level k."""
 
-    def __init__(self, p, k):
+    def __init__(self, p, k, cap=None):
         if k < 1:
             raise SpecError("character group needs level k >= 1")
         self.p = p
         self.k = k
-        group = ResidueUnits(p, k)
+        group = ResidueUnits(p, k, cap)
         self.divisors, gens, dlog = group.invariants()
         m = self.divisors[0] if self.divisors else 1
         self.unit_generators = []

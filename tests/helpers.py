@@ -2,6 +2,10 @@
 paths they are checking (plain subspace enumeration instead of the lattice
 walk, all-pairs conjugation instead of the generator BFS, and so on)."""
 
+import os
+import subprocess
+import sys
+import textwrap
 from itertools import combinations, product
 
 from brw.algebra import Algebra, vec_add, vec_scale
@@ -130,3 +134,13 @@ def rebased(A, rng):
 
     sc = [[coords(A.mul(M[i], M[j])) for j in range(n)] for i in range(n)]
     return Algebra(p, sc, coords(A.one))
+
+
+def run_optimized(code):
+    """stdout of code run under python -O (asserts stripped) with brw on the path."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-O", "-c", textwrap.dedent(code)], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return out.stdout

@@ -3,18 +3,19 @@ from fractions import Fraction
 
 import pytest
 
-from brw.algebra import borel_algebra, radical_power
-from brw.chars import (Character, char_from_linear, char_table,
-                       clifford_correspondent, constituents, induce,
-                       inner_product, regular_character, restrict,
-                       trivial_character)
+from brw.algebra import borel_algebra, pattern_algebra, radical_power
+from brw.chars import (Character, _charpoly, _class_matrix, _roots,
+                       char_from_linear, char_table, clifford_correspondent,
+                       constituents, induce, inner_product, regular_character,
+                       restrict, trivial_character)
 from brw.corpus import corpus_algebra
-from brw.errors import (GroupMismatch, NotOverTheta, NotSubgroup, TooLarge)
-from brw.exact import Cyclotomic
+from brw.errors import GroupMismatch, NotOverTheta, NotSubgroup, TooLarge
+from brw.exact import Cyclotomic, kernel_basis
 from brw.groups import (DEFAULT_ORDER_CAP, FiniteGroup, center,
                         conjugacy_classes, ideal_subgroup, linear_characters,
                         radical_subgroup, set_product, torus_subgroup,
                         unit_group)
+from helpers import rebased, run_optimized
 
 
 def test_char_table_degrees(b2_f3, b3_f2, diag2_f3):
@@ -290,3 +291,158 @@ def test_order_cap_checked_once_at_entry():
     assert inner_product(ind, one) == 0
     assert inner_product(regular_character(G), one) == 1
     assert conjugacy_classes(G, cap=8000) is one.conj
+
+
+# -- Dixon-Schneider internals against oracles that share no code with them --
+
+def det_mod(rows, l):
+    """Determinant over F_l by Gaussian elimination with row swaps."""
+    a = [list(r) for r in rows]
+    n = len(a)
+    det = 1
+    for c in range(n):
+        piv = next((i for i in range(c, n) if a[i][c] % l), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            det = -det
+        det = det * a[c][c] % l
+        inv = pow(a[c][c], l - 2, l)
+        for i in range(c + 1, n):
+            f = a[i][c] * inv % l
+            a[i] = [(x - f * y) % l for x, y in zip(a[i], a[c])]
+    return det % l
+
+
+def assert_charpoly(B, l):
+    d = len(B)
+    poly = _charpoly(B, l)
+    assert len(poly) == d + 1 and poly[-1] == 1
+    roots = _roots(poly, l)
+    found = 0
+    for lam in range(l):
+        shifted = [[(B[i][j] - (lam if i == j else 0)) % l for j in range(d)] for i in range(d)]
+        ker = kernel_basis(shifted, d, l)
+        assert (lam in roots) == bool(ker), (d, lam)
+        found += len(ker)
+        if d <= 12:
+            # the value at lam is det(lam I - B) = (-1)^d det(B - lam I)
+            value = sum(c * pow(lam, e, l) for e, c in enumerate(poly)) % l
+            assert value == (-1) ** d * det_mod(shifted, l) % l, (d, lam)
+    return roots, found
+
+
+def test_charpoly_roots_are_eigenvalues():
+    rng = random.Random(43)
+    l = 43
+    # random dense matrices, d > l included (a trace formula would divide by l)
+    for d in (1, 2, 3, 5, 8, 12, 20, 42, 43, 44, 60):
+        assert_charpoly([[rng.randrange(l) for _ in range(d)] for _ in range(d)], l)
+    # sparse ones, whose Hessenberg form has zeros on the subdiagonal
+    for d in (4, 9, 12, 30):
+        B = [[rng.randrange(l) if rng.random() < 0.15 else 0 for _ in range(d)]
+             for _ in range(d)]
+        assert_charpoly(B, l)
+    blocks = [[1, 2, 0, 0, 5], [3, 4, 0, 0, 6], [0, 0, 7, 8, 0], [0, 0, 9, 10, 0],
+              [0, 0, 0, 0, 11]]
+    assert_charpoly(blocks, l)
+    # diagonalizable with repeated eigenvalues: S D S^-1, built from a random
+    # unimodular S = product of elementary row operations
+    diag = [5, 5, 5, 17, 17, 0, 42, 42, 1, 5, 0, 17]
+    d = len(diag)
+    S = [[int(i == j) for j in range(d)] for i in range(d)]
+    Sinv = [row[:] for row in S]
+    for _ in range(60):
+        i, j = rng.sample(range(d), 2)
+        f = rng.randrange(1, l)
+        S[i] = [(x + f * y) % l for x, y in zip(S[i], S[j])]      # S <- E S
+        for row in Sinv:                                            # Sinv <- Sinv E^-1
+            row[j] = (row[j] - f * row[i]) % l
+    B = [[sum(S[i][k] * diag[k] * Sinv[k][j] for k in range(d)) % l for j in range(d)]
+         for i in range(d)]
+    roots, found = assert_charpoly(B, l)
+    assert roots == sorted(set(diag)) and found == d
+
+
+def brute_class_matrix(G, conj, r):
+    """M_r[j][k] = #{(x, y) in C_r x C_j : x y = rep_k}, over all pairs."""
+    A = G.algebra
+    rep_class = {G.elements[i]: k for k, i in enumerate(conj.reps)}
+    M = [[0] * conj.k for _ in range(conj.k)]
+    for xid in conj.classes[r]:
+        for yid, y in enumerate(G.elements):
+            k = rep_class.get(A.mul(G.elements[xid], y))
+            if k is not None:
+                M[conj.class_of[yid]][k] += 1
+    return M
+
+
+def test_class_matrix_against_pair_count(b2_f3, b2_f5, b3_f3, pattern3_f3):
+    rng = random.Random(7)
+    non_real = 0
+    for A in (b2_f3, b2_f5, b3_f3, rebased(pattern3_f3, rng)):
+        G = unit_group(A)
+        conj = conjugacy_classes(G)
+        for r in range(conj.k):
+            r_inv = conj.class_of[G.inv_id(conj.reps[r])]
+            non_real += r_inv != r
+            dense = [[0] * conj.k for _ in range(conj.k)]
+            for j, row in enumerate(_class_matrix(G, conj, r, r_inv)):
+                for k, c in row:
+                    assert c
+                    dense[j][k] = c
+            assert dense == brute_class_matrix(G, conj, r), (A, r)
+    assert non_real   # diag(2, 1) in B_2(F_5) is not conjugate to its inverse
+
+
+def test_lift_matches_values_on_powers(b3_f3, pattern3_f3):
+    # chi(g^s) = sum_j c_j zeta_m^(j s) for the lifted eigenvalue multiplicities
+    # c of g, with the powers g^s formed by Algebra.mul
+    rng = random.Random(11)
+    specs = (borel_algebra(7, 2), pattern_algebra(3, 4, [(1, 2), (1, 3), (1, 4)]),
+             b3_f3, pattern3_f3)
+    for A in (rebased(B, rng) for B in specs):
+        G = unit_group(A)
+        tab = char_table(G)
+        conj, m = tab.conj, tab.conductor
+        for k, r in enumerate(conj.reps):
+            g = G.elements[r]
+            power_classes = []
+            y = A.one
+            while True:
+                power_classes.append(conj.class_of[G.index[y]])
+                y = A.mul(y, g)
+                if y == A.one:
+                    break
+            for chi in tab.irreducibles:
+                exps = chi.vectors(m)[k]
+                assert sum(c for _, c in exps) == chi.degree
+                for s, cls in enumerate(power_classes):
+                    acc = [0] * m
+                    for j, c in exps:
+                        acc[j * s % m] += c
+                    assert Cyclotomic(m, acc) == chi.values[cls], (k, s)
+
+
+def test_certificates_survive_optimized_mode():
+    out = run_optimized("""
+        from fractions import Fraction
+        from brw.algebra import borel_algebra
+        from brw.chars import Character, char_table, constituents
+        from brw.errors import CertificationFailure
+        from brw.exact import Cyclotomic, _poly_divmod_int
+        from brw.groups import conjugacy_classes, unit_group
+        G = unit_group(borel_algebra(3, 2))
+        conj = conjugacy_classes(G)
+        half = Character(G, conj, [Cyclotomic.from_rational(Fraction(1, 2))] * conj.k)
+        for call in (lambda: constituents(half, char_table(G)),
+                     lambda: _poly_divmod_int([1, 0, 1], [0, 2]),
+                     lambda: _poly_divmod_int([1, 0, 1], [0, 1])):
+            try:
+                call()
+            except CertificationFailure:
+                print("raised")
+    """)
+    assert out.split() == ["raised"] * 3
+

@@ -185,6 +185,15 @@ def test_local_malformed_arguments(capsys):
     assert len(err) == 3 and all(line.startswith("spec error: ") for line in err)
 
 
+def test_local_level_is_capped(capsys):
+    # |(Z/2^8)^x| = 128 > 10; 2^39 residues must be refused before enumeration
+    assert main(["local", "chargroup", "--p", "2", "--k", "8", "--cap-order", "10"]) == 3
+    assert main(["local", "chargroup", "--p", "2", "--k", "40"]) == 3
+    assert main(["local", "factor", "--p", "3", "--k", "40"]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 3 and all(line.startswith("cap exceeded: ") for line in err)
+
+
 @pytest.mark.parametrize("spec", [
     {"p": 3, "dim": 1, "one": [1], "sc": [1]},
     {"p": 3, "dim": 1, "one": [1], "sc": [[["a"]]]},

@@ -1,8 +1,4 @@
-import os
 import random
-import subprocess
-import sys
-import textwrap
 
 import pytest
 
@@ -16,7 +12,8 @@ from brw.groups import (abelian_invariants, abelianization, center,
                         orbit_count_P_dual, radical_subgroup, set_product,
                         torus_factorization, torus_subgroup, unit_group,
                         units_of_subspace)
-from helpers import assert_orbits_match_oracle, brute_conj_partition, rebased
+from helpers import (assert_orbits_match_oracle, brute_conj_partition, rebased,
+                     run_optimized)
 
 
 def test_unit_group_orders(b2_f3, b3_f2):
@@ -254,7 +251,7 @@ def test_char_orbit_certifies_the_generator_shortcut(b2_f3, monkeypatch):
 
 def test_certificate_survives_optimized_mode():
     # the same mutation as above, under python -O, where asserts are stripped
-    code = textwrap.dedent("""
+    out = run_optimized("""
         from brw.algebra import borel_algebra
         from brw.errors import CertificationFailure
         from brw.groups import char_orbit, linear_characters, radical_subgroup, unit_group
@@ -267,9 +264,4 @@ def test_certificate_survives_optimized_mode():
         except CertificationFailure:
             print("raised")
     """)
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                         capture_output=True, text=True, timeout=120)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "raised"
+    assert out.strip() == "raised"

@@ -5,7 +5,8 @@ import pytest
 from brw.algebra import (Subalgebra, Subspace, basic_decomposition,
                          bimodule_complement, bimodule_decompose,
                          borel_algebra, pattern_algebra, radical_power)
-from brw.chars import char_from_linear, char_table, induce, inner_product, restrict
+from brw.chars import (Character, char_from_linear, char_table, induce,
+                       inner_product, restrict)
 from brw.errors import NotInvariant, PreconditionFailure
 from brw.groups import (char_orbit, ideal_subgroup, linear_characters,
                         radical_subgroup, unit_group, units_of_subspace)
@@ -13,7 +14,7 @@ from brw.gutkin import (SigmaData, certify_stabilizer_subalgebra,
                         diag_centraliser, extend_character, gutkin_decompose,
                         ideal_intersection_test, j_sigma, phi_sigma, top_level,
                         verify_gutkin_brute)
-from helpers import assert_orbits_match_oracle
+from helpers import assert_orbits_match_oracle, run_optimized
 
 
 # -- fixtures for the worked sigma instances ---------------------------------
@@ -326,6 +327,31 @@ def test_gutkin_trivial_character(b2_f3):
     w = gutkin_decompose(b2_f3, triv)
     assert w.H.order == G.order and w.lam.is_trivial()
     assert w.steps[-1]["branch"] == "leaf"
+
+
+def test_gutkin_requires_an_irreducible(b2_f3):
+    # the sum of two linear characters has norm 2; also under python -O
+    G = unit_group(b2_f3)
+    a, b = (char_from_linear(c) for c in linear_characters(G)[:2])
+    chi = Character(G, a.conj, [x + y for x, y in zip(a.values, b.values)])
+    with pytest.raises(PreconditionFailure):
+        gutkin_decompose(b2_f3, chi)
+    out = run_optimized("""
+        from brw.algebra import borel_algebra
+        from brw.chars import Character, char_from_linear
+        from brw.errors import PreconditionFailure
+        from brw.groups import linear_characters, unit_group
+        from brw.gutkin import gutkin_decompose
+        A = borel_algebra(3, 2)
+        G = unit_group(A)
+        a, b = (char_from_linear(c) for c in linear_characters(G)[:2])
+        chi = Character(G, a.conj, [x + y for x, y in zip(a.values, b.values)])
+        try:
+            gutkin_decompose(A, chi)
+        except PreconditionFailure:
+            print("raised")
+    """)
+    assert out.strip() == "raised"
 
 
 def test_gutkin_b2f3_degree2(b2_f3):

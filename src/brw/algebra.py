@@ -6,12 +6,12 @@ identity, ideal/subalgebra closure, idempotent orthogonality) are checked by
 finite enumeration at construction time.
 """
 
-from functools import lru_cache
 from itertools import product
 
 from .errors import (CertificationFailure, NotBimodule, NotSplitBasic, SpecError,
                      TooLarge)
-from .exact import SUPPORTED_PRIMES, kernel_basis, reduce_vector, rref
+from .exact import (SUPPORTED_PRIMES, kernel_basis, mat_mul_vec,
+                    mod_matrix_inverse, reduce_vector, rref)
 
 # subalgebra enumeration caps: max algebra dimension per field, and a budget
 # on closure computations for the lattice walk
@@ -45,6 +45,10 @@ class Algebra:
 
     sc[i][j][k] is the coefficient of basis vector k in the product b_i * b_j.
     Associativity and the two-sided identity are certified at construction.
+
+    The algebra owns every cache derived from it: its BasicDecomposition
+    (set by cached_decomposition), its interned unit subgroups
+    (groups.intern_group) and its descent levels (gutkin.get_level).
     """
 
     def __init__(self, p, sc, one, labels=None):
@@ -69,6 +73,9 @@ class Algebra:
                                for row in plane) for plane in self.sc)
         self._check_identity()
         self._check_associativity()
+        self._dec = None
+        self._groups = {}
+        self._levels = {}
 
     def _check_identity(self):
         for i in range(self.dim):
@@ -122,6 +129,15 @@ class Algebra:
                 return True
             y = self.mul(y, y)
         return vec_is_zero(y)
+
+    def combine(self, coeffs, rows):
+        """The linear combination sum_i coeffs[i] * rows[i] of coordinate tuples."""
+        out = [0] * self.dim
+        for c, row in zip(coeffs, rows):
+            if c:
+                for k, x in enumerate(row):
+                    out[k] += c * x
+        return tuple(x % self.p for x in out)
 
     def basis_vector(self, i):
         return tuple(1 if k == i else 0 for k in range(self.dim))
@@ -202,13 +218,8 @@ class Subspace:
 
     def vectors(self):
         """All vectors of the subspace (p^dim of them)."""
-        p = self.owner.p
-        for coeffs in all_vectors(p, self.dim):
-            v = tuple(0 for _ in range(self.owner.dim))
-            for c, row in zip(coeffs, self.rows):
-                if c:
-                    v = vec_add(v, vec_scale(c, row, p), p)
-            yield v
+        for coeffs in all_vectors(self.owner.p, self.dim):
+            yield self.owner.combine(coeffs, self.rows)
 
     def sum_with(self, other):
         return Subspace(self.owner, self.rows + other.rows)
@@ -222,14 +233,7 @@ class Subspace:
         stacked = [list(r) for r in self.rows] + [[(-x) % p for x in r] for r in other.rows]
         transposed = [[stacked[i][j] for i in range(k + l)] for j in range(self.owner.dim)]
         ker = kernel_basis(transposed, k + l, p)
-        rows = []
-        for y in ker:
-            v = tuple(0 for _ in range(self.owner.dim))
-            for c, row in zip(y[:k], self.rows):
-                if c:
-                    v = vec_add(v, vec_scale(c, row, p), p)
-            rows.append(v)
-        return Subspace(self.owner, rows)
+        return Subspace(self.owner, [self.owner.combine(y[:k], self.rows) for y in ker])
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.owner is other.owner
@@ -277,17 +281,49 @@ class Ideal(Subspace):
 
 
 class BasicDecomposition:
-    """Orthogonal idempotents e_1..e_n, diagonal subalgebra D, radical J."""
+    """Orthogonal idempotents e_1..e_n, diagonal subalgebra D, radical J.
+
+    It owns what is derived from the split A = D (+) J: the powers J^n,
+    computed once each, and the coordinates along D (+) J that give the
+    torus part of an element.
+    """
 
     def __init__(self, algebra, idempotents, diagonal, radical):
         self.algebra = algebra
         self.idempotents = idempotents
         self.diagonal = diagonal
         self.radical = radical
+        self._powers = {1: radical}
+        self._torus_rows = None
 
     @property
     def n(self):
         return len(self.idempotents)
+
+    def radical_power(self, n) -> Ideal:
+        """J^n, the span of all n-fold products of radical elements (J^1 = J)."""
+        if n < 1:
+            raise SpecError(f"radical power needs n >= 1, got {n}")
+        if n not in self._powers:
+            A, prev = self.algebra, self.radical_power(n - 1)
+            self._powers[n] = Ideal(A, [A.mul(u, v) for u in prev.rows for v in self.radical.rows])
+        return self._powers[n]
+
+    def torus_coeffs(self, v):
+        """Coefficients of e_1..e_n when v is written in the basis idempotents + rows of J."""
+        A = self.algebra
+        if self._torus_rows is None:
+            rows = self.idempotents + self.radical.rows
+            transposed = [[r[j] for r in rows] for j in range(A.dim)]
+            self._torus_rows = mod_matrix_inverse(transposed, A.p)[:self.n]
+        return mat_mul_vec(self._torus_rows, v, A.p)
+
+    def diagonal_part(self, v):
+        """The component of v in D."""
+        return self.algebra.combine(self.torus_coeffs(v), self.idempotents)
+
+    def is_unit(self, v):
+        return all(self.torus_coeffs(v))
 
 
 # ---------------------------------------------------------------------------
@@ -393,10 +429,7 @@ def radical(A: Algebra) -> Ideal:
     Raises NotSplitBasic when the nilpotent set is not a subspace or the
     semisimple quotient is not split.
     """
-    data, reason = _split_basic_analysis(A)
-    if data is None:
-        raise NotSplitBasic(reason)
-    return Ideal(A, data["radical_rows"])
+    return cached_decomposition(A).radical
 
 
 def is_split_basic(A) -> tuple[bool, str]:
@@ -452,20 +485,16 @@ def basic_decomposition(A: Algebra) -> BasicDecomposition:
     return BasicDecomposition(A, tuple(idems), diagonal, rad)
 
 
-@lru_cache(maxsize=None)
 def cached_decomposition(A: Algebra) -> BasicDecomposition:
-    return basic_decomposition(A)
+    """basic_decomposition(A), computed once and kept on A."""
+    if A._dec is None:
+        A._dec = basic_decomposition(A)
+    return A._dec
 
 
 def radical_power(A: Algebra, n: int) -> Ideal:
     """Span of all n-fold products of radical elements (J^1 = J)."""
-    assert n >= 1
-    J = radical(A)
-    rows = J.rows
-    for _ in range(n - 1):
-        prods = [A.mul(u, v) for u in rows for v in J.rows]
-        rows, _ = rref(prods, A.p)
-    return Ideal(A, rows)
+    return cached_decomposition(A).radical_power(n)
 
 
 # ---------------------------------------------------------------------------
@@ -543,14 +572,7 @@ def largest_ideal_inside(A: Algebra, X: Subspace) -> Subspace:
     """
     cur = X
     while True:
-        keep = []
-        for coeffs in _kernel_of_escape(A, cur):
-            v = tuple(0 for _ in range(A.dim))
-            for c, row in zip(coeffs, cur.rows):
-                if c:
-                    v = vec_add(v, vec_scale(c, row, A.p), A.p)
-            keep.append(v)
-        nxt = Subspace(A, keep)
+        nxt = Subspace(A, [A.combine(c, cur.rows) for c in _kernel_of_escape(A, cur)])
         if nxt.dim == cur.dim:
             return nxt
         cur = nxt
@@ -645,14 +667,13 @@ class EmbeddedAlgebra:
     """A unital closed subspace of an ambient algebra, rebased on its own basis.
 
     Provides the standalone Algebra (for radical/idempotent work) together
-    with the coordinate maps between local and ambient presentations.
+    with the map from its coordinates to ambient ones.
     """
 
     def __init__(self, ambient: Algebra, rows):
         self.ambient = ambient
         red, pivots = rref(rows, ambient.p)
         self.rows = red
-        self.pivots = pivots
         k = len(red)
         sc = []
         for u in red:
@@ -671,18 +692,7 @@ class EmbeddedAlgebra:
         self.dim = k
 
     def to_ambient(self, local):
-        p = self.ambient.p
-        v = tuple(0 for _ in range(self.ambient.dim))
-        for c, row in zip(local, self.rows):
-            if c:
-                v = vec_add(v, vec_scale(c, row, p), p)
-        return v
-
-    def to_local(self, vec):
-        res, coeffs = reduce_vector(vec, self.rows, self.pivots, self.ambient.p)
-        if not vec_is_zero(res):
-            raise ValueError("vector not in the subalgebra")
-        return coeffs
+        return self.ambient.combine(local, self.rows)
 
     def subspace_to_ambient(self, sub: Subspace) -> Subspace:
         return Subspace(self.ambient, [self.to_ambient(r) for r in sub.rows])

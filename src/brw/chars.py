@@ -11,7 +11,8 @@ subspace the eigenvalues are the roots in F_l of the characteristic
 polynomial of the restricted matrix (Hessenberg form, valid for any
 dimension), with one kernel solve per root. The lift at a class of elements
 of order o runs a length-o DFT: s -> chi(g^s) has period o. Every table is
-re-verified against the orthogonality relations before it is returned.
+re-verified against the orthogonality relations before it is returned, and
+kept on its group (FiniteGroup._table) next to the group's classes.
 
 Where values live: a Character keeps its values twice. `values` is a tuple of
 Cyclotomic numbers in normal form (reduced mod Phi_m), read by rendering and
@@ -25,7 +26,6 @@ and reduce mod Phi_m once per resulting scalar.
 """
 
 from fractions import Fraction
-from functools import lru_cache
 from math import isqrt, lcm
 
 from .errors import (CertificationFailure, CliffordFailure, GroupMismatch,
@@ -33,7 +33,7 @@ from .errors import (CertificationFailure, CliffordFailure, GroupMismatch,
 from .exact import (Cyclotomic, is_prime, kernel_basis, mod_inv, reduce_vector,
                     rref)
 from .groups import (DEFAULT_ORDER_CAP, ConjData, FiniteGroup, LinearChar,
-                     char_orbit, conjugacy_classes)
+                     _cyclic_powers, char_orbit, conjugacy_classes)
 
 
 class Character:
@@ -75,9 +75,6 @@ class Character:
             return rows
         step = m // m0
         return tuple(tuple((e * step, x) for e, x in row) for row in rows)
-
-    def value_on_class(self, k) -> Cyclotomic:
-        return self.values[k]
 
     def value_of(self, coords) -> Cyclotomic:
         return self.values[self.conj.class_of[self.group.index[coords]]]
@@ -197,13 +194,7 @@ def _root_of_order(m, l):
 def _power_classes(G: FiniteGroup, conj: ConjData, r):
     """Classes of g^0, g^1, ..., g^(o-1) for g = G.elements[r] of order o."""
     A = G.algebra
-    g = G.elements[r]
-    out = [conj.class_of[G.identity]]
-    y = g
-    while y != A.one:
-        out.append(conj.class_of[G.index[y]])
-        y = A.mul(y, g)
-    return out
+    return [conj.class_of[G.index[y]] for y in _cyclic_powers(A.mul, A.one, G.elements[r])]
 
 
 def _class_matrix(G: FiniteGroup, conj: ConjData, r, r_inv):
@@ -377,7 +368,6 @@ def _rows_orthonormal(chars):
                for i, chi in enumerate(chars) for j in range(i, len(chars)))
 
 
-@lru_cache(maxsize=None)
 def _char_table(G: FiniteGroup) -> CharTable:
     conj = conjugacy_classes(G)
     n = conj.k
@@ -445,7 +435,9 @@ def _char_table(G: FiniteGroup) -> CharTable:
 def char_table(G: FiniteGroup, cap=DEFAULT_ORDER_CAP) -> CharTable:
     if G.order > cap:
         raise TooLarge(f"group order {G.order} exceeds cap {cap}")
-    return _char_table(G)
+    if G._table is None:
+        G._table = _char_table(G)
+    return G._table
 
 
 # ---------------------------------------------------------------------------
@@ -518,10 +510,9 @@ def clifford_correspondent(G: FiniteGroup, Q: FiniteGroup, theta: LinearChar,
     if orbit is None:
         orbit = char_orbit(G, Q, theta)
     S = orbit.stabilizer
-    theta_s = char_from_linear(theta)
     matches = []
     for eta in char_table(S, cap=cap).irreducibles:
-        if inner_product(restrict(S, Q, eta), theta_s) != 0:
+        if inner_product(restrict(S, Q, eta), theta_char) != 0:
             if induce(G, S, eta) == chi:
                 matches.append(eta)
     if len(matches) != 1:

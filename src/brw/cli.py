@@ -16,10 +16,10 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .algebra import (Subalgebra, algebra_from_spec, cached_decomposition,
-                      is_split_basic, radical_power)
+from .algebra import (Ideal, Subalgebra, cached_decomposition, is_split_basic,
+                      radical_power)
 from .chars import char_table
-from .corpus import ALL_CORPUS, DEFAULT_CORPUS, load_spec
+from .corpus import ALL_CORPUS, DEFAULT_CORPUS, load_spec, spec_algebra
 from .errors import (BrwError, NotSplitBasic, SpecError, TooLarge,
                      VerificationFailure)
 from .groups import (DEFAULT_ORDER_CAP, char_orbit, ideal_subgroup,
@@ -36,17 +36,6 @@ EXIT_CAP = 3
 EXIT_VERIFY = 4
 
 REPORT_VERSION = 1
-
-_ALGEBRA_CACHE = {}
-
-
-def _algebra(spec):
-    """Algebras are immutable; reuse one object per spec so the conjugacy and
-    table caches survive repeated commands in one process."""
-    key = json.dumps(spec, sort_keys=True)
-    if key not in _ALGEBRA_CACHE:
-        _ALGEBRA_CACHE[key] = algebra_from_spec(spec)
-    return _ALGEBRA_CACHE[key]
 
 
 def _config_block(args, mode=None):
@@ -85,7 +74,7 @@ def _emit(args, name, payload, fmt="json"):
 
 def cmd_info(args):
     name, spec = load_spec(args.spec)
-    A = _algebra(spec)
+    A = spec_algebra(spec)
     ok, reason = is_split_basic(A)
     report = {
         "schema": "brw.info/1",
@@ -126,7 +115,7 @@ def cmd_info(args):
 
 def cmd_chartable(args):
     name, spec = load_spec(args.spec)
-    A = _algebra(spec)
+    A = spec_algebra(spec)
     G = unit_group(A)
     table = char_table(G, cap=args.cap_order)
     buf = io.StringIO()
@@ -146,7 +135,7 @@ def cmd_chartable(args):
 # ---------------------------------------------------------------------------
 
 def _gutkin_one(name, spec, args):
-    A = _algebra(spec)
+    A = spec_algebra(spec)
     G = unit_group(A)
     table = char_table(G, cap=args.cap_order)
     dec = cached_decomposition(A)
@@ -234,7 +223,6 @@ def _resolve_ideal(A, text):
         pass
     try:
         rows = json.loads(text)
-        from .algebra import Ideal
         return "custom", Ideal(A, [tuple(int(x) for x in r) for r in rows])
     except (json.JSONDecodeError, TypeError) as exc:
         raise SpecError(f"--ideal must be a radical power or a JSON row list: {exc}")
@@ -242,7 +230,7 @@ def _resolve_ideal(A, text):
 
 def cmd_orbits(args):
     name, spec = load_spec(args.spec)
-    A = _algebra(spec)
+    A = spec_algebra(spec)
     G = unit_group(A)
     if G.order > args.cap_order:
         raise TooLarge(f"group order {G.order} exceeds cap {args.cap_order}")
@@ -334,7 +322,7 @@ def cmd_local(args):
         return EXIT_OK if report["round_trip"] else EXIT_VERIFY
     if args.local_cmd == "admissible":
         name, spec = load_spec(args.spec)
-        A = _algebra(spec)
+        A = spec_algebra(spec)
         with open(args.witness, "r", encoding="utf-8") as f:
             wit = json.load(f)
         blocks = [b for b in wit.get("results", []) if b["spec_name"] == name]

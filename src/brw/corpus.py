@@ -3,6 +3,11 @@ non-Borel pattern algebras, and diagonal (semisimple) algebras.
 
 Specs are shipped as JSON files; b3_f5 has unit group order 8000 and sits
 behind the default order cap, so it is not part of DEFAULT_CORPUS.
+
+This module owns the one process-wide cache: one Algebra per spec, keyed by
+the spec's canonical JSON text (spec_algebra). Everything computed from an
+algebra is cached on the algebra itself, so repeated commands on a spec in
+one process share its groups, classes and tables.
 """
 
 import json
@@ -30,13 +35,19 @@ def corpus_spec(name: str) -> dict:
     return json.loads(path.read_text("utf-8"))
 
 
-_cache = {}
+_algebras = {}
+
+
+def spec_algebra(spec: dict) -> Algebra:
+    """The Algebra of a spec, built once per process."""
+    key = json.dumps(spec, sort_keys=True)
+    if key not in _algebras:
+        _algebras[key] = algebra_from_spec(spec)
+    return _algebras[key]
 
 
 def corpus_algebra(name: str) -> Algebra:
-    if name not in _cache:
-        _cache[name] = algebra_from_spec(corpus_spec(name))
-    return _cache[name]
+    return spec_algebra(corpus_spec(name))
 
 
 def load_spec(path_or_name: str) -> tuple[str, dict]:

@@ -496,12 +496,6 @@ class Cyclotomic:
             raise ValueError(f"{self!r} is not rational")
         return Fraction(self.coeffs[0])
 
-    def as_int(self):
-        q = self.rational()
-        if q.denominator != 1:
-            raise ValueError(f"{self!r} is not an integer")
-        return q.numerator
-
     def trace(self):
         """Field trace to Q: Tr(zeta_m^k) = mu(d) phi(m)/phi(d), d = m/gcd(m,k)."""
         m = self.m

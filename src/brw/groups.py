@@ -3,49 +3,50 @@
 Groups are stored fully enumerated (element coordinates sorted, so ids are
 canonical); products are computed on demand through the owning algebra, which
 keeps memory flat for orders up to the configured cap.
+
+Cache owners: the algebra keeps one FiniteGroup per element set
+(intern_group, in algebra._groups) and its BasicDecomposition (J^n and the
+torus coordinates). Each FiniteGroup keeps what is computed from it alone:
+inverses, generators, conjugacy classes (_conj), its character table
+(_table, set by chars.char_table) and the conjugation action of its
+generators on each normal subgroup (_conj_action, set by check_normal).
 """
 
-from functools import lru_cache
 from itertools import product
 from math import lcm
 
-from .algebra import (Algebra, Subspace, cached_decomposition, vec_add,
-                      vec_scale)
+from .algebra import Algebra, Subspace, cached_decomposition, vec_add
 from .errors import (CertificationFailure, GroupMismatch, NotInsideRadical,
-                     NotNormal, NotSplitBasic, TooLarge)
-from .exact import Cyclotomic, mat_mul_vec, mod_matrix_inverse
+                     NotNormal, TooLarge)
+from .exact import Cyclotomic
 
 DEFAULT_ORDER_CAP = 5000
 
 
-_GROUP_INTERN = {}
-
-
-def intern_group(algebra, elements, kind="subgroup"):
-    """Canonical FiniteGroup per (algebra, element set), so that the conjugacy
-    and character-table caches are shared across construction sites."""
-    key = (id(algebra), tuple(sorted(set(elements))))
-    g = _GROUP_INTERN.get(key)
+def intern_group(algebra, elements):
+    """The algebra's one FiniteGroup on this element set, so that the
+    conjugacy and character-table caches are shared across construction sites."""
+    key = tuple(sorted(set(elements)))
+    g = algebra._groups.get(key)
     if g is None:
-        g = FiniteGroup(algebra, key[1], kind)
-        _GROUP_INTERN[key] = g
+        g = algebra._groups[key] = FiniteGroup(algebra, key)
     return g
 
 
 class FiniteGroup:
     """Subgroup of the unit group of an algebra, enumerated by coordinates."""
 
-    def __init__(self, algebra: Algebra, elements, kind="subgroup"):
+    def __init__(self, algebra: Algebra, elements):
         self.algebra = algebra
         self.elements = tuple(sorted(set(elements)))
         self.index = {v: i for i, v in enumerate(self.elements)}
-        self.kind = kind
         if algebra.one not in self.index:
             raise ValueError("identity missing from group element list")
         self.identity = self.index[algebra.one]
         self._inv = [None] * len(self.elements)
         self._gens = None
         self._conj = None
+        self._table = None
         self._conj_action = {}
 
     @property
@@ -92,7 +93,7 @@ class FiniteGroup:
         return all(v in self.index for v in other.elements)
 
     def __repr__(self):
-        return f"FiniteGroup({self.kind}, order={self.order})"
+        return f"FiniteGroup(order={self.order})"
 
 
 def _grow(A, elems, gens, g):
@@ -127,75 +128,35 @@ def _grow(A, elems, gens, g):
 # construction of the standard subgroups
 # ---------------------------------------------------------------------------
 
-class _DiagonalSplit:
-    """Coordinate split A = D (+) J for reading off diagonal parts."""
-
-    def __init__(self, A):
-        dec = cached_decomposition(A)
-        self.dec = dec
-        rows = list(dec.idempotents) + list(dec.radical.rows)
-        # transpose, then invert: coefficients c with c . rows = v
-        n = A.dim
-        mt = [[rows[i][j] for i in range(n)] for j in range(n)]
-        self.inv_t = mod_matrix_inverse(mt, A.p)
-        self.A = A
-
-    def torus_coeffs(self, v):
-        c = mat_mul_vec(self.inv_t, v, self.A.p)
-        return c[: self.dec.n]
-
-    def diagonal_part(self, v):
-        c = self.torus_coeffs(v)
-        out = tuple(0 for _ in range(self.A.dim))
-        for ci, e in zip(c, self.dec.idempotents):
-            if ci:
-                out = vec_add(out, vec_scale(ci, e, self.A.p), self.A.p)
-        return out
-
-    def is_unit(self, v):
-        return all(c != 0 for c in self.torus_coeffs(v))
+def torus_elements(A: Algebra, idempotents):
+    """All sum_i t_i e_i with every t_i in F_p^x: the torus of orthogonal
+    idempotents e_1..e_n summing to 1."""
+    return [A.combine(t, idempotents) for t in product(range(1, A.p), repeat=len(idempotents))]
 
 
-@lru_cache(maxsize=None)
-def _split(A) -> _DiagonalSplit:
-    return _DiagonalSplit(A)
+def one_plus(A: Algebra, U: Subspace) -> FiniteGroup:
+    """The group 1 + U, for U inside the radical and closed under products."""
+    return intern_group(A, [vec_add(A.one, u, A.p) for u in U.vectors()])
 
 
 def unit_group(A: Algebra) -> FiniteGroup:
     """The full unit group G = A^x; order (p-1)^n * p^dim(J)."""
     dec = cached_decomposition(A)  # raises NotSplitBasic when appropriate
     p = A.p
-    elems = []
-    diag_choices = list(product(range(1, p), repeat=dec.n))
     jvecs = list(dec.radical.vectors())
-    for t in diag_choices:
-        d = tuple(0 for _ in range(A.dim))
-        for c, e in zip(t, dec.idempotents):
-            d = vec_add(d, vec_scale(c, e, p), p)
-        for j in jvecs:
-            elems.append(vec_add(d, j, p))
-    G = intern_group(A, elems, kind="unit")
+    G = intern_group(A, [vec_add(t, j, p) for t in torus_elements(A, dec.idempotents)
+                         for j in jvecs])
     if G.order != (p - 1) ** dec.n * p ** dec.radical.dim:
         raise CertificationFailure("unit group order differs from (p-1)^n p^dim(J)")
     return G
 
 
 def torus_subgroup(A: Algebra) -> FiniteGroup:
-    dec = cached_decomposition(A)
-    p = A.p
-    elems = []
-    for t in product(range(1, p), repeat=dec.n):
-        d = tuple(0 for _ in range(A.dim))
-        for c, e in zip(t, dec.idempotents):
-            d = vec_add(d, vec_scale(c, e, p), p)
-        elems.append(d)
-    return intern_group(A, elems, kind="torus")
+    return intern_group(A, torus_elements(A, cached_decomposition(A).idempotents))
 
 
 def radical_subgroup(A: Algebra) -> FiniteGroup:
-    dec = cached_decomposition(A)
-    return intern_group(A, [vec_add(A.one, j, A.p) for j in dec.radical.vectors()],
-                        kind="radical")
+    return one_plus(A, cached_decomposition(A).radical)
 
 
 def ideal_subgroup(A: Algebra, I) -> FiniteGroup:
@@ -204,20 +165,7 @@ def ideal_subgroup(A: Algebra, I) -> FiniteGroup:
     for row in I.rows:
         if not dec.radical.contains(row):
             raise NotInsideRadical("ideal is not contained in the radical")
-    return intern_group(A, [vec_add(A.one, v, A.p) for v in I.vectors()], kind="ideal")
-
-
-def algebra_subgroup(A: Algebra, U: Subspace) -> FiniteGroup:
-    """1 + U for a multiplicatively closed subspace U of J (not necessarily an ideal)."""
-    dec = cached_decomposition(A)
-    for row in U.rows:
-        if not dec.radical.contains(row):
-            raise NotInsideRadical("subspace is not contained in the radical")
-    for u in U.rows:
-        for v in U.rows:
-            if not U.contains(A.mul(u, v)):
-                raise NotSplitBasic("subspace of J is not multiplicatively closed")
-    return intern_group(A, [vec_add(A.one, v, A.p) for v in U.vectors()], kind="algebra")
+    return one_plus(A, I)
 
 
 def units_of_subspace(A: Algebra, rows) -> FiniteGroup:
@@ -226,16 +174,13 @@ def units_of_subspace(A: Algebra, rows) -> FiniteGroup:
     A unit of A lying in a closed unital subspace has its inverse in the
     subspace too, so filtering by invertibility in A is exact.
     """
-    sp = Subspace(A, rows)
-    split = _split(A)
-    elems = [v for v in sp.vectors() if split.is_unit(v)]
-    return intern_group(A, elems, kind="subalgebra-units")
+    dec = cached_decomposition(A)
+    return intern_group(A, [v for v in Subspace(A, rows).vectors() if dec.is_unit(v)])
 
 
 def torus_factorization(A: Algebra, v):
     """Unique factorization v = t * x with t in T, x in P = 1 + J."""
-    split = _split(A)
-    t = split.diagonal_part(v)
+    t = cached_decomposition(A).diagonal_part(v)
     # t lies in the torus, where t^(p-1) = 1
     tinv = A.power(t, A.p - 2) if A.p > 2 else t
     x = A.mul(tinv, v)
@@ -249,7 +194,7 @@ def center(G: FiniteGroup) -> FiniteGroup:
     for v in G.elements:
         if all(A.mul(v, g) == A.mul(g, v) for g in gens):
             elems.append(v)
-    return intern_group(A, elems, kind="center")
+    return intern_group(A, elems)
 
 
 def set_product(G: FiniteGroup, H: FiniteGroup, K: FiniteGroup) -> FiniteGroup:
@@ -258,7 +203,7 @@ def set_product(G: FiniteGroup, H: FiniteGroup, K: FiniteGroup) -> FiniteGroup:
     elems, gens = {A.one}, []
     for g in H.generators() + K.generators():
         _grow(A, elems, gens, g)
-    return intern_group(A, elems, kind="product")
+    return intern_group(A, elems)
 
 
 # ---------------------------------------------------------------------------
@@ -325,13 +270,25 @@ def conjugacy_classes(G: FiniteGroup, cap=None) -> ConjData:
 # abelian structure and linear characters
 # ---------------------------------------------------------------------------
 
-def _element_order(mul, identity, e):
-    n = 1
-    y = e
+def _cyclic_powers(mul, identity, g):
+    """[g^0, g^1, ..., g^(o-1)] for an element g of finite order o."""
+    out = [identity]
+    y = g
     while y != identity:
-        y = mul(y, e)
-        n += 1
-    return n
+        out.append(y)
+        y = mul(y, g)
+    return out
+
+
+def _dual_exps(c, divisors, coords):
+    """Exponent table mod m = divisors[0] of the character c of Z/d_1 x ... x Z/d_r.
+
+    coords[x] are the coordinates a of an element x; the character sends it
+    to zeta_m^(sum_j c_j a_j m/d_j).
+    """
+    m = divisors[0] if divisors else 1
+    steps = [cj * (m // d) for cj, d in zip(c, divisors)]
+    return [sum(s * a for s, a in zip(steps, x)) % m for x in coords]
 
 
 def abelian_invariants(elems, mul, identity):
@@ -345,15 +302,11 @@ def abelian_invariants(elems, mul, identity):
         return (), (), {identity: ()}
     best = None
     for e in elems:
-        o = _element_order(mul, identity, e)
+        o = len(_cyclic_powers(mul, identity, e))
         if best is None or o > best[0] or (o == best[0] and e < best[1]):
             best = (o, e)
     d1, g1 = best
-    cyc = [identity]
-    y = g1
-    while y != identity:
-        cyc.append(y)
-        y = mul(y, g1)
+    cyc = _cyclic_powers(mul, identity, g1)
     dlog_cyc = {h: i for i, h in enumerate(cyc)}
     if d1 == len(elems):
         return (d1,), (g1,), {e: (dlog_cyc[e],) for e in elems}
@@ -376,10 +329,7 @@ def abelian_invariants(elems, mul, identity):
         s = dlog_cyc[gd]
         if s % d:
             raise CertificationFailure("lift adjustment failed: g^d is not a d-th power in <g1>")
-        corr = (d1 - s // d) % d1
-        for _ in range(corr):
-            g = mul(g, g1)
-        gens.append(g)
+        gens.append(mul(g, cyc[(d1 - s // d) % d1]))
     divisors = (d1,) + q_divs
     dlog = {}
     for exps in product(*(range(d) for d in divisors)):
@@ -404,7 +354,7 @@ def commutator_subgroup(G: FiniteGroup) -> FiniteGroup:
             _grow(A, elems, gens, y)
         pending = {G.elements[G.conj_id(g, G.index[x])] for g in gen_ids for x in elems}
         pending -= elems
-    return intern_group(A, elems, kind="commutator")
+    return intern_group(A, elems)
 
 
 def abelianization(G: FiniteGroup, cap=None):
@@ -460,6 +410,12 @@ class LinearChar:
         exps = [self.exps[Q.index[A.mul(A.mul(gv, x), gin)]] for x in Q.elements]
         return LinearChar(Q, self.m, exps)
 
+    def is_invariant(self, G: FiniteGroup):
+        """Whether value(g x g^-1) = value(x) for every g in G, tested on the
+        generators of G through check_normal's cached action."""
+        e = self.exps
+        return all(tuple(e[y] for y in perm) == e for perm in check_normal(G, self.domain))
+
     def restrict(self, H: FiniteGroup):
         exps = [self.exps[self.domain.index[v]] for v in H.elements]
         return LinearChar(H, self.m, exps)
@@ -499,11 +455,8 @@ def linear_characters(G: FiniteGroup, cap=None):
     """All |G/[G,G]| linear characters, ordered by exponent table."""
     divisors, proj = abelianization(G, cap=cap)
     m = divisors[0] if divisors else 1
-    chars = []
-    for c in product(*(range(d) for d in divisors)):
-        exps = [sum(ci * a * (m // d) for ci, a, d in zip(c, proj[i], divisors)) % m
-                for i in range(G.order)]
-        chars.append(LinearChar(G, m, exps))
+    chars = [LinearChar(G, m, _dual_exps(c, divisors, proj))
+             for c in product(*(range(d) for d in divisors))]
     chars.sort(key=lambda ch: ch.exps)
     return chars
 
@@ -590,7 +543,7 @@ def char_orbit(G: FiniteGroup, Q: FiniteGroup, theta: LinearChar) -> CharOrbit:
             stab.append(g)
     if len(orbit) * len(stab) != G.order:
         raise CertificationFailure("orbit-stabilizer identity failed")
-    return CharOrbit(theta, G, orbit, intern_group(A, stab, kind="stabilizer"))
+    return CharOrbit(theta, G, orbit, intern_group(A, stab))
 
 
 def orbit_count_P_dual(q: int) -> int:

@@ -7,9 +7,12 @@ its dual-valued homomorphism, character extension along one-dimensional ideal
 steps, stabilizer-subalgebra certification, and the recursion tying it all
 together. An exhaustive brute-force verifier over the subalgebra lattice
 provides an independent check of the same statement.
-"""
 
-from functools import lru_cache
+Cache owners: the ambient algebra keeps one Level per subalgebra basis
+(get_level, in algebra._levels); a Level's local algebra keeps its own
+BasicDecomposition, which holds the J^n that radical_power maps into ambient
+coordinates; a SigmaData keeps its J_sigma.
+"""
 
 from .algebra import (Algebra, EmbeddedAlgebra, Subalgebra, Subspace,
                       bimodule_complement, bimodule_decompose,
@@ -21,15 +24,16 @@ from .errors import (CertificationFailure, DecompositionFailure, NoExtension,
                      NotInvariant, PreconditionFailure, VerificationFailure)
 from .exact import Cyclotomic, rref
 from .groups import (DEFAULT_ORDER_CAP, FiniteGroup, LinearChar, char_orbit,
-                     intern_group, linear_characters, units_of_subspace)
+                     linear_characters, one_plus, torus_elements,
+                     units_of_subspace)
 
 
 class Level:
     """A unital closed subspace of the ambient algebra with its group context.
 
     All groups live in ambient coordinates so characters can be moved between
-    recursion levels; structural data (radical, idempotents) is computed on
-    the rebased local algebra and mapped back.
+    recursion levels; structural data (radical, idempotents, J^n) is computed
+    on the rebased local algebra and mapped back.
     """
 
     def __init__(self, ambient: Algebra, rows):
@@ -39,28 +43,19 @@ class Level:
         self.alg = emb.alg
         self.rows = emb.rows
         self.dim = emb.dim
-        dec = cached_decomposition(self.alg)
+        self.dec = dec = cached_decomposition(self.alg)
         self.idempotents = tuple(emb.to_ambient(e) for e in dec.idempotents)
-        self.diagonal = Subspace(ambient, [emb.to_ambient(r) for r in dec.diagonal.rows])
-        self.radical = Subspace(ambient, [emb.to_ambient(r) for r in dec.radical.rows])
+        self.diagonal = emb.subspace_to_ambient(dec.diagonal)
+        self.radical = emb.subspace_to_ambient(dec.radical)
         self.units = units_of_subspace(ambient, self.rows)
-        one = ambient.one
-        self.P = intern_group(ambient, [vec_add(one, v, ambient.p) for v in self.radical.vectors()],
-                              kind="radical")
-        self._rad_powers = {1: self.radical}
+        self.P = one_plus(ambient, self.radical)
 
     def radical_power(self, n):
         """Ambient image of J^n for the level algebra."""
-        if n not in self._rad_powers:
-            prev = self.radical_power(n - 1)
-            A = self.ambient
-            prods = [A.mul(u, v) for u in prev.rows for v in self.radical.rows]
-            self._rad_powers[n] = Subspace(A, prods)
-        return self._rad_powers[n]
+        return self.emb.subspace_to_ambient(self.dec.radical_power(n))
 
-    def one_plus(self, subspace: Subspace, kind="ideal") -> FiniteGroup:
-        A = self.ambient
-        return intern_group(A, [vec_add(A.one, v, A.p) for v in subspace.vectors()], kind=kind)
+    def one_plus(self, subspace: Subspace) -> FiniteGroup:
+        return one_plus(self.ambient, subspace)
 
     def is_ideal_of_level(self, subspace: Subspace) -> bool:
         A = self.ambient
@@ -71,29 +66,32 @@ class Level:
         return True
 
 
-@lru_cache(maxsize=None)
 def get_level(ambient: Algebra, rows) -> Level:
-    return Level(ambient, rows)
+    """The Level on these rows, built once and kept on the ambient algebra."""
+    if rows not in ambient._levels:
+        ambient._levels[rows] = Level(ambient, rows)
+    return ambient._levels[rows]
 
 
 def top_level(A: Algebra) -> Level:
     return get_level(A, tuple(A.basis_vector(i) for i in range(A.dim)))
 
 
+def _root_exps(values, m):
+    """e with v = zeta_m^e for each v in values, or None if some v is no such root."""
+    roots = {Cyclotomic.root(m, e).key(m): e for e in range(m)}
+    exps = [roots.get(v.key(m)) for v in values]
+    return None if None in exps else exps
+
+
 def linear_char_from_character(chi: Character) -> LinearChar:
     """Exponent table of a degree-one character (values must be roots of unity)."""
     assert chi.degree == 1
-    G = chi.group
     m = max(v.m for v in chi.values)
-    roots = {Cyclotomic.root(m, e).key(m): e for e in range(m)}
-    class_exp = []
-    for v in chi.values:
-        k = v.key(m)
-        if k not in roots:
-            raise DecompositionFailure("degree-one character value is not a root of unity")
-        class_exp.append(roots[k])
-    exps = [class_exp[chi.conj.class_of[i]] for i in range(G.order)]
-    return LinearChar(G, m, exps)
+    class_exp = _root_exps(chi.values, m)
+    if class_exp is None:
+        raise DecompositionFailure("degree-one character value is not a root of unity")
+    return LinearChar(chi.group, m, [class_exp[k] for k in chi.conj.class_of])
 
 
 # ---------------------------------------------------------------------------
@@ -135,41 +133,13 @@ def diag_centraliser_level(level: Level, I: Subspace, theta: LinearChar) -> Suba
     except Exception as exc:
         raise CertificationFailure(f"diagonal centraliser not a subalgebra: {exc}")
     # unit group must be the stabilizer of theta in T
-    t_stab = set()
-    for t in _torus_elements(level):
-        if _conj_char(A, theta, t) == theta.exps:
-            t_stab.add(t)
+    U = level.units
+    t_stab = {t for t in torus_elements(A, level.idempotents)
+              if theta.conj_by(U, U.index[t]).exps == theta.exps}
     units = set(units_of_subspace(A, rows).elements)
     if units != t_stab:
         raise CertificationFailure("unit group of D_theta differs from T_theta")
     return sub
-
-
-def _torus_elements(level: Level):
-    from itertools import product as iproduct
-    A = level.ambient
-    out = []
-    for t in iproduct(range(1, A.p), repeat=len(level.idempotents)):
-        d = tuple(0 for _ in range(A.dim))
-        for c, e in zip(t, level.idempotents):
-            d = vec_add(d, tuple((c * x) % A.p for x in e), A.p)
-        out.append(d)
-    return out
-
-
-def _conj_char(A: Algebra, theta: LinearChar, g):
-    """Exponent table of theta^g (x -> theta(g x g^-1)) for a unit g."""
-    Q = theta.domain
-    ginv = _unit_inverse(A, g)
-    return tuple(theta.exps[Q.index[A.mul(A.mul(g, x), ginv)]] for x in Q.elements)
-
-
-def _unit_inverse(A: Algebra, g):
-    """Inverse of a unit: g has finite order r in A^x, so g^(r-1) inverts it."""
-    prev, y = A.one, g
-    while y != A.one:
-        prev, y = y, A.mul(y, g)
-    return prev
 
 
 def diag_centraliser(A: Algebra, Q: FiniteGroup, theta: LinearChar) -> Subalgebra:
@@ -200,35 +170,27 @@ class SigmaData:
             raise PreconditionFailure("L must have dimension dim J^n + 1")
         if not level.is_ideal_of_level(L):
             raise PreconditionFailure("L is not an ideal of the algebra")
-        self.N = level.one_plus(Jn, kind="ideal")
-        self.Q = level.one_plus(L, kind="ideal")
+        self.N = level.one_plus(Jn)
+        self.Q = level.one_plus(L)
         if sigma.domain is not self.N:
-            sigma = LinearChar(self.N, sigma.m,
-                               [sigma.exps[sigma.domain.index[v]] for v in self.N.elements])
+            sigma = sigma.restrict(self.N)
         self.sigma = sigma
         self.Jn = Jn
         self._check_p_invariant()
         self._jsigma = None
 
     def _check_p_invariant(self):
-        A = self.level.ambient
-        sig = self.sigma
-        for g in self.level.P.generators():
-            if _conj_char(A, sig, g) != sig.exps:
-                raise NotInvariant("sigma is not P-invariant")
+        if not self.sigma.is_invariant(self.level.P):
+            raise NotInvariant("sigma is not P-invariant")
 
     def is_g_invariant(self):
-        A = self.level.ambient
-        sig = self.sigma
-        return all(_conj_char(A, sig, g) == sig.exps for g in self.level.units.generators())
+        return self.sigma.is_invariant(self.level.units)
 
     def commutator_value(self, x, u):
         """sigma([1+x, 1+u]) as an exponent mod sigma.m, for x in J, u in L."""
-        A = self.level.ambient
-        a = vec_add(A.one, x, A.p)
-        b = vec_add(A.one, u, A.p)
-        c = A.mul(A.mul(_unit_inverse(A, a), _unit_inverse(A, b)), A.mul(a, b))
-        return self.sigma.exps[self.N.index[c]]
+        A, P = self.level.ambient, self.level.P
+        c = P.commutator_id(P.index[vec_add(A.one, x, A.p)], P.index[vec_add(A.one, u, A.p)])
+        return self.sigma.exps[self.N.index[P.elements[c]]]
 
 
 def j_sigma(S: SigmaData) -> Subspace:
@@ -266,14 +228,10 @@ def j_sigma(S: SigmaData) -> Subspace:
 
 def phi_sigma(S: SigmaData, g) -> LinearChar:
     """The character phi_sigma(g): h -> sigma([g,h]) on Q, for g in P (coords)."""
-    A = S.level.ambient
-    Q = S.Q
-    gin = _unit_inverse(A, g)
-    exps = []
-    for h in Q.elements:
-        hin = _unit_inverse(A, h)
-        c = A.mul(A.mul(gin, hin), A.mul(g, h))
-        exps.append(S.sigma.exps[S.N.index[c]])
+    P, Q = S.level.P, S.Q
+    g = P.index[g]
+    exps = [S.sigma.exps[S.N.index[P.elements[P.commutator_id(g, P.index[h])]]]
+            for h in Q.elements]
     ch = LinearChar(Q, S.sigma.m, exps)
     # image lies in the annihilator of N
     if any(ch.exps[Q.index[v]] for v in S.N.elements):
@@ -321,11 +279,9 @@ def extend_character(S: SigmaData) -> ExtensionResult:
     A = level.ambient
     Q, N, sigma = S.Q, S.N, S.sigma
     # [Q,Q] <= ker sigma
-    inv = [Q.elements[Q.inv_id(i)] for i in range(Q.order)]
-    for q1, i1 in zip(Q.elements, inv):
-        for q2, i2 in zip(Q.elements, inv):
-            c = A.mul(A.mul(i1, i2), A.mul(q1, q2))
-            if sigma.exps[N.index[c]] != 0:
+    for i in range(Q.order):
+        for j in range(Q.order):
+            if sigma.exps[N.index[Q.elements[Q.commutator_id(i, j)]]] != 0:
                 raise NoExtension("sigma does not kill [Q,Q]")
     exts = []
     for ch in linear_characters(Q):
@@ -337,19 +293,19 @@ def extend_character(S: SigmaData) -> ExtensionResult:
         raise NoExtension(f"expected {Q.order // N.order} extensions, found {len(exts)}")
     exts.sort(key=lambda ch: ch.exps)
     jsig = j_sigma(S)
-    expected_stab = {vec_add(A.one, v, A.p) for v in jsig.vectors()}
+    expected_stab = one_plus(A, jsig).elements
     stab_ok = True
     proper = None
-    for ch in exts:
-        orb = char_orbit(level.P, Q, ch)
-        if set(orb.stabilizer.elements) != expected_stab:
+    orbits = [char_orbit(level.P, Q, ch) for ch in exts]
+    for orb in orbits:
+        if orb.stabilizer.elements != expected_stab:
             stab_ok = False
         proper = orb.stabilizer.order != level.P.order
     if not stab_ok:
         raise CertificationFailure("P-stabilizer of an extension differs from 1 + J_sigma")
     single = None
     if proper:
-        orbit_exps = {c.exps for c in char_orbit(level.P, Q, exts[0]).orbit}
+        orbit_exps = {c.exps for c in orbits[0].orbit}
         single = orbit_exps == {c.exps for c in exts}
         if not single:
             raise CertificationFailure("extensions do not form a single P-orbit")
@@ -381,11 +337,11 @@ def certify_stabilizer_subalgebra(A_or_level, G_theta: FiniteGroup):
     direct = try_set(G_theta.elements)
     if direct is not None:
         return direct, None
-    for g in level.units.elements:
-        gin = _unit_inverse(A, g)
-        conj = [A.mul(A.mul(g, x), gin) for x in G_theta.elements]
-        found = try_set(conj)
+    U = level.units
+    for gid, g in enumerate(U.elements):
+        found = try_set([U.elements[U.conj_id(gid, U.index[x])] for x in G_theta.elements])
         if found is not None:
+            gin = U.elements[U.inv_id(gid)]
             back = [A.mul(A.mul(gin, r), g) for r in found.rows]
             return Subalgebra(A, rref(back, A.p)[0]), g
     raise CertificationFailure(
@@ -434,50 +390,20 @@ class GutkinWitness:
 
 def _scalar_restriction(level: Level, psi: Character, n):
     """LinearChar sigma with Res_{1+J^n} psi = deg(psi) * sigma, or None."""
-    Jn = level.radical_power(n)
-    N = level.one_plus(Jn, kind="ideal")
-    deg = int(psi.degree)
+    N = level.one_plus(level.radical_power(n))
     m = max(v.m for v in psi.values)
-    roots = {Cyclotomic.root(m, e).key(m): e for e in range(m)}
-    exps = []
-    for x in N.elements:
-        val = psi.value_of(x)
-        k = (val / deg).key(m) if deg != 1 else val.key(m)
-        if k not in roots:
-            return None, N
-        exps.append(roots[k])
-    return LinearChar(N, m, exps), N
+    exps = _root_exps([psi.value_of(x) / psi.degree for x in N.elements], m)
+    return (None if exps is None else LinearChar(N, m, exps)), N
 
 
 def _one_dim_ideal_steps(level: Level, n):
     """Ideals L_i with J^n <= L_i <= J^(n-1), dim(L_i/J^n) = 1, in the order
     induced by the homogeneous bimodule decomposition of a complement."""
-    loc = level.alg
-    dec = cached_decomposition(loc)
-    Jn1_loc = _local_power(level, n - 1)
-    Jn_loc = _local_power(level, n)
-    comp = bimodule_complement(dec.diagonal, Jn1_loc, Jn_loc)
-    pieces = []
-    for i, j, comp_ij in bimodule_decompose(dec.diagonal, comp):
-        for v in comp_ij.rows:
-            pieces.append(v)
-    out = []
-    for v in pieces:
-        rows = Jn_loc.rows + (v,)
-        amb = Subspace(level.ambient, [level.emb.to_ambient(r) for r in rref(rows, loc.p)[0]])
-        out.append(amb)
-    return out
-
-
-def _local_power(level: Level, n):
-    loc = level.alg
-    dec = cached_decomposition(loc)
-    rows = dec.radical.rows
-    cur = Subspace(loc, rows)
-    for _ in range(n - 1):
-        prods = [loc.mul(u, v) for u in cur.rows for v in dec.radical.rows]
-        cur = Subspace(loc, prods)
-    return cur
+    dec = level.dec
+    Jn_loc = dec.radical_power(n)
+    comp = bimodule_complement(dec.diagonal, dec.radical_power(n - 1), Jn_loc)
+    return [level.emb.subspace_to_ambient(Subspace(level.alg, Jn_loc.rows + (v,)))
+            for _, _, comp_ij in bimodule_decompose(dec.diagonal, comp) for v in comp_ij.rows]
 
 
 def _decompose(level: Level, chi: Character, steps, cap):
@@ -496,7 +422,8 @@ def _decompose(level: Level, chi: Character, steps, cap):
         if inner_product(resP, irr) != 0:
             psi = irr
             break
-    assert psi is not None
+    if psi is None:
+        raise DecompositionFailure("the restriction to P has no constituent in P's table")
 
     if psi.degree == 1:
         theta = linear_char_from_character(psi)

@@ -7,12 +7,13 @@ phase. The unitary/twist factorization splits the modulus from the rest.
 """
 
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 from .algebra import Subalgebra, cached_decomposition
 from .errors import SpecError, TooLarge
 from .exact import Cyclotomic, is_prime
-from .groups import abelian_invariants
+from .groups import _dual_exps, abelian_invariants
 
 
 class ResidueUnits:
@@ -91,12 +92,9 @@ def unit_characters(p, k, cap=None):
     group = ResidueUnits(p, k, cap)
     divisors, gens, dlog = group.invariants()
     m = divisors[0] if divisors else 1
-    from itertools import product
-    out = []
-    for c in product(*(range(d) for d in divisors)):
-        exps = [sum(ci * a * (m // d) for ci, a, d in zip(c, dlog[r], divisors)) % m
-                for r in group.elements]
-        out.append(UnitChar(group, m, exps))
+    coords = [dlog[r] for r in group.elements]
+    out = [UnitChar(group, m, _dual_exps(c, divisors, coords))
+           for c in product(*(range(d) for d in divisors))]
     out.sort(key=lambda ch: ch.exps)
     return out
 
@@ -179,11 +177,12 @@ class LocalCharGroup:
         group = ResidueUnits(p, k, cap)
         self.divisors, gens, dlog = group.invariants()
         m = self.divisors[0] if self.divisors else 1
+        coords = [dlog[r] for r in group.elements]
         self.unit_generators = []
-        for i, d in enumerate(self.divisors):
-            exps = [(dlog[r][i] * (m // d)) % m for r in group.elements]
-            self.unit_generators.append(
-                SmoothCharLocal(p, k, UnitChar(group, m, exps), 1, 1, 0))
+        for i in range(len(self.divisors)):
+            c = [1 if j == i else 0 for j in range(len(self.divisors))]
+            self.unit_generators.append(SmoothCharLocal(
+                p, k, UnitChar(group, m, _dual_exps(c, self.divisors, coords)), 1, 1, 0))
         # the free direction: trivial on units, arbitrary at the uniformizer
         self.free_generator = SmoothCharLocal(p, k, trivial_unit_part(p, k), 1, 1, 0)
 

@@ -97,6 +97,26 @@ def subspace_vectors(A, rows):
     return out
 
 
+def radical_power_oracle(A, rows, n):
+    """J^n of the subalgebra spanned by rows, in A's coordinates, as RREF rows.
+
+    J is the set of nilpotent elements, found by enumerating the subalgebra
+    and testing x^dim(A) = 0; J^n is the span of every n-fold product of
+    elements of J (no radical basis, no echelon shortcut, no memo).
+    """
+    def nilpotent(v):
+        y = v
+        for _ in range(A.dim - 1):
+            y = A.mul(y, v)
+        return not any(y)
+
+    nil = [v for v in subspace_vectors(A, rref(rows, A.p)[0]) if nilpotent(v)]
+    prods = set(nil)
+    for _ in range(n - 1):
+        prods = {A.mul(x, y) for x in prods for y in nil}
+    return rref(sorted(prods), A.p)[0]
+
+
 def brute_char_orbit(G, theta):
     """(orbit exponent tables, stabilizer elements) of a linear character of a
     normal subgroup, by conjugating with every element of G (no generators,

@@ -75,7 +75,7 @@ def test_induce_regular(b2_f3):
 
 def units_of_trivial(A):
     from brw.groups import intern_group
-    return intern_group(A, [A.one], kind="trivial")
+    return intern_group(A, [A.one])
 
 
 def test_induce_example2(b2_f3):
@@ -283,7 +283,7 @@ def test_order_cap_checked_once_at_entry():
     one = trivial_character(G)
     P = radical_subgroup(A)
     assert restrict(G, P, one) == trivial_character(P)
-    copy = FiniteGroup(A, G.elements, kind="unit")   # same elements, another object
+    copy = FiniteGroup(A, G.elements)   # same elements, another object
     assert one.transfer(copy).values == one.values
     theta = next(c for c in linear_characters(P) if not c.is_trivial())
     ind = induce(G, P, char_from_linear(theta))

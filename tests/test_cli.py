@@ -111,6 +111,13 @@ def test_orbits_central_ideal(tmp_path):
     assert rep["num_orbits"] == 2
 
 
+def test_orbits_radical_power_zero_is_a_spec_error(tmp_path, capsys):
+    # J^0 is not a radical power: a one-line spec error, not a traceback
+    code, _ = run(tmp_path, "orbits", "b2_f3", "--ideal", "0")
+    assert code == 2
+    assert capsys.readouterr().err.startswith("spec error:")
+
+
 def test_local_factor(tmp_path):
     code, out = run(tmp_path, "local", "factor", "--p", "3", "--k", "2",
                     "--unit", "1", "--r", "3", "--phase", "4:1")

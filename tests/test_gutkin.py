@@ -2,19 +2,23 @@ import random
 
 import pytest
 
-from brw.algebra import (Subalgebra, Subspace, basic_decomposition,
-                         bimodule_complement, bimodule_decompose,
-                         borel_algebra, pattern_algebra, radical_power)
+import brw.gutkin
+from brw.algebra import (EmbeddedAlgebra, Subalgebra, Subspace,
+                         basic_decomposition, bimodule_complement,
+                         bimodule_decompose, borel_algebra,
+                         enumerate_subalgebras, pattern_algebra, radical_power)
 from brw.chars import (Character, char_from_linear, char_table, induce,
                        inner_product, restrict)
-from brw.errors import NotInvariant, PreconditionFailure
+from brw.corpus import corpus_algebra
+from brw.errors import DecompositionFailure, NotInvariant, PreconditionFailure
 from brw.groups import (char_orbit, ideal_subgroup, linear_characters,
                         radical_subgroup, unit_group, units_of_subspace)
 from brw.gutkin import (SigmaData, certify_stabilizer_subalgebra,
-                        diag_centraliser, extend_character, gutkin_decompose,
-                        ideal_intersection_test, j_sigma, phi_sigma, top_level,
-                        verify_gutkin_brute)
-from helpers import assert_orbits_match_oracle, run_optimized
+                        diag_centraliser, extend_character, get_level,
+                        gutkin_decompose, ideal_intersection_test, j_sigma,
+                        phi_sigma, top_level, verify_gutkin_brute)
+from helpers import (assert_orbits_match_oracle, radical_power_oracle, rebased,
+                     run_optimized)
 
 
 # -- fixtures for the worked sigma instances ---------------------------------
@@ -354,6 +358,30 @@ def test_gutkin_requires_an_irreducible(b2_f3):
     assert out.strip() == "raised"
 
 
+def test_constituent_of_the_restriction_to_p_is_certified(b2_f3, monkeypatch):
+    # with no constituent of Res_P chi found in P's table the descent must
+    # stop with DecompositionFailure, also under python -O
+    chi = next(c for c in char_table(unit_group(b2_f3)).irreducibles if c.degree > 1)
+    monkeypatch.setattr(brw.gutkin, "inner_product", lambda a, b: 1 if a is b else 0)
+    with pytest.raises(DecompositionFailure):
+        gutkin_decompose(b2_f3, chi)
+    out = run_optimized("""
+        import brw.gutkin
+        from brw.algebra import borel_algebra
+        from brw.chars import char_table
+        from brw.errors import DecompositionFailure
+        from brw.groups import unit_group
+        A = borel_algebra(3, 2)
+        chi = next(c for c in char_table(unit_group(A)).irreducibles if c.degree > 1)
+        brw.gutkin.inner_product = lambda a, b: 1 if a is b else 0
+        try:
+            brw.gutkin.gutkin_decompose(A, chi)
+        except DecompositionFailure:
+            print("raised")
+    """)
+    assert out.strip() == "raised"
+
+
 def test_gutkin_b2f3_degree2(b2_f3):
     G = unit_group(b2_f3)
     for chi in char_table(G).irreducibles:
@@ -441,3 +469,61 @@ def test_brute_and_constructive_agree(b2_f3, b3_f2):
             B = Subalgebra(A, w.subalgebra_rows)
             H = units_of_subspace(A, B.rows)
             assert induce(G, H, char_from_linear(w.lam)) == chi
+
+
+# -- property tests: other bases and other algebras --------------------------
+
+def witness_degrees(A):
+    """Sorted degrees of the irreducibles of A^x, each with a verified witness."""
+    G = unit_group(A)
+    tab = char_table(G)
+    assert sum(d * d for d in tab.degrees) == G.order
+    for chi in tab.irreducibles:
+        w = gutkin_decompose(A, chi)
+        assert w.induced_matches and int(chi.degree) == G.order // w.H.order
+    return sorted(tab.degrees)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_gutkin_in_random_bases(seed):
+    rng = random.Random(seed)
+    for name in ("b2_f3", "b3_f2", "pattern3_f3", "pattern4_f2", "b2_f5"):
+        A = corpus_algebra(name)
+        assert witness_degrees(rebased(A, rng)) == sorted(char_table(unit_group(A)).degrees)
+
+
+def test_gutkin_on_the_subalgebra_corpus():
+    # every subalgebra of four corpus algebras, as an algebra in its own basis
+    count = 0
+    for name in ("b2_f5", "b3_f2", "pattern3_f3", "pattern4_f2"):
+        A = corpus_algebra(name)
+        for B in enumerate_subalgebras(A):
+            witness_degrees(EmbeddedAlgebra(A, B.rows).alg)
+            count += 1
+    assert count == 266
+
+
+def test_radical_powers_against_all_products():
+    rng = random.Random(7)
+    levels, deep = 0, 0
+    for name in ("b2_f5", "b3_f2", "b3_f3", "pattern3_f3", "pattern4_f2"):
+        A = rebased(corpus_algebra(name), rng)
+        whole = [A.basis_vector(i) for i in range(A.dim)]
+        n = 1
+        while True:
+            want = radical_power_oracle(A, whole, n)
+            assert radical_power(A, n).rows == want
+            assert top_level(A).radical_power(n).rows == want
+            if not want:
+                break
+            n += 1
+        if name == "b3_f3":
+            continue   # above the subalgebra scan bound for p = 3
+        for B in enumerate_subalgebras(A):
+            if A.dim - 2 <= B.dim < A.dim:
+                level = get_level(A, B.rows)
+                for n in range(1, 4):
+                    assert level.radical_power(n).rows == radical_power_oracle(A, B.rows, n)
+                levels += 1
+                deep += level.radical_power(2).dim > 0
+    assert (levels, deep) == (119, 4)   # basis-independent counts

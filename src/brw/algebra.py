@@ -149,46 +149,6 @@ class Algebra:
         return f"Algebra(p={self.p}, dim={self.dim})"
 
 
-class AlgElem:
-    """Element of an Algebra, wrapping a coordinate tuple."""
-
-    __slots__ = ("owner", "coords")
-
-    def __init__(self, owner, coords):
-        coords = tuple(int(c) % owner.p for c in coords)
-        if len(coords) != owner.dim:
-            raise SpecError("coordinate length mismatch")
-        self.owner = owner
-        self.coords = coords
-
-    def __mul__(self, other):
-        assert self.owner is other.owner
-        return AlgElem(self.owner, self.owner.mul(self.coords, other.coords))
-
-    def __add__(self, other):
-        assert self.owner is other.owner
-        return AlgElem(self.owner, vec_add(self.coords, other.coords, self.owner.p))
-
-    def __sub__(self, other):
-        assert self.owner is other.owner
-        return AlgElem(self.owner, vec_sub(self.coords, other.coords, self.owner.p))
-
-    def __neg__(self):
-        return AlgElem(self.owner, vec_scale(-1, self.coords, self.owner.p))
-
-    def __pow__(self, n):
-        return AlgElem(self.owner, self.owner.power(self.coords, n))
-
-    def __eq__(self, other):
-        return isinstance(other, AlgElem) and self.owner is other.owner and self.coords == other.coords
-
-    def __hash__(self):
-        return hash((id(self.owner), self.coords))
-
-    def __repr__(self):
-        return f"AlgElem{self.coords}"
-
-
 # ---------------------------------------------------------------------------
 # subspaces, subalgebras, ideals
 # ---------------------------------------------------------------------------
@@ -215,6 +175,13 @@ class Subspace:
         if not vec_is_zero(res):
             raise ValueError("vector not in subspace")
         return coeffs
+
+    def closed_under(self, left, right):
+        """Whether a*v and v*b lie in the subspace for every row v, every a in
+        left and every b in right."""
+        A = self.owner
+        return (all(self.contains(A.mul(a, v)) for a in left for v in self.rows)
+                and all(self.contains(A.mul(v, b)) for v in self.rows for b in right))
 
     def vectors(self):
         """All vectors of the subspace (p^dim of them)."""
@@ -252,9 +219,7 @@ class Subalgebra(Subspace):
     def __init__(self, owner, rows):
         super().__init__(owner, rows)
         self.contains_one = self.contains(owner.one)
-        self.mult_closed = all(
-            self.contains(owner.mul(u, v)) for u in self.rows for v in self.rows
-        )
+        self.mult_closed = self.closed_under(self.rows, ())
         if not self.contains_one:
             raise SpecError("subalgebra must contain the identity")
         if not self.mult_closed:
@@ -267,16 +232,8 @@ class Ideal(Subspace):
 
     def __init__(self, owner, rows):
         super().__init__(owner, rows)
-        self.left_closed = True
-        self.right_closed = True
-        for i in range(owner.dim):
-            b = owner.basis_vector(i)
-            for v in self.rows:
-                if not self.contains(owner.mul(b, v)):
-                    self.left_closed = False
-                if not self.contains(owner.mul(v, b)):
-                    self.right_closed = False
-        if not (self.left_closed and self.right_closed):
+        basis = [owner.basis_vector(i) for i in range(owner.dim)]
+        if not self.closed_under(basis, basis):
             raise SpecError("subspace is not a two-sided ideal")
 
 
@@ -387,15 +344,11 @@ def _split_basic_analysis(A):
     span, is_subspace = _nilpotent_span(A)
     if not is_subspace:
         return None, "nilpotent set is not a subspace"
-    rows, pivots = span, tuple()
-    rows, pivots = rref(span, A.p)
-    for i in range(A.dim):
-        b = A.basis_vector(i)
-        for v in rows:
-            lres, _ = reduce_vector(A.mul(b, v), rows, pivots, A.p)
-            rres, _ = reduce_vector(A.mul(v, b), rows, pivots, A.p)
-            if not (vec_is_zero(lres) and vec_is_zero(rres)):
-                return None, "nilpotent subspace is not an ideal"
+    nil = Subspace(A, span)
+    basis = [A.basis_vector(i) for i in range(A.dim)]
+    if not nil.closed_under(basis, basis):
+        return None, "nilpotent subspace is not an ideal"
+    rows, pivots = nil.rows, nil.pivots
     Q, section, project = _quotient_algebra(A, rows, pivots)
     for i in range(Q.dim):
         for j in range(i + 1, Q.dim):
@@ -509,11 +462,9 @@ def _diagonal_idempotents(D: Subalgebra):
     return tuple(sub.to_ambient(e) for e in prims)
 
 
-def _check_bimodule(A, idems, V: Subspace):
-    for e in idems:
-        for v in V.rows:
-            if not (V.contains(A.mul(e, v)) and V.contains(A.mul(v, e))):
-                raise NotBimodule("subspace not closed under the idempotent action")
+def _check_bimodule(idems, V: Subspace):
+    if not V.closed_under(idems, idems):
+        raise NotBimodule("subspace not closed under the idempotent action")
 
 
 def bimodule_decompose(D: Subalgebra, V: Subspace):
@@ -525,7 +476,7 @@ def bimodule_decompose(D: Subalgebra, V: Subspace):
     """
     A = D.owner
     idems = _diagonal_idempotents(D)
-    _check_bimodule(A, idems, V)
+    _check_bimodule(idems, V)
     comps = []
     total = 0
     for i, ei in enumerate(idems):
@@ -544,8 +495,8 @@ def bimodule_complement(D: Subalgebra, V: Subspace, V1: Subspace) -> Subspace:
     """A sub-bimodule V2 with V = V1 (+) V2, built inside homogeneous components."""
     A = D.owner
     idems = _diagonal_idempotents(D)
-    _check_bimodule(A, idems, V)
-    _check_bimodule(A, idems, V1)
+    _check_bimodule(idems, V)
+    _check_bimodule(idems, V1)
     for v in V1.rows:
         if not V.contains(v):
             raise NotBimodule("V1 is not contained in V")
@@ -598,20 +549,28 @@ def _kernel_of_escape(A, cur):
 # subalgebra enumeration
 # ---------------------------------------------------------------------------
 
-def _closure_rows(A, rows):
-    """Smallest unital multiplicatively closed subspace containing the rows."""
-    cur, pivots = rref(tuple(rows) + (A.one,), A.p)
-    while True:
-        extra = []
-        for u in cur:
-            for v in cur:
-                w = A.mul(u, v)
-                res, _ = reduce_vector(w, cur, pivots, A.p)
-                if not vec_is_zero(res):
-                    extra.append(w)
-        if not extra:
-            return cur
-        cur, pivots = rref(tuple(cur) + tuple(extra), A.p)
+def _closure_rows(A, rows, pivots, extra):
+    """Smallest multiplicatively closed subspace containing a closed subspace
+    (RREF rows and pivots) and the vectors extra.
+
+    span holds independent vectors spanning the current RREF, starting
+    with rows, whose products are already inside. Each new vector is
+    multiplied on both sides by every vector of span and by itself, so each
+    ordered pair of spanning vectors is multiplied at most once; products of
+    a spanning set span the products of the span.
+    """
+    span, todo = list(rows), list(extra)
+    while todo:
+        w = todo.pop()
+        res, _ = reduce_vector(w, rows, pivots, A.p)
+        if vec_is_zero(res):
+            continue
+        rows, pivots = rref(rows + (res,), A.p)
+        todo.append(A.mul(w, w))
+        for u in span:
+            todo += [A.mul(w, u), A.mul(u, w)]
+        span.append(w)
+    return rows
 
 
 def _coset_directions(A, rows, pivots):
@@ -638,7 +597,7 @@ def enumerate_subalgebras(A: Algebra, max_dim=None, budget=None):
     if A.dim > bound:
         raise TooLarge(f"dim {A.dim} exceeds subalgebra scan bound {bound} for p={A.p}")
     budget = budget if budget is not None else DEFAULT_SCAN_BUDGET
-    start = _closure_rows(A, ())
+    start, _ = rref([A.one], A.p)
     found = {start}
     queue = [start]
     spent = 0
@@ -649,7 +608,7 @@ def enumerate_subalgebras(A: Algebra, max_dim=None, budget=None):
             spent += 1
             if spent > budget:
                 raise TooLarge(f"subalgebra scan budget {budget} exhausted")
-            closed = _closure_rows(A, rows + (d,))
+            closed = _closure_rows(A, rows, pivots, (d,))
             if closed not in found:
                 found.add(closed)
                 if len(closed) < A.dim:
@@ -773,10 +732,12 @@ def algebra_from_spec(spec: dict) -> Algebra:
     if "p" not in spec:
         raise SpecError("algebra spec missing field 'p'")
     p = spec["p"]
+    _check_int_array(p, (), "p")
     if "pattern" in spec:
         pat = spec["pattern"]
         if not isinstance(pat, dict) or "n" not in pat or "closed_pairs" not in pat:
             raise SpecError("pattern spec needs fields 'n' and 'closed_pairs'")
+        _check_int_array(pat["n"], (), "pattern.n")
         pairs = pat["closed_pairs"]
         if not isinstance(pairs, list):
             raise SpecError("closed_pairs must be a list of [i, j] pairs")
@@ -786,6 +747,7 @@ def algebra_from_spec(spec: dict) -> Algebra:
     for field in ("dim", "one", "sc"):
         if field not in spec:
             raise SpecError(f"algebra spec missing field '{field}'")
+    _check_int_array(spec["dim"], (), "dim")
     sc = spec["sc"]
     if not isinstance(sc, list) or len(sc) != spec["dim"]:
         raise SpecError("field 'dim' disagrees with the sc tensor")

@@ -5,12 +5,8 @@ class BrwError(Exception):
     pass
 
 
-class FieldMismatch(BrwError):
-    """Mixed moduli in a field or matrix operation."""
-
-
 class DivisionByZero(BrwError, ZeroDivisionError):
-    """Inversion of zero in a prime field."""
+    """Inversion of zero mod p, or of a singular matrix mod p."""
 
 
 class InvalidConductor(BrwError):

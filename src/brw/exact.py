@@ -1,7 +1,7 @@
-"""Exact arithmetic: prime fields F_p, cyclotomic numbers, echelon linear algebra.
+"""Exact arithmetic: echelon linear algebra mod p and cyclotomic numbers.
 
-No floating point anywhere: prime-field work is done on int residues and
-cyclotomic numbers carry Fraction coefficients over the power basis
+No floating point anywhere: vectors and matrices mod p are tuples of int
+residues, and cyclotomic numbers carry Fraction coefficients over the power basis
 z^0 .. z^(m-1), kept in the normal form obtained by reducing modulo the
 m-th cyclotomic polynomial.
 
@@ -17,91 +17,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .errors import (CertificationFailure, DivisionByZero, FieldMismatch,
-                     InvalidConductor)
+from .errors import CertificationFailure, DivisionByZero, InvalidConductor
 
 SUPPORTED_PRIMES = (2, 3, 5, 7)
-
-
-# ---------------------------------------------------------------------------
-# prime field
-# ---------------------------------------------------------------------------
-
-class Fp:
-    """Residue in the prime field F_p, p in SUPPORTED_PRIMES."""
-
-    __slots__ = ("value", "p")
-
-    def __init__(self, value, p):
-        if p not in SUPPORTED_PRIMES:
-            raise FieldMismatch(f"unsupported field modulus {p}")
-        object.__setattr__(self, "value", value % p)
-        object.__setattr__(self, "p", p)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Fp is immutable")
-
-    def _coerce(self, other):
-        if isinstance(other, Fp):
-            if other.p != self.p:
-                raise FieldMismatch(f"F_{self.p} vs F_{other.p}")
-            return other
-        if isinstance(other, int):
-            return Fp(other, self.p)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Fp(self.value + other.value, self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Fp(self.value - other.value, self.p)
-
-    def __neg__(self):
-        return Fp(-self.value, self.p)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Fp(self.value * other.value, self.p)
-
-    __rmul__ = __mul__
-
-    def inv(self):
-        if self.value == 0:
-            raise DivisionByZero(f"inverse of 0 in F_{self.p}")
-        return Fp(pow(self.value, self.p - 2, self.p), self.p)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inv()
-
-    def __pow__(self, n):
-        return Fp(pow(self.value, n, self.p) if n >= 0 else pow(self.inv().value, -n, self.p), self.p)
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.value == other % self.p
-        return isinstance(other, Fp) and self.p == other.p and self.value == other.value
-
-    def __hash__(self):
-        return hash((self.value, self.p))
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __repr__(self):
-        return f"Fp({self.value}, {self.p})"
 
 
 # ---------------------------------------------------------------------------
@@ -204,77 +122,6 @@ def mod_matrix_inverse(rows, p):
     if len(red) != n or pivots != tuple(range(n)):
         raise DivisionByZero("matrix is singular")
     return tuple(tuple(r[n:]) for r in red)
-
-
-# ---------------------------------------------------------------------------
-# public Matrix surface over Fp
-# ---------------------------------------------------------------------------
-
-class Matrix:
-    """Dense matrix over F_p; entries stored as int residues."""
-
-    __slots__ = ("rows", "cols", "entries", "p")
-
-    def __init__(self, entries, p):
-        if p not in SUPPORTED_PRIMES:
-            raise FieldMismatch(f"unsupported field modulus {p}")
-        ents = []
-        for row in entries:
-            out = []
-            for x in row:
-                if isinstance(x, Fp):
-                    if x.p != p:
-                        raise FieldMismatch(f"entry in F_{x.p}, matrix over F_{p}")
-                    out.append(x.value)
-                else:
-                    out.append(int(x) % p)
-            ents.append(tuple(out))
-        self.entries = tuple(ents)
-        self.rows = len(ents)
-        self.cols = len(ents[0]) if ents else 0
-        self.p = p
-
-    def entry(self, i, j):
-        return Fp(self.entries[i][j], self.p)
-
-    def echelonize(self):
-        red, _ = rref(self.entries, self.p)
-        padded = list(red) + [tuple([0] * self.cols)] * (self.rows - len(red))
-        return Matrix(padded, self.p)
-
-    def rank(self):
-        red, _ = rref(self.entries, self.p)
-        return len(red)
-
-    def __eq__(self, other):
-        return (isinstance(other, Matrix) and self.p == other.p
-                and self.entries == other.entries)
-
-    def __hash__(self):
-        return hash((self.entries, self.p))
-
-    def __repr__(self):
-        return f"Matrix({[list(r) for r in self.entries]}, p={self.p})"
-
-
-class EchelonResult:
-    __slots__ = ("rank", "kernel", "row_space")
-
-    def __init__(self, rank, kernel, row_space):
-        self.rank = rank
-        self.kernel = kernel
-        self.row_space = row_space
-
-
-def solve_echelon(m: Matrix) -> EchelonResult:
-    """Rank, RREF kernel basis and RREF row-space basis of m."""
-    red, _ = rref(m.entries, m.p)
-    ker = kernel_basis(m.entries, m.cols, m.p)
-    return EchelonResult(
-        rank=len(red),
-        kernel=Matrix(ker, m.p),
-        row_space=Matrix(red, m.p),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -480,10 +327,6 @@ class Cyclotomic:
             c[(m - k) % m] += x
         return Cyclotomic(m, c)
 
-    def normalize(self):
-        """Return the canonical representative (idempotent by construction)."""
-        return Cyclotomic(self.m, self.coeffs)
-
     # predicates and views ----------------------------------------------------
     def is_zero(self):
         return all(x == 0 for x in self.coeffs)
@@ -547,7 +390,3 @@ class Cyclotomic:
     def __repr__(self):
         return f"Cyc({self.m}; {self.render()})"
 
-
-def cyc_normalize(x: Cyclotomic) -> Cyclotomic:
-    """Canonical form of a cyclotomic number (idempotent)."""
-    return x.normalize()

@@ -382,7 +382,10 @@ def abelianization(G: FiniteGroup, cap=None):
 class LinearChar:
     """Linear character of a finite group, stored as an exponent table.
 
-    value(g) = zeta_m ^ exps[g]; exps is a homomorphism to Z/m.
+    value(g) = zeta_m ^ exps[g]; exps is a homomorphism to Z/m. The domain
+    is a FiniteGroup or any group with elements and index, such as the
+    residue units (Z/p^k)^x of localfield; conj_by, is_invariant and
+    restrict need a FiniteGroup.
     """
 
     __slots__ = ("domain", "m", "exps")
@@ -436,6 +439,8 @@ class LinearChar:
         return a.exps == b.exps
 
     def mul(self, other):
+        if self.domain is not other.domain:
+            raise GroupMismatch("characters live on different groups")
         L = lcm(self.m, other.m)
         a, b = self.rebase(L), other.rebase(L)
         return LinearChar(self.domain, L, [x + y for x, y in zip(a.exps, b.exps)])
@@ -454,8 +459,14 @@ class LinearChar:
 def linear_characters(G: FiniteGroup, cap=None):
     """All |G/[G,G]| linear characters, ordered by exponent table."""
     divisors, proj = abelianization(G, cap=cap)
+    return dual_characters(G, divisors, proj)
+
+
+def dual_characters(domain, divisors, coords):
+    """All characters of a domain ~ Z/d_1 x ... x Z/d_r whose element i has
+    coordinates coords[i], ordered by exponent table."""
     m = divisors[0] if divisors else 1
-    chars = [LinearChar(G, m, _dual_exps(c, divisors, proj))
+    chars = [LinearChar(domain, m, _dual_exps(c, divisors, coords))
              for c in product(*(range(d) for d in divisors))]
     chars.sort(key=lambda ch: ch.exps)
     return chars

@@ -58,12 +58,7 @@ class Level:
         return one_plus(self.ambient, subspace)
 
     def is_ideal_of_level(self, subspace: Subspace) -> bool:
-        A = self.ambient
-        for b in self.rows:
-            for v in subspace.rows:
-                if not (subspace.contains(A.mul(b, v)) and subspace.contains(A.mul(v, b))):
-                    return False
-        return True
+        return subspace.closed_under(self.rows, self.rows)
 
 
 def get_level(ambient: Algebra, rows) -> Level:

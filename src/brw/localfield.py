@@ -7,13 +7,12 @@ phase. The unitary/twist factorization splits the modulus from the rest.
 """
 
 from fractions import Fraction
-from itertools import product
 from math import gcd
 
 from .algebra import Subalgebra, cached_decomposition
 from .errors import SpecError, TooLarge
 from .exact import Cyclotomic, is_prime
-from .groups import _dual_exps, abelian_invariants
+from .groups import LinearChar, _dual_exps, abelian_invariants, dual_characters
 
 
 class ResidueUnits:
@@ -51,52 +50,11 @@ class ResidueUnits:
         return abelian_invariants(list(self.elements), self.mul, 1 % max(self.modulus, 2))
 
 
-class UnitChar:
-    """Character of (Z/p^k)^x stored as an exponent table."""
-
-    __slots__ = ("group", "m", "exps")
-
-    def __init__(self, group: ResidueUnits, m, exps):
-        self.group = group
-        self.m = m
-        self.exps = tuple(e % m for e in exps)
-
-    def value(self, residue) -> Cyclotomic:
-        return Cyclotomic.root(self.m, self.exps[self.group.index[residue]])
-
-    def is_trivial(self):
-        return all(e == 0 for e in self.exps)
-
-    def mul(self, other):
-        assert self.group.modulus == other.group.modulus
-        L = self.m * other.m // gcd(self.m, other.m)
-        exps = [e1 * (L // self.m) + e2 * (L // other.m)
-                for e1, e2 in zip(self.exps, other.exps)]
-        return UnitChar(self.group, L, exps)
-
-    def __eq__(self, other):
-        if not isinstance(other, UnitChar):
-            return NotImplemented
-        if self.group.modulus != other.group.modulus:
-            return False
-        L = self.m * other.m // gcd(self.m, other.m)
-        return tuple(e * (L // self.m) for e in self.exps) == \
-            tuple(e * (L // other.m) for e in other.exps)
-
-    def __repr__(self):
-        return f"UnitChar(p^k={self.group.modulus}, m={self.m})"
-
-
 def unit_characters(p, k, cap=None):
     """All characters of (Z/p^k)^x, ordered by exponent table."""
     group = ResidueUnits(p, k, cap)
     divisors, gens, dlog = group.invariants()
-    m = divisors[0] if divisors else 1
-    coords = [dlog[r] for r in group.elements]
-    out = [UnitChar(group, m, _dual_exps(c, divisors, coords))
-           for c in product(*(range(d) for d in divisors))]
-    out.sort(key=lambda ch: ch.exps)
-    return out
+    return dual_characters(group, divisors, [dlog[r] for r in group.elements])
 
 
 class SmoothCharLocal:
@@ -108,7 +66,7 @@ class SmoothCharLocal:
 
     __slots__ = ("p", "k", "unit_part", "r", "phase_m", "phase_e")
 
-    def __init__(self, p, k, unit_part: UnitChar, r, phase_m=1, phase_e=0):
+    def __init__(self, p, k, unit_part: LinearChar, r, phase_m=1, phase_e=0):
         r = Fraction(r)
         if r <= 0:
             raise SpecError("uniformizer modulus must be positive")
@@ -128,7 +86,7 @@ class SmoothCharLocal:
     def value(self, residue, val):
         """Value at u * pi^val: (modulus part, root-of-unity part)."""
         rad = self.r ** val
-        phase = self.unit_part.value(residue) * Cyclotomic.root(self.phase_m, (self.phase_e * val) % self.phase_m)
+        phase = self.unit_part.value_coords(residue) * Cyclotomic.root(self.phase_m, (self.phase_e * val) % self.phase_m)
         return rad, phase
 
     def mul(self, other):
@@ -153,16 +111,15 @@ class SmoothCharLocal:
                 f"phase=z{self.phase_m}^{self.phase_e})")
 
 
-def trivial_unit_part(p, k) -> UnitChar:
-    group = ResidueUnits(p, k)
-    return UnitChar(group, 1, [0] * group.order)
+def trivial_unit_part(group: ResidueUnits) -> LinearChar:
+    return LinearChar(group, 1, [0] * group.order)
 
 
 def factor_unitary(chi: SmoothCharLocal):
     """chi = chi_unitary * twist with chi_unitary of modulus one and the twist
     an unramified positive character (trivial unit part, no phase)."""
     chi_unitary = SmoothCharLocal(chi.p, chi.k, chi.unit_part, 1, chi.phase_m, chi.phase_e)
-    twist = SmoothCharLocal(chi.p, chi.k, trivial_unit_part(chi.p, chi.k), chi.r, 1, 0)
+    twist = SmoothCharLocal(chi.p, chi.k, trivial_unit_part(chi.unit_part.domain), chi.r, 1, 0)
     return chi_unitary, twist
 
 
@@ -182,9 +139,9 @@ class LocalCharGroup:
         for i in range(len(self.divisors)):
             c = [1 if j == i else 0 for j in range(len(self.divisors))]
             self.unit_generators.append(SmoothCharLocal(
-                p, k, UnitChar(group, m, _dual_exps(c, self.divisors, coords)), 1, 1, 0))
+                p, k, LinearChar(group, m, _dual_exps(c, self.divisors, coords)), 1, 1, 0))
         # the free direction: trivial on units, arbitrary at the uniformizer
-        self.free_generator = SmoothCharLocal(p, k, trivial_unit_part(p, k), 1, 1, 0)
+        self.free_generator = SmoothCharLocal(p, k, trivial_unit_part(group), 1, 1, 0)
 
     @property
     def unit_group_order(self):

@@ -9,7 +9,7 @@ import textwrap
 from itertools import combinations, product
 
 from brw.algebra import Algebra, vec_add, vec_scale
-from brw.exact import mod_matrix_inverse, rref
+from brw.exact import mod_matrix_inverse, reduce_vector, rref
 from brw.groups import char_orbit, linear_characters
 
 
@@ -64,6 +64,18 @@ def is_closed_unital(A, rows):
             if not vec_is_zero(r):
                 return False
     return True
+
+
+def closure_oracle(A, rows):
+    """RREF rows of the smallest unital closed subspace containing rows: the
+    fixpoint of adding every product of two basis rows, all pairs each pass."""
+    cur, pivots = rref(tuple(rows) + (A.one,), A.p)
+    while True:
+        extra = [A.mul(u, v) for u in cur for v in cur]
+        extra = [w for w in extra if any(reduce_vector(w, cur, pivots, A.p)[0])]
+        if not extra:
+            return cur
+        cur, pivots = rref(tuple(cur) + tuple(extra), A.p)
 
 
 def recount_subalgebras(A):

@@ -2,14 +2,18 @@ import random
 
 import pytest
 
-from brw.algebra import (Algebra, AlgElem, EmbeddedAlgebra, Ideal, Subalgebra,
-                         Subspace, algebra_from_spec, basic_decomposition,
-                         bimodule_complement, bimodule_decompose,
-                         borel_algebra, diagonal_algebra,
+from brw import algebra
+from brw.algebra import (DEFAULT_DIM_BOUND, Algebra, EmbeddedAlgebra, Ideal,
+                         Subalgebra, Subspace, algebra_from_spec,
+                         basic_decomposition, bimodule_complement,
+                         bimodule_decompose, borel_algebra, diagonal_algebra,
                          enumerate_subalgebras, is_split_basic,
                          pattern_algebra, radical, radical_power)
+from brw.corpus import DEFAULT_CORPUS, corpus_algebra
 from brw.errors import NotBimodule, NotSplitBasic, SpecError, TooLarge
-from helpers import recount_subalgebras
+from brw.exact import rref
+from brw.gutkin import top_level
+from helpers import closure_oracle, rebased, recount_subalgebras
 
 
 def matrix_algebra_2x2(p):
@@ -38,15 +42,6 @@ def test_construction_validates():
     ]
     with pytest.raises(SpecError):
         Algebra(2, sc, [1, 0, 0])
-
-
-def test_algelem_operators(b2_f3):
-    A = b2_f3
-    x = AlgElem(A, (1, 2, 1))
-    y = AlgElem(A, (0, 1, 2))
-    assert (x + y).coords == (1, 0, 0)
-    assert (x * y).coords == A.mul(x.coords, y.coords)
-    assert (x ** 2).coords == A.mul(x.coords, x.coords)
 
 
 def test_radical_examples(b2_f3, b3_f2, diag2_f3):
@@ -177,6 +172,38 @@ def test_enumerate_matches_independent_recount(b2_f2, b2_f3):
         assert walk == recount_subalgebras(A)
 
 
+def _scanned_corpus():
+    for name in DEFAULT_CORPUS:
+        A = corpus_algebra(name)
+        if A.dim <= DEFAULT_DIM_BOUND[A.p]:
+            yield A
+
+
+def test_enumerate_matches_all_pairs_closure(monkeypatch):
+    # the same lattice when every closure is the all-pairs fixpoint
+    walks = [[s.rows for s in enumerate_subalgebras(A)] for A in _scanned_corpus()]
+    monkeypatch.setattr(algebra, "_closure_rows",
+                        lambda A, rows, pivots, extra: closure_oracle(A, rows + tuple(extra)))
+    assert walks == [[s.rows for s in enumerate_subalgebras(A)] for A in _scanned_corpus()]
+
+
+def test_closure_against_all_pairs_fixpoint():
+    # arbitrary extra vectors, from span{1} and from a random subalgebra of a
+    # corpus algebra in a dense random basis
+    rng = random.Random(3)
+    for A in _scanned_corpus():
+        B = rebased(A, rng)
+        subs = enumerate_subalgebras(B)
+        for _ in range(6):
+            S = rng.choice(subs)
+            extra = [tuple(rng.randrange(B.p) for _ in range(B.dim))
+                     for _ in range(rng.randrange(1, 3))]
+            one, one_piv = rref([B.one], B.p)
+            assert algebra._closure_rows(B, one, one_piv, extra) == closure_oracle(B, [B.one] + extra)
+            assert (algebra._closure_rows(B, S.rows, S.pivots, extra)
+                    == closure_oracle(B, S.rows + tuple(extra)))
+
+
 def test_enumerate_caps(b3_f3):
     with pytest.raises(TooLarge):
         enumerate_subalgebras(b3_f3)  # dim 6 > default bound 5 for p=3
@@ -218,9 +245,26 @@ def test_quotient_by_radical_is_semisimple(b3_f3):
 
 def test_ideal_certificates(b3_f2):
     J = radical(b3_f2)
-    assert J.left_closed and J.right_closed
+    basis = [b3_f2.basis_vector(i) for i in range(b3_f2.dim)]
+    assert J.closed_under(basis, basis)
     with pytest.raises(SpecError):
         Ideal(b3_f2, [b3_f2.basis_vector(3)])  # span{e12} is not two-sided
+
+
+def test_one_sided_ideals_are_not_ideals(b2_f3):
+    # basis e11, e22, e12: span{e11} is closed under left multiplication only
+    # (e11 e12 = e12), span{e22} under right multiplication only (e12 e22 = e12)
+    A = b2_f3
+    basis = [A.basis_vector(i) for i in range(A.dim)]
+    e11, e22 = Subspace(A, [basis[0]]), Subspace(A, [basis[1]])
+    assert e11.closed_under(basis, ()) and not e11.closed_under((), basis)
+    assert e22.closed_under((), basis) and not e22.closed_under(basis, ())
+    level = top_level(A)
+    for one_sided in (e11, e22):
+        with pytest.raises(SpecError):
+            Ideal(A, one_sided.rows)
+        assert not level.is_ideal_of_level(one_sided)
+    assert level.is_ideal_of_level(radical(A))
 
 
 def test_subalgebra_certificates(b2_f3):

@@ -206,11 +206,14 @@ def test_local_level_is_capped(capsys):
     {"p": 3, "dim": 1, "one": [1], "sc": [[["a"]]]},
     {"p": 3, "dim": 1, "one": "x", "sc": [[[1]]]},
     {"p": 3, "pattern": {"n": 2, "closed_pairs": 5}},
+    {"p": 3.0, "pattern": {"n": 2, "closed_pairs": [[1, 2]]}},
+    {"p": 3, "dim": 1.0, "one": [1], "sc": [[[1]]]},
 ], ids=["sc_plane_not_a_list", "sc_entry_not_an_integer", "one_not_a_list",
-        "closed_pairs_not_a_list"])
+        "closed_pairs_not_a_list", "p_not_an_integer", "dim_not_an_integer"])
 def test_malformed_spec_is_a_spec_error(tmp_path, capsys, spec):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(spec))
     assert main(["chartable", str(path)]) == 2
+    assert main(["info", str(path)]) == 2
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("spec error: ")
+    assert len(err) == 2 and all(line.startswith("spec error: ") for line in err)

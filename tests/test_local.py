@@ -4,12 +4,14 @@ import pytest
 
 from brw.algebra import Subalgebra, cached_decomposition, radical
 from brw.chars import char_table
-from brw.errors import SpecError
+from brw.errors import GroupMismatch, SpecError
 from brw.groups import unit_group
 from brw.gutkin import gutkin_decompose
-from brw.localfield import (InductionDatum, SmoothCharLocal, factor_unitary,
-                            is_admissible_shape, smooth_char_group,
-                            trivial_unit_part, unit_characters)
+from brw.localfield import (InductionDatum, ResidueUnits, SmoothCharLocal,
+                            factor_unitary, is_admissible_shape,
+                            smooth_char_group, trivial_unit_part,
+                            unit_characters)
+from helpers import run_optimized
 
 
 def test_unit_character_counts():
@@ -22,10 +24,10 @@ def test_unit_character_counts():
 def test_unit_characters_multiplicative():
     for p, k in [(3, 2), (5, 1), (2, 3)]:
         for ch in unit_characters(p, k):
-            g = ch.group
+            g = ch.domain
             for a in g.elements:
                 for b in g.elements:
-                    assert ch.value(a) * ch.value(b) == ch.value(g.mul(a, b))
+                    assert ch.value_coords(a) * ch.value_coords(b) == ch.value_coords(g.mul(a, b))
 
 
 def test_smooth_char_group_examples():
@@ -72,26 +74,27 @@ def test_factor_unitary_pointwise_on_generators():
         assert ph1 == phu * pht
 
 
-def test_factor_unitary_grid():
-    # exhaustive grid: all unit parts for the three (p,k) levels, r in
-    # {1, 2, 3, 1/2}, all phases of conductor <= 8
-    for p, k in [(2, 3), (3, 2), (5, 1)]:
-        for alpha in unit_characters(p, k):
-            for r in (1, 2, 3, Fraction(1, 2)):
-                for m in range(1, 9):
-                    for e in range(m):
-                        chi = SmoothCharLocal(p, k, alpha, r, m, e)
-                        unitary, twist = factor_unitary(chi)
-                        assert unitary.is_unitary
-                        assert twist.unit_part.is_trivial() and twist.phase_e == 0
-                        assert unitary.mul(twist) == chi
+def test_unit_parts_on_different_groups_do_not_multiply():
+    a, b = unit_characters(3, 2)[1], unit_characters(5, 1)[1]
+    with pytest.raises(GroupMismatch):
+        a.mul(b)
+    assert a != b
+    # the check is an exception, not an assert, so it holds under python -O
+    assert run_optimized("""
+        from brw.errors import GroupMismatch
+        from brw.localfield import unit_characters
+        try:
+            unit_characters(3, 2)[1].mul(unit_characters(5, 1)[1])
+        except GroupMismatch:
+            print("refused")
+    """).strip() == "refused"
 
 
 def test_rejects_nonpositive_modulus():
     with pytest.raises(SpecError):
-        SmoothCharLocal(3, 1, trivial_unit_part(3, 1), 0)
+        SmoothCharLocal(3, 1, trivial_unit_part(ResidueUnits(3, 1)), 0)
     with pytest.raises(SpecError):
-        SmoothCharLocal(3, 1, trivial_unit_part(3, 1), -2)
+        SmoothCharLocal(3, 1, trivial_unit_part(ResidueUnits(3, 1)), -2)
 
 
 def test_admissible_shape_examples(b2_f3):

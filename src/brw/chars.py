@@ -11,8 +11,12 @@ subspace the eigenvalues are the roots in F_l of the characteristic
 polynomial of the restricted matrix (Hessenberg form, valid for any
 dimension), with one kernel solve per root. The lift at a class of elements
 of order o runs a length-o DFT: s -> chi(g^s) has period o. Every table is
-re-verified against the orthogonality relations before it is returned, and
-kept on its group (FiniteGroup._table) next to the group's classes.
+checked for row orthonormality before it is returned, and kept on its group
+(FiniteGroup._table) next to the group's classes.
+
+The Clifford correspondent of chi over a linear theta of a normal Q is the
+projection of Res chi to its theta-part on the stabilizer S = G_theta
+(Isaacs, Character Theory of Finite Groups, Thm 6.11): no table of S is built.
 
 Where values live: a Character keeps its values twice. `values` is a tuple of
 Cyclotomic numbers in normal form (reduced mod Phi_m), read by rendering and
@@ -28,8 +32,8 @@ and reduce mod Phi_m once per resulting scalar.
 from fractions import Fraction
 from math import isqrt, lcm
 
-from .errors import (CertificationFailure, CliffordFailure, GroupMismatch,
-                     LiftFailure, NotOverTheta, NotSubgroup, TooLarge)
+from .errors import (CertificationFailure, GroupMismatch, LiftFailure,
+                     NotOverTheta, NotSubgroup, TooLarge)
 from .exact import (Cyclotomic, is_prime, kernel_basis, mod_inv, reduce_vector,
                     rref)
 from .groups import (DEFAULT_ORDER_CAP, ConjData, FiniteGroup, LinearChar,
@@ -342,13 +346,14 @@ class CharTable:
         return [int(ch.degree) for ch in self.irreducibles]
 
     def verify(self):
+        """Square shape, degree equation and column orthogonality. Rows need no
+        second pass: for the square X = (chi_i(a)), X^H X = D = diag(|G|/|C_a|)
+        gives X^-1 = D^-1 X^H, so X D^-1 X^H = I: <chi_i, chi_j> = delta_ij."""
         G = self.group
         k = self.conj.k
         if len(self.irreducibles) != k:
             return False
         if sum(int(ch.degree) ** 2 for ch in self.irreducibles) != G.order:
-            return False
-        if not _rows_orthonormal(self.irreducibles):
             return False
         # column orthogonality: sum_chi chi(a) conj(chi(b)) = delta_ab |G| / |C_a|
         m = lcm(*(ch.conductor for ch in self.irreducibles))
@@ -360,12 +365,6 @@ class CharTable:
                 if not (tot.is_rational() and tot.rational() == want):
                     return False
         return True
-
-
-def _rows_orthonormal(chars):
-    """Row orthonormality <chi_i, chi_j> = delta_ij over a list of characters."""
-    return all(inner_product(chi, chars[j]) == (1 if i == j else 0)
-               for i, chi in enumerate(chars) for j in range(i, len(chars)))
 
 
 def _char_table(G: FiniteGroup) -> CharTable:
@@ -427,7 +426,8 @@ def _char_table(G: FiniteGroup) -> CharTable:
     # (column orthogonality follows and is re-checked by CharTable.verify)
     if len(chars) != n or sum(int(c.degree) ** 2 for c in chars) != order:
         raise LiftFailure("degree equation failed after lifting")
-    if not _rows_orthonormal(chars):
+    if not all(inner_product(chi, chars[j]) == (1 if i == j else 0)
+               for i, chi in enumerate(chars) for j in range(i, n)):
         raise LiftFailure("row orthogonality failed after lifting")
     return table
 
@@ -470,7 +470,7 @@ def induce(G: FiniteGroup, H: FiniteGroup, chi: Character) -> Character:
                     acc[e] += x
         if hit:
             scale = Fraction(G.order, conj.sizes[k] * H.order)
-            values.append(Cyclotomic(m, [x * scale for x in acc]))
+            values.append(Cyclotomic(m, [x * scale if x else 0 for x in acc]))
         else:
             values.append(Cyclotomic.zero())
     return Character(G, conj, values)
@@ -497,24 +497,35 @@ def constituents(chi: Character, table: CharTable):
 
 
 def clifford_correspondent(G: FiniteGroup, Q: FiniteGroup, theta: LinearChar,
-                           chi: Character, cap=DEFAULT_ORDER_CAP, orbit=None):
-    """The unique irreducible of the stabilizer G_theta over theta inducing chi.
+                           chi: Character, orbit=None):
+    """(eta, S): the irreducible of S = G_theta over theta inducing chi, as
+    eta(s) = |Q|^-1 sum_q chi(sq) conj(theta(q)) at M = lcm(chi's conductor, theta.m).
 
-    Returns (eta, stabilizer). Raises NotOverTheta when chi does not lie over
-    theta, CliffordFailure if the uniqueness scan fails.
+    Raises NotOverTheta when eta(1) = 0 (chi does not lie over theta), and
+    CertificationFailure unless <eta, eta> = 1 and eta(1) [G:S] = chi(1).
     """
-    theta_char = char_from_linear(theta)
-    res = restrict(G, Q, chi)
-    if inner_product(res, theta_char) == 0:
-        raise NotOverTheta("chi does not lie over theta")
+    if chi.group is not G:
+        chi = chi.transfer(G)
     if orbit is None:
         orbit = char_orbit(G, Q, theta)
     S = orbit.stabilizer
-    matches = []
-    for eta in char_table(S, cap=cap).irreducibles:
-        if inner_product(restrict(S, Q, eta), theta_char) != 0:
-            if induce(G, S, eta) == chi:
-                matches.append(eta)
-    if len(matches) != 1:
-        raise CliffordFailure(f"expected a unique correspondent, found {len(matches)}")
-    return matches[0], S
+    M = lcm(chi.conductor, theta.m)
+    rows = chi.vectors(M)
+    step = M // theta.m
+    A = G.algebra
+    conj = conjugacy_classes(S)
+    values = []
+    for r in conj.reps:
+        s = S.elements[r]
+        acc = [0] * M
+        for q, e in zip(Q.elements, theta.exps):
+            shift = e * step
+            for f, x in rows[chi.conj.class_of[G.index[A.mul(s, q)]]]:
+                acc[(f - shift) % M] += x
+        values.append(Cyclotomic(M, acc) / Q.order)
+    if values[0].is_zero():
+        raise NotOverTheta("chi does not lie over theta")
+    eta = Character(S, conj, values)
+    if inner_product(eta, eta) != 1 or values[0] * (G.order // S.order) != chi.values[0]:
+        raise CertificationFailure("projection to theta is not the Clifford correspondent")
+    return eta, S

@@ -61,10 +61,6 @@ class LiftFailure(BrwError):
     """Modular-to-cyclotomic lift produced an inconsistent table (assertion-level)."""
 
 
-class CliffordFailure(BrwError):
-    """Clifford correspondent not unique (assertion-level)."""
-
-
 class NoExtension(BrwError):
     """No extension of the invariant character exists (assertion-level)."""
 

@@ -384,8 +384,8 @@ class LinearChar:
 
     value(g) = zeta_m ^ exps[g]; exps is a homomorphism to Z/m. The domain
     is a FiniteGroup or any group with elements and index, such as the
-    residue units (Z/p^k)^x of localfield; conj_by, is_invariant and
-    restrict need a FiniteGroup.
+    residue units (Z/p^k)^x of localfield; conj_by, fixed_by, is_invariant
+    and restrict need a FiniteGroup.
     """
 
     __slots__ = ("domain", "m", "exps")
@@ -412,6 +412,14 @@ class LinearChar:
         gin = G.elements[G.inv_id(g)]
         exps = [self.exps[Q.index[A.mul(A.mul(gv, x), gin)]] for x in Q.elements]
         return LinearChar(Q, self.m, exps)
+
+    def fixed_by(self, G: FiniteGroup, g):
+        """Whether value(g q g^-1) = value(q) for all q (g by id in G), tested on
+        the generators of the normal domain Q: both sides are homomorphisms."""
+        Q, A, e = self.domain, G.algebra, self.exps
+        gv, gin = G.elements[g], G.elements[G.inv_id(g)]
+        return all(e[Q.index[A.mul(A.mul(gv, q), gin)]] == e[Q.index[q]]
+                   for q in Q.generators())
 
     def is_invariant(self, G: FiniteGroup):
         """Whether value(g x g^-1) = value(x) for every g in G, tested on the
@@ -523,11 +531,9 @@ def char_orbit(G: FiniteGroup, Q: FiniteGroup, theta: LinearChar) -> CharOrbit:
 
     The orbit is a breadth-first search over the generators of G acting on
     exponent tables through the permutations of check_normal. The stabilizer
-    is {g in G : theta(g q g^-1) = theta(q) for q in Q.generators()}: as Q is
-    normal, theta o c_g and theta are both homomorphisms on Q, so they agree
-    once they agree on generators. The orbit-stabilizer identity
-    |orbit| * |G_theta| = |G| certifies orbit and stabilizer together; a
-    failure raises CertificationFailure.
+    is {g in G : theta.fixed_by(G, g)}, tested on the generators of Q. The
+    orbit-stabilizer identity |orbit| * |G_theta| = |G| certifies orbit and
+    stabilizer together; a failure raises CertificationFailure.
     """
     perms = check_normal(G, Q)
     if theta.domain is not Q:
@@ -544,17 +550,10 @@ def char_orbit(G: FiniteGroup, Q: FiniteGroup, theta: LinearChar) -> CharOrbit:
                     new.append(img)
         frontier = new
     orbit = [seen[k] for k in sorted(seen)]
-    A = G.algebra
-    exps = theta.exps
-    tests = [(q, exps[Q.index[q]]) for q in Q.generators()]
-    stab = []
-    for gid, g in enumerate(G.elements):
-        gin = G.elements[G.inv_id(gid)]
-        if all(exps[Q.index[A.mul(A.mul(g, q), gin)]] == e for q, e in tests):
-            stab.append(g)
+    stab = [g for gid, g in enumerate(G.elements) if theta.fixed_by(G, gid)]
     if len(orbit) * len(stab) != G.order:
         raise CertificationFailure("orbit-stabilizer identity failed")
-    return CharOrbit(theta, G, orbit, intern_group(A, stab))
+    return CharOrbit(theta, G, orbit, intern_group(G.algebra, stab))
 
 
 def orbit_count_P_dual(q: int) -> int:

@@ -14,6 +14,8 @@ BasicDecomposition, which holds the J^n that radical_power maps into ambient
 coordinates; a SigmaData keeps its J_sigma.
 """
 
+from math import lcm
+
 from .algebra import (Algebra, EmbeddedAlgebra, Subalgebra, Subspace,
                       bimodule_complement, bimodule_decompose,
                       cached_decomposition, enumerate_subalgebras, vec_add,
@@ -23,8 +25,8 @@ from .chars import (Character, char_from_linear, char_table,
 from .errors import (CertificationFailure, DecompositionFailure, NoExtension,
                      NotInvariant, PreconditionFailure, VerificationFailure)
 from .exact import Cyclotomic, rref
-from .groups import (DEFAULT_ORDER_CAP, FiniteGroup, LinearChar, char_orbit,
-                     linear_characters, one_plus, torus_elements,
+from .groups import (DEFAULT_ORDER_CAP, FiniteGroup, LinearChar, _cyclic_powers,
+                     char_orbit, linear_characters, one_plus, torus_elements,
                      units_of_subspace)
 
 
@@ -74,19 +76,22 @@ def top_level(A: Algebra) -> Level:
 
 def _root_exps(values, m):
     """e with v = zeta_m^e for each v in values, or None if some v is no such root."""
-    roots = {Cyclotomic.root(m, e).key(m): e for e in range(m)}
-    exps = [roots.get(v.key(m)) for v in values]
+    L = lcm(m, *(v.m for v in values))
+    roots = {Cyclotomic.root(m, e).key(L): e for e in range(m)}
+    exps = [roots.get(v.key(L)) for v in values]
     return None if None in exps else exps
 
 
 def linear_char_from_character(chi: Character) -> LinearChar:
-    """Exponent table of a degree-one character (values must be roots of unity)."""
+    """Exponent table of a degree-one character (values must be roots of unity)
+    at the exponent m of its domain, the lcm of the class representatives' orders."""
     assert chi.degree == 1
-    m = max(v.m for v in chi.values)
+    G, A = chi.group, chi.group.algebra
+    m = lcm(*(len(_cyclic_powers(A.mul, A.one, G.elements[r])) for r in chi.conj.reps))
     class_exp = _root_exps(chi.values, m)
     if class_exp is None:
         raise DecompositionFailure("degree-one character value is not a root of unity")
-    return LinearChar(chi.group, m, [class_exp[k] for k in chi.conj.class_of])
+    return LinearChar(G, m, [class_exp[k] for k in chi.conj.class_of])
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +135,7 @@ def diag_centraliser_level(level: Level, I: Subspace, theta: LinearChar) -> Suba
     # unit group must be the stabilizer of theta in T
     U = level.units
     t_stab = {t for t in torus_elements(A, level.idempotents)
-              if theta.conj_by(U, U.index[t]).exps == theta.exps}
+              if theta.fixed_by(U, U.index[t])}
     units = set(units_of_subspace(A, rows).elements)
     if units != t_stab:
         raise CertificationFailure("unit group of D_theta differs from T_theta")
@@ -420,80 +425,57 @@ def _decompose(level: Level, chi: Character, steps, cap):
     if psi is None:
         raise DecompositionFailure("the restriction to P has no constituent in P's table")
 
-    if psi.degree == 1:
-        theta = linear_char_from_character(psi)
-        orbit = char_orbit(H, P, theta)
-        if orbit.stabilizer.order == H.order:
-            raise DecompositionFailure(
-                "invariant linear constituent under a character of degree >= 2")
-        G_theta = orbit.stabilizer
-        D_theta = diag_centraliser_level(level, level.radical, theta)
-        rows, _ = rref(D_theta.rows + level.radical.rows, level.ambient.p)
-        sub = Subalgebra(level.ambient, rows)
-        units = units_of_subspace(level.ambient, rows)
-        if set(units.elements) != set(G_theta.elements):
-            raise CertificationFailure("(D_theta + J)^x differs from the stabilizer")
-        eta, S = clifford_correspondent(H, P, theta, chi, cap=cap, orbit=orbit)
-        steps.append({
-            "branch": "linear-constituent", "algebra_dim": level.dim,
-            "group_order": H.order, "stabilizer_order": G_theta.order,
-            "next_dim": len(rows),
-        })
-        new_level = get_level(level.ambient, rows)
-        return _decompose(new_level, eta.transfer(new_level.units), steps, cap)
-
-    # deg psi >= 2: find the minimal scalar level n (J^n != 0 is guaranteed
-    # before the search bottoms out, since 1 + J^max is central in P)
-    n = None
-    sigma = None
-    cand = 1
-    while level.radical_power(cand).dim > 0:
-        sig, N = _scalar_restriction(level, psi, cand)
-        if sig is not None:
-            n, sigma = cand, sig
-            break
-        cand += 1
-    if n is None or n < 2:
-        raise DecompositionFailure("no scalar level found for a nonlinear constituent")
-    if sigma.is_trivial():
-        raise DecompositionFailure("scalar character is trivial at the minimal level")
-    if n == 2 and level.radical.dim == level.radical_power(2).dim + 1:
-        raise DecompositionFailure("extreme case n = 2 with dim J = dim J^2 + 1")
-
-    chosen = None
-    for L in _one_dim_ideal_steps(level, n):
-        S = SigmaData(level, n, L, sigma)
-        nondeg = False
-        for a in level.radical.vectors():
-            if any(S.commutator_value(a, u) != 0 for u in L.vectors()):
-                nondeg = True
+    step = {"algebra_dim": level.dim, "group_order": H.order}
+    linear = psi.degree == 1
+    if linear:
+        Q, theta = P, linear_char_from_character(psi)
+        step["branch"] = "linear-constituent"
+    else:
+        # deg psi >= 2: find the minimal scalar level n (J^n != 0 is guaranteed
+        # before the search bottoms out, since 1 + J^max is central in P)
+        n = None
+        sigma = None
+        cand = 1
+        while level.radical_power(cand).dim > 0:
+            sig, N = _scalar_restriction(level, psi, cand)
+            if sig is not None:
+                n, sigma = cand, sig
                 break
-        if nondeg:
-            chosen = S
-            break
-    if chosen is None:
-        raise DecompositionFailure("sigma kills all commutators [1+J, 1+L_i]")
+            cand += 1
+        if n is None or n < 2:
+            raise DecompositionFailure("no scalar level found for a nonlinear constituent")
+        if sigma.is_trivial():
+            raise DecompositionFailure("scalar character is trivial at the minimal level")
+        if n == 2 and level.radical.dim == level.radical_power(2).dim + 1:
+            raise DecompositionFailure("extreme case n = 2 with dim J = dim J^2 + 1")
+        # the first step ideal L_i on which phi_sigma is nondegenerate: J_sigma != J
+        for L in _one_dim_ideal_steps(level, n):
+            S = SigmaData(level, n, L, sigma)
+            if j_sigma(S).dim < level.radical.dim:
+                break
+        else:
+            raise DecompositionFailure("sigma kills all commutators [1+J, 1+L_i]")
+        Q, theta = S.Q, extend_character(S).theta
+        step.update(branch="sigma-extension", scalar_level=n)
 
-    ext = extend_character(chosen)
-    theta = ext.theta
-    theta_char = char_from_linear(theta)
-    res = restrict(H, chosen.Q, chi)
-    if inner_product(res, theta_char) == 0:
-        raise DecompositionFailure("chosen extension does not occur under chi")
-    orbit = char_orbit(H, chosen.Q, theta)
+    orbit = char_orbit(H, Q, theta)
     G_theta = orbit.stabilizer
     if G_theta.order == H.order:
         raise DecompositionFailure("stabilizer did not decrease at a nonlinear step")
-    sub, conjugator = certify_stabilizer_subalgebra(level, G_theta)
-    eta, S2 = clifford_correspondent(H, chosen.Q, theta, chi, cap=cap, orbit=orbit)
-    steps.append({
-        "branch": "sigma-extension", "algebra_dim": level.dim,
-        "group_order": H.order, "scalar_level": n,
-        "stabilizer_order": G_theta.order, "next_dim": sub.dim,
-        "conjugated": conjugator is not None,
-    })
-    new_level = get_level(level.ambient, sub.rows)
-    return _decompose(new_level, eta.transfer(new_level.units), steps, cap)
+    if linear:
+        D_theta = diag_centraliser_level(level, level.radical, theta)
+        rows, _ = rref(D_theta.rows + level.radical.rows, level.ambient.p)
+        new_level = get_level(level.ambient, rows)
+        if new_level.units.elements != G_theta.elements:
+            raise CertificationFailure("(D_theta + J)^x differs from the stabilizer")
+    else:
+        sub, conjugator = certify_stabilizer_subalgebra(level, G_theta)
+        new_level = get_level(level.ambient, sub.rows)
+        step["conjugated"] = conjugator is not None
+    eta, _ = clifford_correspondent(H, Q, theta, chi, orbit=orbit)
+    step.update(stabilizer_order=G_theta.order, next_dim=new_level.dim)
+    steps.append(step)
+    return _decompose(new_level, eta, steps, cap)
 
 
 def gutkin_decompose(A: Algebra, chi: Character, cap=DEFAULT_ORDER_CAP) -> GutkinWitness:

@@ -7,10 +7,13 @@ import subprocess
 import sys
 import textwrap
 from itertools import combinations, product
+from math import lcm
 
 from brw.algebra import Algebra, vec_add, vec_scale
+from brw.chars import char_from_linear, char_table, induce, inner_product, restrict
 from brw.exact import mod_matrix_inverse, reduce_vector, rref
-from brw.groups import char_orbit, linear_characters
+from brw.groups import char_orbit, intern_group, linear_characters
+from brw.gutkin import SigmaData, _one_dim_ideal_steps
 
 
 def echelon_subspaces(p, n, k):
@@ -150,6 +153,43 @@ def assert_orbits_match_oracle(G, Q):
         assert [c.exps for c in orb.orbit] == sorted(ref_orbit)
         assert all(c.domain is Q and c.m == theta.m for c in orb.orbit)
         assert set(orb.stabilizer.elements) == ref_stab
+
+
+def clifford_oracle(G, Q, theta, chi):
+    """(eta, S) by a scan of the stabilizer's table: S = G_theta from
+    brute_char_orbit, and eta the one irreducible of S over theta whose
+    induction to G is chi."""
+    _, stab = brute_char_orbit(G, theta)
+    S = intern_group(G.algebra, stab)
+    theta_char = char_from_linear(theta)
+    matches = [eta for eta in char_table(S, cap=S.order).irreducibles
+               if inner_product(restrict(S, Q, eta), theta_char) != 0
+               and induce(G, S, eta) == chi]
+    assert len(matches) == 1, len(matches)
+    return matches[0], S
+
+
+def nondegenerate_step_oracle(level, n, sigma):
+    """The first step ideal L_i with sigma([1+a, 1+u]) != 1 for some a in J and
+    u in L_i, by testing all pairs; None if there is none."""
+    for L in _one_dim_ideal_steps(level, n):
+        S = SigmaData(level, n, L, sigma)
+        for a in level.radical.vectors():
+            if any(S.commutator_value(a, u) != 0 for u in L.vectors()):
+                return L
+    return None
+
+
+def group_exponent(G):
+    """lcm of the orders of all elements of G, by repeated multiplication."""
+    A = G.algebra
+    m = 1
+    for g in G.elements:
+        y, o = g, 1
+        while y != A.one:
+            y, o = A.mul(y, g), o + 1
+        m = lcm(m, o)
+    return m
 
 
 def rebased(A, rng):

@@ -4,12 +4,14 @@ from fractions import Fraction
 import pytest
 
 from brw.algebra import borel_algebra, pattern_algebra, radical_power
-from brw.chars import (Character, _charpoly, _class_matrix, _roots,
+import brw.chars
+from brw.chars import (Character, CharTable, _charpoly, _class_matrix, _roots,
                        char_from_linear, char_table, clifford_correspondent,
                        constituents, induce, inner_product, regular_character,
                        restrict, trivial_character)
 from brw.corpus import corpus_algebra
-from brw.errors import GroupMismatch, NotOverTheta, NotSubgroup, TooLarge
+from brw.errors import (CertificationFailure, GroupMismatch, NotOverTheta,
+                        NotSubgroup, TooLarge)
 from brw.exact import Cyclotomic, kernel_basis
 from brw.groups import (DEFAULT_ORDER_CAP, FiniteGroup, center,
                         conjugacy_classes, ideal_subgroup, linear_characters,
@@ -38,6 +40,21 @@ def test_char_table_axioms(b2_f3, b2_f5, b3_f2, b3_f3, b4_f2, pattern3_f3):
         assert len(tab.irreducibles) == tab.conj.k
         assert sum(d * d for d in tab.degrees) == G.order
         assert tab.verify()
+
+
+def test_verify_catches_one_changed_value(b2_f5):
+    # column orthogonality alone must reject a table with one value of a
+    # nonlinear irreducible changed (degrees and shape unchanged)
+    G = unit_group(b2_f5)
+    tab = char_table(G)
+    assert tab.verify()
+    i = next(i for i, ch in enumerate(tab.irreducibles) if ch.degree > 1)
+    for k in (1, tab.conj.k - 1):
+        values = list(tab.irreducibles[i].values)
+        values[k] = values[k] + 1
+        irreducibles = list(tab.irreducibles)
+        irreducibles[i] = Character(G, tab.conj, values)
+        assert not CharTable(G, tab.conj, irreducibles, tab.conductor).verify()
 
 
 def test_char_table_cap(b2_f3):
@@ -192,6 +209,54 @@ def test_clifford_requires_over_theta(b2_f3):
     lin = next(c for c in char_table(G).irreducibles if c.degree == 1)
     with pytest.raises(NotOverTheta):
         clifford_correspondent(G, P, theta, lin)
+
+
+def _over_theta(A):
+    """(G, P, theta, chi): theta a nontrivial linear character of P and chi an
+    irreducible of G lying over it."""
+    G, P = unit_group(A), radical_subgroup(A)
+    theta = next(c for c in linear_characters(P) if not c.is_trivial())
+    chi = next(c for c in char_table(G).irreducibles
+               if inner_product(restrict(G, P, c), char_from_linear(theta)) != 0)
+    return G, P, theta, chi
+
+
+def test_clifford_norm_certificate(b2_f3, monkeypatch):
+    # a projection of norm other than 1 is not irreducible; also under python -O
+    G, P, theta, chi = _over_theta(b2_f3)
+    monkeypatch.setattr(brw.chars, "inner_product", lambda a, b: 2)
+    with pytest.raises(CertificationFailure):
+        clifford_correspondent(G, P, theta, chi)
+    out = run_optimized("""
+        import brw.chars
+        from brw.algebra import borel_algebra
+        from brw.chars import char_from_linear, char_table, inner_product, restrict
+        from brw.errors import CertificationFailure
+        from brw.groups import linear_characters, radical_subgroup, unit_group
+        A = borel_algebra(3, 2)
+        G, P = unit_group(A), radical_subgroup(A)
+        theta = next(c for c in linear_characters(P) if not c.is_trivial())
+        chi = next(c for c in char_table(G).irreducibles
+                   if inner_product(restrict(G, P, c), char_from_linear(theta)) != 0)
+        brw.chars.inner_product = lambda a, b: 2
+        try:
+            brw.chars.clifford_correspondent(G, P, theta, chi)
+        except CertificationFailure:
+            print("raised")
+    """)
+    assert out.strip() == "raised"
+
+
+def test_clifford_degree_certificate(b2_f3, b3_f3):
+    # chi + 1 with theta nontrivial: the theta-part is chi's correspondent, of
+    # norm 1, but it induces to chi, not to chi + 1
+    for A in (b2_f3, b3_f3):
+        G, P, theta, chi = _over_theta(A)
+        plus_one = Character(G, chi.conj, [v + 1 for v in chi.values])
+        with pytest.raises(CertificationFailure):
+            clifford_correspondent(G, P, theta, plus_one)
+        eta, S = clifford_correspondent(G, P, theta, chi)
+        assert induce(G, S, eta) == chi
 
 
 def test_clifford_identity_across_orbit(b3_f3):

@@ -238,6 +238,16 @@ def test_check_normal_builds_the_action_once(b3_f3):
             assert tuple(ch.exps[y] for y in perm) == ch.conj_by(G, G.index[g]).exps
 
 
+def test_fixed_by_against_conj_by(b2_f3, b2_f5, b3_f2, pattern3_f3):
+    # the generator test of fixed_by against conjugating all of Q
+    for A in (b2_f3, b2_f5, b3_f2, pattern3_f3):
+        G = unit_group(A)
+        for Q in (radical_subgroup(A), ideal_subgroup(A, radical_power(A, 2))):
+            for theta in linear_characters(Q):
+                for g in range(G.order):
+                    assert theta.fixed_by(G, g) == (theta.conj_by(G, g).exps == theta.exps)
+
+
 def test_char_orbit_certifies_the_generator_shortcut(b2_f3, monkeypatch):
     # a stabilizer tested on a set that does not generate Q admits too much;
     # the orbit-stabilizer identity must catch it

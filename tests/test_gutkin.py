@@ -9,7 +9,7 @@ from brw.algebra import (EmbeddedAlgebra, Subalgebra, Subspace,
                          enumerate_subalgebras, pattern_algebra, radical_power)
 from brw.chars import (Character, char_from_linear, char_table, induce,
                        inner_product, restrict)
-from brw.corpus import corpus_algebra
+from brw.corpus import DEFAULT_CORPUS, corpus_algebra
 from brw.errors import DecompositionFailure, NotInvariant, PreconditionFailure
 from brw.groups import (char_orbit, ideal_subgroup, linear_characters,
                         radical_subgroup, unit_group, units_of_subspace)
@@ -17,7 +17,8 @@ from brw.gutkin import (SigmaData, certify_stabilizer_subalgebra,
                         diag_centraliser, extend_character, get_level,
                         gutkin_decompose, ideal_intersection_test, j_sigma,
                         phi_sigma, top_level, verify_gutkin_brute)
-from helpers import (assert_orbits_match_oracle, radical_power_oracle, rebased,
+from helpers import (assert_orbits_match_oracle, clifford_oracle, group_exponent,
+                     nondegenerate_step_oracle, radical_power_oracle, rebased,
                      run_optimized)
 
 
@@ -473,34 +474,85 @@ def test_brute_and_constructive_agree(b2_f3, b3_f2):
 
 # -- property tests: other bases and other algebras --------------------------
 
-def witness_degrees(A):
-    """Sorted degrees of the irreducibles of A^x, each with a verified witness."""
+class CliffordSteps:
+    """Records every Clifford step and every chosen step ideal of the
+    gutkin_decompose calls made while installed, and checks each against the
+    oracles of helpers: the table scan for eta, all pairs for L_i."""
+
+    def __init__(self, monkeypatch):
+        self.cliffords, self.chosen = [], []
+        self.counts = [0, 0]
+        real_cc = brw.gutkin.clifford_correspondent
+        real_ext = brw.gutkin.extend_character
+
+        def clifford(G, Q, theta, chi, orbit=None):
+            eta, S = real_cc(G, Q, theta, chi, orbit=orbit)
+            self.cliffords.append((G, Q, theta, chi, eta, S))
+            return eta, S
+
+        def extend(S):
+            self.chosen.append(S)
+            return real_ext(S)
+
+        monkeypatch.setattr(brw.gutkin, "clifford_correspondent", clifford)
+        monkeypatch.setattr(brw.gutkin, "extend_character", extend)
+
+    def check(self):
+        for G, Q, theta, chi, eta, S in self.cliffords:
+            eta_o, S_o = clifford_oracle(G, Q, theta, chi)
+            assert S is S_o and eta == eta_o
+        for S in self.chosen:
+            L = nondegenerate_step_oracle(S.level, S.n, S.sigma)
+            assert L is not None and L.rows == S.L.rows
+        self.counts[0] += len(self.cliffords)
+        self.counts[1] += len(self.chosen)
+        self.cliffords.clear()
+        self.chosen.clear()
+
+
+def witness_degrees(A, steps):
+    """Sorted degrees of the irreducibles of A^x, each with a verified witness
+    whose lambda is written at the exponent of H; every Clifford step and
+    chosen step ideal on the way is checked against its oracle."""
     G = unit_group(A)
     tab = char_table(G)
     assert sum(d * d for d in tab.degrees) == G.order
     for chi in tab.irreducibles:
         w = gutkin_decompose(A, chi)
         assert w.induced_matches and int(chi.degree) == G.order // w.H.order
+        assert w.lam.m == group_exponent(w.H)
+    steps.check()
     return sorted(tab.degrees)
 
 
+def test_clifford_steps_match_oracles_on_the_corpus(monkeypatch):
+    steps = CliffordSteps(monkeypatch)
+    for name in DEFAULT_CORPUS:
+        witness_degrees(corpus_algebra(name), steps)
+    assert steps.counts == [41, 15]
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_gutkin_in_random_bases(seed):
+def test_gutkin_in_random_bases(seed, monkeypatch):
     rng = random.Random(seed)
+    steps = CliffordSteps(monkeypatch)
     for name in ("b2_f3", "b3_f2", "pattern3_f3", "pattern4_f2", "b2_f5"):
         A = corpus_algebra(name)
-        assert witness_degrees(rebased(A, rng)) == sorted(char_table(unit_group(A)).degrees)
+        assert witness_degrees(rebased(A, rng), steps) == sorted(char_table(unit_group(A)).degrees)
+    assert steps.counts[0] > 0 and steps.counts[1] > 0
 
 
-def test_gutkin_on_the_subalgebra_corpus():
+def test_gutkin_on_the_subalgebra_corpus(monkeypatch):
     # every subalgebra of four corpus algebras, as an algebra in its own basis
     count = 0
+    steps = CliffordSteps(monkeypatch)
     for name in ("b2_f5", "b3_f2", "pattern3_f3", "pattern4_f2"):
         A = corpus_algebra(name)
         for B in enumerate_subalgebras(A):
-            witness_degrees(EmbeddedAlgebra(A, B.rows).alg)
+            witness_degrees(EmbeddedAlgebra(A, B.rows).alg, steps)
             count += 1
     assert count == 266
+    assert steps.counts[0] > 0 and steps.counts[1] > 0
 
 
 def test_radical_powers_against_all_products():

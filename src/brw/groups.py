@@ -7,9 +7,10 @@ keeps memory flat for orders up to the configured cap.
 Cache owners: the algebra keeps one FiniteGroup per element set
 (intern_group, in algebra._groups) and its BasicDecomposition (J^n and the
 torus coordinates). Each FiniteGroup keeps what is computed from it alone:
-inverses, generators, conjugacy classes (_conj), its character table
-(_table, set by chars.char_table) and the conjugation action of its
-generators on each normal subgroup (_conj_action, set by check_normal).
+inverses, generators, the breadth-first spanning tree of its Cayley graph
+on them (_tree), conjugacy classes (_conj), its exponent (_exp), its
+character table (_table, set by chars.char_table) and the conjugation action
+of its generators on each normal subgroup (_conj_action, set by check_normal).
 """
 
 from itertools import product
@@ -45,7 +46,9 @@ class FiniteGroup:
         self.identity = self.index[algebra.one]
         self._inv = [None] * len(self.elements)
         self._gens = None
+        self._tree = None
         self._conj = None
+        self._exp = None
         self._table = None
         self._conj_action = {}
 
@@ -89,6 +92,43 @@ class FiniteGroup:
             self._gens = tuple(gens)
         return self._gens
 
+    def schreier_tree(self):
+        """Breadth-first spanning tree of the right Cayley graph on generators()
+        (a Schreier vector): edges (y, x, s) with elements[y] = elements[x] *
+        gens[s], parents first. Built once from |G|·|gens| products; raises
+        CertificationFailure if the generators do not reach every element."""
+        if self._tree is None:
+            A, gens = self.algebra, self.generators()
+            seen, tree, queue = {self.identity}, [], [self.identity]
+            for x in queue:
+                for s, g in enumerate(gens):
+                    y = self.index[A.mul(self.elements[x], g)]
+                    if y not in seen:
+                        seen.add(y)
+                        tree.append((y, x, s))
+                        queue.append(y)
+            if len(seen) != self.order:
+                raise CertificationFailure("generators do not generate the group")
+            self._tree = tuple(tree)
+        return self._tree
+
+    def walk(self, start, step):
+        """Values by id of a function fixed by its value at the identity and
+        value(x * gens[s]) = step(value(x), s), read along schreier_tree()."""
+        value = [None] * self.order
+        value[self.identity] = start
+        for y, x, s in self.schreier_tree():
+            value[y] = step(value[x], s)
+        return value
+
+    def exponent(self):
+        """lcm of the element orders, from the class representatives; computed once."""
+        if self._exp is None:
+            A = self.algebra
+            reps = (self._conj or conjugacy_classes(self)).reps
+            self._exp = lcm(*(len(_cyclic_powers(A.mul, A.one, self.elements[r])) for r in reps))
+        return self._exp
+
     def contains_group(self, other):
         return all(v in self.index for v in other.elements)
 
@@ -107,21 +147,14 @@ def _grow(A, elems, gens, g):
     if g in elems:
         return
     gens.append(g)
-    frontier = []
-    for x in list(elems):
-        y = A.mul(x, g)
-        if y not in elems:
-            elems.add(y)
-            frontier.append(y)
-    while frontier:
-        new = []
-        for x in frontier:
-            for h in gens:
-                y = A.mul(x, h)
-                if y not in elems:
-                    elems.add(y)
-                    new.append(y)
-        frontier = new
+    queue = [y for y in [A.mul(x, g) for x in elems] if y not in elems]
+    elems.update(queue)
+    for x in queue:
+        for h in gens:
+            y = A.mul(x, h)
+            if y not in elems:
+                elems.add(y)
+                queue.append(y)
 
 
 # ---------------------------------------------------------------------------
@@ -236,26 +269,20 @@ def conjugacy_classes(G: FiniteGroup, cap=None) -> ConjData:
         raise TooLarge(f"group order {G.order} exceeds cap {cap}")
     if G._conj is not None:
         return G._conj
-    gens = G.generators()
-    gen_ids = [G.index[g] for g in gens]
+    gen_ids = [G.index[g] for g in G.generators()]
     class_of = [None] * G.order
     classes = []
     for start in range(G.order):
         if class_of[start] is not None:
             continue
-        orbit = [start]
         class_of[start] = len(classes)
-        frontier = [start]
-        while frontier:
-            new = []
-            for x in frontier:
-                for g in gen_ids:
-                    y = G.conj_id(g, x)
-                    if class_of[y] is None:
-                        class_of[y] = len(classes)
-                        orbit.append(y)
-                        new.append(y)
-            frontier = new
+        orbit = [start]
+        for x in orbit:
+            for g in gen_ids:
+                y = G.conj_id(g, x)
+                if class_of[y] is None:
+                    class_of[y] = len(classes)
+                    orbit.append(y)
         classes.append(sorted(orbit))
     order = sorted(range(len(classes)),
                    key=lambda c: (0 if classes[c][0] == G.identity else 1, classes[c][0]))
@@ -530,29 +557,32 @@ def char_orbit(G: FiniteGroup, Q: FiniteGroup, theta: LinearChar) -> CharOrbit:
     """Orbit of theta in Q^ under conjugation by G, with its stabilizer.
 
     The orbit is a breadth-first search over the generators of G acting on
-    exponent tables through the permutations of check_normal. The stabilizer
-    is {g in G : theta.fixed_by(G, g)}, tested on the generators of Q. The
-    orbit-stabilizer identity |orbit| * |G_theta| = |G| certifies orbit and
-    stabilizer together; a failure raises CertificationFailure.
+    exponent tables through the permutations of check_normal, recording the
+    Schreier graph act[w][s] on orbit indices. As theta^(xs) = (theta^x)^s,
+    the point of each g is read off G's Schreier tree with no product, and
+    G_theta = {g : point(g) = theta}. The orbit-stabilizer identity
+    |orbit| * |G_theta| = |G| certifies orbit and stabilizer together; a
+    failure raises CertificationFailure.
     """
     perms = check_normal(G, Q)
     if theta.domain is not Q:
         raise GroupMismatch("theta is not a character of Q")
-    seen = {theta.exps: theta}
-    frontier = [theta.exps]
-    while frontier:
-        new = []
-        for e in frontier:
-            for perm in perms:
-                img = tuple(e[y] for y in perm)
-                if img not in seen:
-                    seen[img] = LinearChar(Q, theta.m, img)
-                    new.append(img)
-        frontier = new
-    orbit = [seen[k] for k in sorted(seen)]
-    stab = [g for gid, g in enumerate(G.elements) if theta.fixed_by(G, gid)]
-    if len(orbit) * len(stab) != G.order:
+    points, act = {theta.exps: 0}, []
+    queue = [theta.exps]
+    for e in queue:
+        row = []
+        for perm in perms:
+            img = tuple(e[y] for y in perm)
+            if img not in points:
+                points[img] = len(queue)
+                queue.append(img)
+            row.append(points[img])
+        act.append(row)
+    pt = G.walk(0, lambda w, s: act[w][s])
+    stab = [g for g, w in zip(G.elements, pt) if w == 0]
+    if len(queue) * len(stab) != G.order:
         raise CertificationFailure("orbit-stabilizer identity failed")
+    orbit = [LinearChar(Q, theta.m, e) for e in sorted(queue)]
     return CharOrbit(theta, G, orbit, intern_group(G.algebra, stab))
 
 

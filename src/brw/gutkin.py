@@ -25,8 +25,8 @@ from .chars import (Character, char_from_linear, char_table,
 from .errors import (CertificationFailure, DecompositionFailure, NoExtension,
                      NotInvariant, PreconditionFailure, VerificationFailure)
 from .exact import Cyclotomic, rref
-from .groups import (DEFAULT_ORDER_CAP, FiniteGroup, LinearChar, _cyclic_powers,
-                     char_orbit, linear_characters, one_plus, torus_elements,
+from .groups import (DEFAULT_ORDER_CAP, FiniteGroup, LinearChar, char_orbit,
+                     linear_characters, one_plus, torus_elements,
                      units_of_subspace)
 
 
@@ -84,14 +84,13 @@ def _root_exps(values, m):
 
 def linear_char_from_character(chi: Character) -> LinearChar:
     """Exponent table of a degree-one character (values must be roots of unity)
-    at the exponent m of its domain, the lcm of the class representatives' orders."""
+    at the exponent m of its domain."""
     assert chi.degree == 1
-    G, A = chi.group, chi.group.algebra
-    m = lcm(*(len(_cyclic_powers(A.mul, A.one, G.elements[r])) for r in chi.conj.reps))
+    m = chi.group.exponent()
     class_exp = _root_exps(chi.values, m)
     if class_exp is None:
         raise DecompositionFailure("degree-one character value is not a root of unity")
-    return LinearChar(G, m, [class_exp[k] for k in chi.conj.class_of])
+    return LinearChar(chi.group, m, [class_exp[k] for k in chi.conj.class_of])
 
 
 # ---------------------------------------------------------------------------
@@ -196,19 +195,27 @@ class SigmaData:
 def j_sigma(S: SigmaData) -> Subspace:
     """J_sigma = {a in J : sigma([1+a, 1+u]) = 1 for all u in L}, certified.
 
-    Certificates: the set is a subspace, multiplicatively closed, contains
-    J^2, has codimension at most one in J, and 1 + J_sigma is exactly the
-    kernel of phi_sigma.
+    For a fixed h in Q, g -> sigma([g, h]) is a homomorphism P -> Z/m:
+    [g1 g2, h] = g2^-1 [g1, h] g2 [g2, h], and sigma is P-invariant on the
+    normal N. It is computed on the generators of P, where every commutator
+    must lie in N (so [P, Q] <= N), and extended along P's Schreier tree.
+    h -> sigma([g, h]) is a homomorphism on Q in the same way, so testing the
+    generators h of Q is exact. Certificates: the set is a subspace,
+    multiplicatively closed, contains J^2 and has codimension at most one in J.
     """
     if S._jsigma is not None:
         return S._jsigma
     level = S.level
-    A = level.ambient
-    lvecs = [v for v in S.L.vectors()]
-    members = []
-    for a in level.radical.vectors():
-        if all(S.commutator_value(a, u) == 0 for u in lvecs):
-            members.append(a)
+    A, P, N, sigma = level.ambient, level.P, S.N, S.sigma
+    gens = [P.index[g] for g in P.generators()]
+    kernel = [True] * P.order
+    for h in S.Q.generators():
+        cs = [N.index.get(P.elements[P.commutator_id(g, P.index[h])]) for g in gens]
+        if None in cs:
+            raise CertificationFailure("[P, Q] is not contained in N")
+        values = P.walk(0, lambda v, s: (v + sigma.exps[cs[s]]) % sigma.m)
+        kernel = [k and v == 0 for k, v in zip(kernel, values)]
+    members = [vec_sub(x, A.one, A.p) for x, k in zip(P.elements, kernel) if k]
     rows, _ = rref(members, A.p)
     if len(members) != A.p ** len(rows):
         raise CertificationFailure("J_sigma is not a subspace")
@@ -268,21 +275,28 @@ class ExtensionResult:
         return self.extensions[0]
 
 
+def _kills_commutators(Q: FiniteGroup, N: FiniteGroup, sigma: LinearChar) -> bool:
+    """Whether [Q,Q] <= ker sigma, for sigma on N <= Q invariant under Q.
+    Tested on pairs of generators of Q: ker sigma is then normal in Q, so it
+    holds their normal closure, which is [Q,Q]."""
+    gens = [Q.index[g] for g in Q.generators()]
+    cs = [N.index.get(Q.elements[Q.commutator_id(i, j)]) for i in gens for j in gens]
+    return None not in cs and not any(sigma.exps[c] for c in cs)
+
+
 def extend_character(S: SigmaData) -> ExtensionResult:
     """All extensions of sigma from N to Q, with their P-stabilizers and orbit.
 
-    Certifies: [Q,Q] <= ker sigma, there are exactly p = |Q/N| extensions,
-    every extension has P-stabilizer 1 + J_sigma, and when that stabilizer is
+    Certifies: [Q,Q] <= ker sigma, on pairs of generators of Q (exact as
+    sigma is P-invariant), there are exactly p = |Q/N| extensions, every
+    extension has P-stabilizer 1 + J_sigma, and when that stabilizer is
     proper the extensions form a single P-orbit.
     """
     level = S.level
     A = level.ambient
     Q, N, sigma = S.Q, S.N, S.sigma
-    # [Q,Q] <= ker sigma
-    for i in range(Q.order):
-        for j in range(Q.order):
-            if sigma.exps[N.index[Q.elements[Q.commutator_id(i, j)]]] != 0:
-                raise NoExtension("sigma does not kill [Q,Q]")
+    if not _kills_commutators(Q, N, sigma):
+        raise NoExtension("sigma does not kill [Q,Q]")
     exts = []
     for ch in linear_characters(Q):
         if ch.restrict(N).same_values(sigma):

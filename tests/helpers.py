@@ -180,6 +180,28 @@ def nondegenerate_step_oracle(level, n, sigma):
     return None
 
 
+def j_sigma_oracle(S):
+    """RREF rows of J_sigma by testing every a in J against every u in L
+    through commutator_value (no generators, no Schreier tree)."""
+    lvecs = list(S.L.vectors())
+    members = [a for a in S.level.radical.vectors()
+               if all(S.commutator_value(a, u) == 0 for u in lvecs)]
+    return rref(members, S.level.ambient.p)[0]
+
+
+def assert_schreier_tree(G):
+    """Every edge (y, x, s) of G's Schreier tree is exact by Algebra.mul,
+    parents come before their children, and the tree reaches every element
+    of G exactly once."""
+    A, gens = G.algebra, G.generators()
+    reached = {G.identity}
+    for y, x, s in G.schreier_tree():
+        assert x in reached and y not in reached
+        assert G.elements[y] == A.mul(G.elements[x], gens[s])
+        reached.add(y)
+    assert len(reached) == G.order
+
+
 def group_exponent(G):
     """lcm of the orders of all elements of G, by repeated multiplication."""
     A = G.algebra

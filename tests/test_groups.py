@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from brw.algebra import (Subspace, diagonal_algebra, radical, radical_power)
+from brw.algebra import (Subspace, borel_algebra, diagonal_algebra, radical,
+                         radical_power)
 from brw.corpus import corpus_algebra
 from brw.errors import (CertificationFailure, NotInsideRadical, NotNormal,
                         TooLarge)
@@ -248,13 +249,13 @@ def test_fixed_by_against_conj_by(b2_f3, b2_f5, b3_f2, pattern3_f3):
                     assert theta.fixed_by(G, g) == (theta.conj_by(G, g).exps == theta.exps)
 
 
-def test_char_orbit_certifies_the_generator_shortcut(b2_f3, monkeypatch):
-    # a stabilizer tested on a set that does not generate Q admits too much;
-    # the orbit-stabilizer identity must catch it
-    G = unit_group(b2_f3)
-    P = radical_subgroup(b2_f3)
+def test_char_orbit_certifies_the_generator_shortcut(monkeypatch):
+    # the stabilizer is read off a Schreier tree on the generators of G; a
+    # set that does not generate G must raise, not give a smaller stabilizer
+    A = borel_algebra(3, 2)   # fresh, so no tree or action is cached yet
+    G, P = unit_group(A), radical_subgroup(A)
     nt = next(c for c in linear_characters(P) if not c.is_trivial())
-    monkeypatch.setattr(P, "generators", lambda: (P.elements[P.identity],))
+    monkeypatch.setattr(G, "generators", lambda: (A.one,))
     with pytest.raises(CertificationFailure):
         char_orbit(G, P, nt)
 
@@ -268,7 +269,7 @@ def test_certificate_survives_optimized_mode():
         A = borel_algebra(3, 2)
         G, P = unit_group(A), radical_subgroup(A)
         nt = next(c for c in linear_characters(P) if not c.is_trivial())
-        P.generators = lambda: (A.one,)
+        G.generators = lambda: (A.one,)
         try:
             char_orbit(G, P, nt)
         except CertificationFailure:

@@ -10,14 +10,17 @@ from brw.algebra import (EmbeddedAlgebra, Subalgebra, Subspace,
 from brw.chars import (Character, char_from_linear, char_table, induce,
                        inner_product, restrict)
 from brw.corpus import DEFAULT_CORPUS, corpus_algebra
-from brw.errors import DecompositionFailure, NotInvariant, PreconditionFailure
+from brw.errors import (CertificationFailure, DecompositionFailure, NotInvariant,
+                        PreconditionFailure)
 from brw.groups import (char_orbit, ideal_subgroup, linear_characters,
                         radical_subgroup, unit_group, units_of_subspace)
-from brw.gutkin import (SigmaData, certify_stabilizer_subalgebra,
-                        diag_centraliser, extend_character, get_level,
-                        gutkin_decompose, ideal_intersection_test, j_sigma,
-                        phi_sigma, top_level, verify_gutkin_brute)
-from helpers import (assert_orbits_match_oracle, clifford_oracle, group_exponent,
+from brw.gutkin import (SigmaData, _kills_commutators, _one_dim_ideal_steps,
+                        certify_stabilizer_subalgebra, diag_centraliser,
+                        extend_character, get_level, gutkin_decompose,
+                        ideal_intersection_test, j_sigma, phi_sigma, top_level,
+                        verify_gutkin_brute)
+from helpers import (assert_orbits_match_oracle, assert_schreier_tree,
+                     clifford_oracle, group_exponent, j_sigma_oracle,
                      nondegenerate_step_oracle, radical_power_oracle, rebased,
                      run_optimized)
 
@@ -114,6 +117,38 @@ def test_j_sigma_certificates(sigma_b3f2, sigma_b3f3):
         for a in lvl.radical.vectors():
             g = tuple((x + y) % A.p for x, y in zip(A.one, a))
             assert phi_sigma(S, g).is_trivial() == js.contains(a)
+
+
+def test_j_sigma_certifies_that_commutators_lie_in_n(b4_f2):
+    # Q widened to all of P, which is not inside 1 + J^(n-1): some commutator
+    # of generators of P and Q lies outside N = 1 + J^n
+    lvl = top_level(b4_f2)
+    N = lvl.one_plus(lvl.radical_power(3))
+    sigma = next(c for c in linear_characters(N) if not c.is_trivial())
+    S = SigmaData(lvl, 3, _one_dim_ideal_steps(lvl, 3)[0], sigma)
+    S.Q = lvl.P
+    with pytest.raises(CertificationFailure):
+        j_sigma(S)
+
+
+def test_j_sigma_certificate_survives_optimized_mode():
+    # the same mutation as above, under python -O, where asserts are stripped
+    out = run_optimized("""
+        from brw.algebra import borel_algebra
+        from brw.errors import CertificationFailure
+        from brw.groups import linear_characters
+        from brw.gutkin import SigmaData, _one_dim_ideal_steps, j_sigma, top_level
+        lvl = top_level(borel_algebra(2, 4))
+        N = lvl.one_plus(lvl.radical_power(3))
+        sigma = next(c for c in linear_characters(N) if not c.is_trivial())
+        S = SigmaData(lvl, 3, _one_dim_ideal_steps(lvl, 3)[0], sigma)
+        S.Q = lvl.P
+        try:
+            j_sigma(S)
+        except CertificationFailure:
+            print("raised")
+    """)
+    assert out.strip() == "raised"
 
 
 def test_scalar_relation_dagger_exhaustive(sigma_b3f3):
@@ -252,6 +287,24 @@ def test_ideal_intersection_trivial_cases(sigma_b3f2):
 
 
 # -- Proposition "extension" ---------------------------------------------------
+
+def test_commutator_check_on_generator_pairs_against_all_pairs(sigma_b3f2, sigma_b3f3):
+    # [Q,Q] <= ker sigma tested on pairs of generators against every pair,
+    # for each P-invariant sigma on N, with Q = 1 + L and with Q = P
+    verdicts = set()
+    for S in (sigma_b3f2, sigma_b3f3):
+        N, P = S.N, S.level.P
+        for Q in (S.Q, P):
+            for sigma in linear_characters(N):
+                if not sigma.is_invariant(P):
+                    continue
+                cs = [N.index.get(Q.elements[Q.commutator_id(i, j)])
+                      for i in range(Q.order) for j in range(Q.order)]
+                every = None not in cs and all(sigma.exps[c] == 0 for c in cs)
+                assert _kills_commutators(Q, N, sigma) == every
+                verdicts.add(every)
+    assert verdicts == {True, False}
+
 
 def test_extend_character_b3f2(sigma_b3f2):
     ext = extend_character(sigma_b3f2)
@@ -475,15 +528,18 @@ def test_brute_and_constructive_agree(b2_f3, b3_f2):
 # -- property tests: other bases and other algebras --------------------------
 
 class CliffordSteps:
-    """Records every Clifford step and every chosen step ideal of the
-    gutkin_decompose calls made while installed, and checks each against the
-    oracles of helpers: the table scan for eta, all pairs for L_i."""
+    """Records every Clifford step, every chosen step ideal and every J_sigma
+    of the gutkin_decompose calls made while installed, and checks each
+    against the oracles of helpers: the table scan for eta, all pairs for L_i
+    and for J_sigma, and the edges of the Schreier tree of every group on the
+    way (unit groups, P, Q and stabilizers)."""
 
     def __init__(self, monkeypatch):
-        self.cliffords, self.chosen = [], []
-        self.counts = [0, 0]
+        self.cliffords, self.chosen, self.sigmas = [], [], {}
+        self.counts = [0, 0, 0]
         real_cc = brw.gutkin.clifford_correspondent
         real_ext = brw.gutkin.extend_character
+        real_js = brw.gutkin.j_sigma
 
         def clifford(G, Q, theta, chi, orbit=None):
             eta, S = real_cc(G, Q, theta, chi, orbit=orbit)
@@ -494,20 +550,33 @@ class CliffordSteps:
             self.chosen.append(S)
             return real_ext(S)
 
+        def jsig(S):
+            js = real_js(S)
+            self.sigmas[id(S)] = (S, js)
+            return js
+
         monkeypatch.setattr(brw.gutkin, "clifford_correspondent", clifford)
         monkeypatch.setattr(brw.gutkin, "extend_character", extend)
+        monkeypatch.setattr(brw.gutkin, "j_sigma", jsig)
 
     def check(self):
         for G, Q, theta, chi, eta, S in self.cliffords:
             eta_o, S_o = clifford_oracle(G, Q, theta, chi)
             assert S is S_o and eta == eta_o
+            for K in (G, Q, S):
+                assert_schreier_tree(K)
+        for S, js in self.sigmas.values():
+            assert js.rows == j_sigma_oracle(S)
+            assert_schreier_tree(S.level.P)
         for S in self.chosen:
             L = nondegenerate_step_oracle(S.level, S.n, S.sigma)
             assert L is not None and L.rows == S.L.rows
         self.counts[0] += len(self.cliffords)
         self.counts[1] += len(self.chosen)
+        self.counts[2] += len(self.sigmas)
         self.cliffords.clear()
         self.chosen.clear()
+        self.sigmas.clear()
 
 
 def witness_degrees(A, steps):
@@ -529,7 +598,7 @@ def test_clifford_steps_match_oracles_on_the_corpus(monkeypatch):
     steps = CliffordSteps(monkeypatch)
     for name in DEFAULT_CORPUS:
         witness_degrees(corpus_algebra(name), steps)
-    assert steps.counts == [41, 15]
+    assert steps.counts == [41, 15, 17]
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -539,7 +608,7 @@ def test_gutkin_in_random_bases(seed, monkeypatch):
     for name in ("b2_f3", "b3_f2", "pattern3_f3", "pattern4_f2", "b2_f5"):
         A = corpus_algebra(name)
         assert witness_degrees(rebased(A, rng), steps) == sorted(char_table(unit_group(A)).degrees)
-    assert steps.counts[0] > 0 and steps.counts[1] > 0
+    assert all(steps.counts)
 
 
 def test_gutkin_on_the_subalgebra_corpus(monkeypatch):
@@ -552,7 +621,7 @@ def test_gutkin_on_the_subalgebra_corpus(monkeypatch):
             witness_degrees(EmbeddedAlgebra(A, B.rows).alg, steps)
             count += 1
     assert count == 266
-    assert steps.counts[0] > 0 and steps.counts[1] > 0
+    assert all(steps.counts)
 
 
 def test_radical_powers_against_all_products():

@@ -2,8 +2,11 @@
 
 Everything here is exact over F_p: elements are coordinate tuples, subspaces
 are reduced-echelon row matrices, and all certificates (associativity,
-identity, ideal/subalgebra closure, idempotent orthogonality) are checked by
-finite enumeration at construction time.
+identity, ideal/subalgebra closure, idempotent orthogonality) are checked at
+construction time. The radical and the primitive idempotents are found and
+certified by linear algebra on the basis (an ideal closure, its chain of
+powers and Lagrange splitting), in time polynomial in the dimension; only
+the subalgebra walk (enumerate_subalgebras) still enumerates vectors.
 """
 
 from itertools import product
@@ -120,16 +123,6 @@ class Algebra:
             n >>= 1
         return out
 
-    def is_nilpotent(self, x):
-        # repeated squaring: index of nilpotency is at most dim in a unital algebra
-        t = (self.dim - 1).bit_length()
-        y = x
-        for _ in range(max(t, 1)):
-            if vec_is_zero(y):
-                return True
-            y = self.mul(y, y)
-        return vec_is_zero(y)
-
     def combine(self, coeffs, rows):
         """The linear combination sum_i coeffs[i] * rows[i] of coordinate tuples."""
         out = [0] * self.dim
@@ -240,17 +233,18 @@ class Ideal(Subspace):
 class BasicDecomposition:
     """Orthogonal idempotents e_1..e_n, diagonal subalgebra D, radical J.
 
-    It owns what is derived from the split A = D (+) J: the powers J^n,
-    computed once each, and the coordinates along D (+) J that give the
-    torus part of an element.
+    It owns what is derived from the split A = D (+) J: the chain of powers
+    J = J^1 > J^2 > ... > 0 that certified J nilpotent (powers, ending in
+    the zero ideal), and the coordinates along D (+) J that give the torus
+    part of an element.
     """
 
-    def __init__(self, algebra, idempotents, diagonal, radical):
+    def __init__(self, algebra, idempotents, diagonal, powers):
         self.algebra = algebra
         self.idempotents = idempotents
         self.diagonal = diagonal
-        self.radical = radical
-        self._powers = {1: radical}
+        self.radical = powers[0]
+        self.powers = powers
         self._torus_rows = None
 
     @property
@@ -261,10 +255,7 @@ class BasicDecomposition:
         """J^n, the span of all n-fold products of radical elements (J^1 = J)."""
         if n < 1:
             raise SpecError(f"radical power needs n >= 1, got {n}")
-        if n not in self._powers:
-            A, prev = self.algebra, self.radical_power(n - 1)
-            self._powers[n] = Ideal(A, [A.mul(u, v) for u in prev.rows for v in self.radical.rows])
-        return self._powers[n]
+        return self.powers[min(n, len(self.powers)) - 1]
 
     def torus_coeffs(self, v):
         """Coefficients of e_1..e_n when v is written in the basis idempotents + rows of J."""
@@ -287,11 +278,20 @@ class BasicDecomposition:
 # radical / split-basic certification
 # ---------------------------------------------------------------------------
 
-def _nilpotent_span(A):
-    """(rows of span of nilpotents, True iff the nilpotent set is a subspace)."""
-    nil = [v for v in A.elements() if A.is_nilpotent(v)]
-    red, _ = rref(nil, A.p)
-    return red, len(nil) == A.p ** len(red)
+def _ideal_closure(A, gens):
+    """RREF (rows, pivots) of the two-sided ideal generated by gens: each new
+    independent vector is multiplied by every basis vector on both sides."""
+    rows, pivots = (), ()
+    basis = [A.basis_vector(i) for i in range(A.dim)]
+    todo = list(gens)
+    while todo:
+        res, _ = reduce_vector(todo.pop(), rows, pivots, A.p)
+        if vec_is_zero(res):
+            continue
+        rows, pivots = rref(rows + (res,), A.p)
+        for b in basis:
+            todo += [A.mul(b, res), A.mul(res, b)]
+    return rows, pivots
 
 
 def _quotient_algebra(A, ideal_rows, ideal_pivots):
@@ -321,66 +321,64 @@ def _quotient_algebra(A, ideal_rows, ideal_pivots):
             bj = section(tuple(1 if t == j else 0 for t in range(qdim)))
             plane.append(list(project(A.mul(bi, bj))))
         sc.append(plane)
-    Q = Algebra(A.p, sc, project(A.one))
-    return Q, section, project
+    return Algebra(A.p, sc, project(A.one)), section
 
 
-def _primitive_idempotents(A):
-    """All primitive idempotents of a (small) commutative algebra, by scan."""
-    idems = [v for v in A.elements() if A.mul(v, v) == v]
-    prims = []
-    for e in idems:
-        if vec_is_zero(e):
-            continue
-        below = [f for f in idems if A.mul(e, f) == f and A.mul(f, e) == f]
-        if len(below) == 2:  # exactly 0 and e itself
-            prims.append(e)
-    prims.sort(reverse=True)
-    return prims
+def _split_idempotents(Q):
+    """Primitive idempotents of Q = F_p^n given in any basis: {1} split, for
+    each basis vector b, by the Lagrange idempotents 1 - (b - c)^(p-1), c in
+    F_p (the indicator of the coordinates where b equals c)."""
+    p = Q.p
+    idems = [Q.one]
+    for i in range(Q.dim):
+        b = Q.basis_vector(i)
+        lagrange = [vec_sub(Q.one, Q.power(vec_sub(b, vec_scale(c, Q.one, p), p), p - 1), p)
+                    for c in range(p)]
+        idems = [f for e in idems for f in (Q.mul(e, l) for l in lagrange) if not vec_is_zero(f)]
+    return sorted(idems, reverse=True)
 
 
 def _split_basic_analysis(A):
-    """Radical rows plus the split certificate, or a failure reason."""
-    span, is_subspace = _nilpotent_span(A)
-    if not is_subspace:
-        return None, "nilpotent set is not a subspace"
-    nil = Subspace(A, span)
+    """(chain J > J^2 > ... > 0 as RREF rows, section of A/J -> A, primitive
+    idempotents of A/J), or raise NotSplitBasic.
+
+    Let I be the two-sided ideal generated by the commutators b_i b_j - b_j b_i
+    and the b_i^p - b_i of the basis. A/I is commutative, so Frobenius is
+    additive there and x^p = x on all of A/I: A/I is a product of copies of
+    F_p, hence I contains the radical J. So A is split basic exactly when I
+    is nilpotent, and then J = I. Nilpotency is certified by the chain
+    I > I^2 > ... > 0 (I^(k+1) spanned by the products of the rows of I^k
+    and I); a step that keeps a nonzero dimension means I^k = I^(k+1) != 0.
+    """
     basis = [A.basis_vector(i) for i in range(A.dim)]
-    if not nil.closed_under(basis, basis):
-        return None, "nilpotent subspace is not an ideal"
-    rows, pivots = nil.rows, nil.pivots
-    Q, section, project = _quotient_algebra(A, rows, pivots)
-    for i in range(Q.dim):
-        for j in range(i + 1, Q.dim):
-            bi, bj = Q.basis_vector(i), Q.basis_vector(j)
-            if Q.mul(bi, bj) != Q.mul(bj, bi):
-                return None, "semisimple quotient is not commutative"
-    prims = _primitive_idempotents(Q)
+    gens = [vec_sub(A.mul(u, v), A.mul(v, u), A.p) for i, u in enumerate(basis) for v in basis[i + 1:]]
+    gens += [vec_sub(A.power(b, A.p), b, A.p) for b in basis]
+    rows, pivots = _ideal_closure(A, gens)
+    chain = [rows]
+    while chain[-1]:
+        nxt, _ = rref([A.mul(u, v) for u in chain[-1] for v in rows], A.p)
+        if len(nxt) == len(chain[-1]):
+            raise NotSplitBasic("the ideal generated by commutators and b^p - b is not nilpotent")
+        chain.append(nxt)
+    Q, section = _quotient_algebra(A, rows, pivots)
+    prims = _split_idempotents(Q)
     if len(prims) != Q.dim:
-        return None, "semisimple quotient is not split (wrong idempotent count)"
+        raise NotSplitBasic("semisimple quotient is not split (wrong idempotent count)")
     total = tuple(0 for _ in range(Q.dim))
     for e in prims:
         for f in prims:
             if e != f and not vec_is_zero(Q.mul(e, f)):
-                return None, "quotient idempotents not orthogonal"
+                raise NotSplitBasic("quotient idempotents not orthogonal")
         total = vec_add(total, e, Q.p)
     if total != Q.one:
-        return None, "quotient idempotents do not sum to 1"
-    return {
-        "radical_rows": rows,
-        "radical_pivots": pivots,
-        "quotient": Q,
-        "section": section,
-        "project": project,
-        "quotient_idempotents": prims,
-    }, None
+        raise NotSplitBasic("quotient idempotents do not sum to 1")
+    return chain, section, prims
 
 
 def radical(A: Algebra) -> Ideal:
-    """The Jacobson radical: the set of nilpotent elements, certified as an ideal.
+    """The Jacobson radical, certified nilpotent and an ideal.
 
-    Raises NotSplitBasic when the nilpotent set is not a subspace or the
-    semisimple quotient is not split.
+    Raises NotSplitBasic when A is not split basic.
     """
     return cached_decomposition(A).radical
 
@@ -389,8 +387,11 @@ def is_split_basic(A) -> tuple[bool, str]:
     """(verdict, reason). Accepts an Algebra or a certified Subalgebra."""
     if isinstance(A, Subalgebra):
         A = EmbeddedAlgebra(A.owner, A.rows).alg
-    data, reason = _split_basic_analysis(A)
-    return (data is not None), (reason or "split basic")
+    try:
+        cached_decomposition(A)
+    except NotSplitBasic as exc:
+        return False, str(exc)
+    return True, "split basic"
 
 
 def _lift_idempotent(A, a, steps):
@@ -409,14 +410,11 @@ def _lift_idempotent(A, a, steps):
 
 def basic_decomposition(A: Algebra) -> BasicDecomposition:
     """Orthogonal idempotents summing to 1, the diagonal D and radical J, certified."""
-    data, reason = _split_basic_analysis(A)
-    if data is None:
-        raise NotSplitBasic(reason)
-    section = data["section"]
+    chain, section, prims = _split_basic_analysis(A)
     steps = (A.dim - 1).bit_length() + 2
     idems = []
     s = tuple(0 for _ in range(A.dim))
-    for ebar in data["quotient_idempotents"]:
+    for ebar in prims:
         a = section(ebar)
         one_minus_s = vec_sub(A.one, s, A.p)
         a = A.mul(A.mul(one_minus_s, a), one_minus_s)
@@ -432,10 +430,10 @@ def basic_decomposition(A: Algebra) -> BasicDecomposition:
                 raise NotSplitBasic("lifted idempotents not orthogonal")
     diagonal = Subalgebra(A, idems)
     diagonal.idempotents = tuple(idems)
-    rad = Ideal(A, data["radical_rows"])
-    if diagonal.dim + rad.dim != A.dim or diagonal.intersect(rad).dim != 0:
+    powers = tuple(Ideal(A, rows) for rows in chain)
+    if diagonal.dim + powers[0].dim != A.dim or diagonal.intersect(powers[0]).dim != 0:
         raise NotSplitBasic("A is not the direct sum D + J")
-    return BasicDecomposition(A, tuple(idems), diagonal, rad)
+    return BasicDecomposition(A, tuple(idems), diagonal, powers)
 
 
 def cached_decomposition(A: Algebra) -> BasicDecomposition:
@@ -454,28 +452,21 @@ def radical_power(A: Algebra, n: int) -> Ideal:
 # D-bimodule structure
 # ---------------------------------------------------------------------------
 
-def _diagonal_idempotents(D: Subalgebra):
-    if D.idempotents is not None:
-        return D.idempotents
-    sub = EmbeddedAlgebra(D.owner, D.rows)
-    prims = _primitive_idempotents(sub.alg)
-    return tuple(sub.to_ambient(e) for e in prims)
-
-
 def _check_bimodule(idems, V: Subspace):
     if not V.closed_under(idems, idems):
         raise NotBimodule("subspace not closed under the idempotent action")
 
 
 def bimodule_decompose(D: Subalgebra, V: Subspace):
-    """Homogeneous components e_i V e_j of a D-bimodule V.
+    """Homogeneous components e_i V e_j of a D-bimodule V, for D the diagonal
+    of a BasicDecomposition (which sets its idempotents e_i).
 
     Returns [(i, j, Subspace)] for the nonzero components, ordered by (i, j).
     Every subspace of a homogeneous component is itself a sub-bimodule, so the
     rows of each component give its refinement into one-dimensional pieces.
     """
     A = D.owner
-    idems = _diagonal_idempotents(D)
+    idems = D.idempotents
     _check_bimodule(idems, V)
     comps = []
     total = 0
@@ -494,7 +485,7 @@ def bimodule_decompose(D: Subalgebra, V: Subspace):
 def bimodule_complement(D: Subalgebra, V: Subspace, V1: Subspace) -> Subspace:
     """A sub-bimodule V2 with V = V1 (+) V2, built inside homogeneous components."""
     A = D.owner
-    idems = _diagonal_idempotents(D)
+    idems = D.idempotents
     _check_bimodule(idems, V)
     _check_bimodule(idems, V1)
     for v in V1.rows:

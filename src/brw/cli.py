@@ -89,18 +89,10 @@ def cmd_info(args):
     }
     if ok:
         dec = cached_decomposition(A)
-        dims = []
-        n = 1
-        while True:
-            d = radical_power(A, n).dim
-            dims.append(d)
-            if d == 0:
-                break
-            n += 1
-        G = unit_group(A)
+        G = unit_group(A, cap=args.cap_order)
         report.update({
             "idempotents": [list(e) for e in dec.idempotents],
-            "radical_dims": dims,
+            "radical_dims": [J.dim for J in dec.powers],
             "group_order": G.order,
             "torus_order": torus_subgroup(A).order,
             "radical_group_order": radical_subgroup(A).order,
@@ -116,7 +108,7 @@ def cmd_info(args):
 def cmd_chartable(args):
     name, spec = load_spec(args.spec)
     A = spec_algebra(spec)
-    G = unit_group(A)
+    G = unit_group(A, cap=args.cap_order)
     table = char_table(G, cap=args.cap_order)
     buf = io.StringIO()
     buf.write(f"# brw.chartable/{REPORT_VERSION} spec={name} group_order={G.order} "
@@ -136,7 +128,7 @@ def cmd_chartable(args):
 
 def _gutkin_one(name, spec, args):
     A = spec_algebra(spec)
-    G = unit_group(A)
+    G = unit_group(A, cap=args.cap_order)
     table = char_table(G, cap=args.cap_order)
     dec = cached_decomposition(A)
     block = {
@@ -231,9 +223,7 @@ def _resolve_ideal(A, text):
 def cmd_orbits(args):
     name, spec = load_spec(args.spec)
     A = spec_algebra(spec)
-    G = unit_group(A)
-    if G.order > args.cap_order:
-        raise TooLarge(f"group order {G.order} exceeds cap {args.cap_order}")
+    G = unit_group(A, cap=args.cap_order)
     label, I = _resolve_ideal(A, args.ideal)
     Q = ideal_subgroup(A, I)
     remaining = {ch.exps: ch for ch in linear_characters(Q, cap=args.cap_order)}

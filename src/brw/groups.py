@@ -172,14 +172,20 @@ def one_plus(A: Algebra, U: Subspace) -> FiniteGroup:
     return intern_group(A, [vec_add(A.one, u, A.p) for u in U.vectors()])
 
 
-def unit_group(A: Algebra) -> FiniteGroup:
-    """The full unit group G = A^x; order (p-1)^n * p^dim(J)."""
+def unit_group(A: Algebra, cap=None) -> FiniteGroup:
+    """The full unit group G = A^x; order (p-1)^n * p^dim(J).
+
+    The order is compared with the cap, when given, before any element is
+    built."""
     dec = cached_decomposition(A)  # raises NotSplitBasic when appropriate
     p = A.p
+    order = (p - 1) ** dec.n * p ** dec.radical.dim
+    if cap is not None and order > cap:
+        raise TooLarge(f"group order {order} exceeds cap {cap}")
     jvecs = list(dec.radical.vectors())
     G = intern_group(A, [vec_add(t, j, p) for t in torus_elements(A, dec.idempotents)
                          for j in jvecs])
-    if G.order != (p - 1) ** dec.n * p ** dec.radical.dim:
+    if G.order != order:
         raise CertificationFailure("unit group order differs from (p-1)^n p^dim(J)")
     return G
 

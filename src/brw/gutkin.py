@@ -440,8 +440,7 @@ def _decompose(level: Level, chi: Character, steps, cap):
         raise DecompositionFailure("the restriction to P has no constituent in P's table")
 
     step = {"algebra_dim": level.dim, "group_order": H.order}
-    linear = psi.degree == 1
-    if linear:
+    if psi.degree == 1:
         Q, theta = P, linear_char_from_character(psi)
         step["branch"] = "linear-constituent"
     else:
@@ -476,16 +475,11 @@ def _decompose(level: Level, chi: Character, steps, cap):
     G_theta = orbit.stabilizer
     if G_theta.order == H.order:
         raise DecompositionFailure("stabilizer did not decrease at a nonlinear step")
-    if linear:
-        D_theta = diag_centraliser_level(level, level.radical, theta)
-        rows, _ = rref(D_theta.rows + level.radical.rows, level.ambient.p)
-        new_level = get_level(level.ambient, rows)
-        if new_level.units.elements != G_theta.elements:
-            raise CertificationFailure("(D_theta + J)^x differs from the stabilizer")
-    else:
-        sub, conjugator = certify_stabilizer_subalgebra(level, G_theta)
-        new_level = get_level(level.ambient, sub.rows)
-        step["conjugated"] = conjugator is not None
+    # a linear psi needs p odd (at p = 2, H = P and psi = chi); then
+    # G_theta = T_theta P spans D_theta + J
+    sub, conjugator = certify_stabilizer_subalgebra(level, G_theta)
+    new_level = get_level(level.ambient, sub.rows)
+    step["conjugated"] = conjugator is not None
     eta, _ = clifford_correspondent(H, Q, theta, chi, orbit=orbit)
     step.update(stabilizer_order=G_theta.order, next_dim=new_level.dim)
     steps.append(step)

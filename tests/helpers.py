@@ -1,6 +1,7 @@
 """Independent oracles used by the tests: these deliberately avoid the code
 paths they are checking (plain subspace enumeration instead of the lattice
-walk, all-pairs conjugation instead of the generator BFS, and so on)."""
+walk or the radical's ideal closure, all-pairs conjugation instead of the
+generator BFS, and so on)."""
 
 import os
 import subprocess
@@ -112,6 +113,55 @@ def subspace_vectors(A, rows):
     return out
 
 
+def is_nilpotent(A, v):
+    """Whether v^dim(A) = 0, by repeated multiplication."""
+    y = v
+    for _ in range(A.dim - 1):
+        y = A.mul(y, v)
+    return not any(y)
+
+
+def split_basic_oracle(A):
+    """(verdict, radical rows, primitive idempotents of A/J) by enumeration.
+
+    J is the set of nilpotent elements (x^dim = 0); A is split basic when J
+    is a subspace and an ideal, A/J is commutative and A/J has dim(A/J)
+    primitive idempotents. Those are found by a scan of the classes mod J
+    and written on the non-pivot coordinates of J, as the quotient's
+    coordinates. Rows and idempotents are None when the verdict is False.
+    No ideal generators, Frobenius or Lagrange splitting are used.
+    """
+    p = A.p
+    elems = list(product(range(p), repeat=A.dim))
+    nil = [v for v in elems if is_nilpotent(A, v)]
+    rows, pivots = rref(nil, p)
+    if len(nil) != p ** len(rows):
+        return False, None, None
+
+    def mod_j(v):
+        return reduce_vector(v, rows, pivots, p)[0]
+
+    basis = [A.basis_vector(i) for i in range(A.dim)]
+    if any(any(mod_j(A.mul(u, v))) or any(mod_j(A.mul(v, u))) for u in basis for v in rows):
+        return False, None, None
+    if any(mod_j(A.mul(u, v)) != mod_j(A.mul(v, u)) for u in basis for v in basis):
+        return False, None, None
+    idems = [e for e in sorted({mod_j(v) for v in elems}) if mod_j(A.mul(e, e)) == e]
+    prims = [e for e in idems if any(e)
+             and sum(mod_j(A.mul(e, f)) == f for f in idems) == 2]  # only 0 and e below e
+    free = [c for c in range(A.dim) if c not in pivots]
+    if len(prims) != len(free):
+        return False, None, None
+    return True, rows, sorted((tuple(e[c] for c in free) for e in prims), reverse=True)
+
+
+def ideal_oracle(A, gens):
+    """RREF rows of the two-sided ideal generated by gens: the span of every
+    x g y with x, y basis vectors (the triple form, no fixpoint)."""
+    basis = [A.basis_vector(i) for i in range(A.dim)]
+    return rref([A.mul(A.mul(x, g), y) for g in gens for x in basis for y in basis], A.p)[0]
+
+
 def radical_power_oracle(A, rows, n):
     """J^n of the subalgebra spanned by rows, in A's coordinates, as RREF rows.
 
@@ -119,13 +169,7 @@ def radical_power_oracle(A, rows, n):
     and testing x^dim(A) = 0; J^n is the span of every n-fold product of
     elements of J (no radical basis, no echelon shortcut, no memo).
     """
-    def nilpotent(v):
-        y = v
-        for _ in range(A.dim - 1):
-            y = A.mul(y, v)
-        return not any(y)
-
-    nil = [v for v in subspace_vectors(A, rref(rows, A.p)[0]) if nilpotent(v)]
+    nil = [v for v in subspace_vectors(A, rref(rows, A.p)[0]) if is_nilpotent(A, v)]
     prods = set(nil)
     for _ in range(n - 1):
         prods = {A.mul(x, y) for x in prods for y in nil}
@@ -212,6 +256,51 @@ def group_exponent(G):
             y, o = A.mul(y, g), o + 1
         m = lcm(m, o)
     return m
+
+
+def matrix_algebra_2x2(p):
+    """M_2(F_p) in the basis e11, e12, e21, e22."""
+    basis = [(1, 1), (1, 2), (2, 1), (2, 2)]
+    idx = {b: i for i, b in enumerate(basis)}
+    sc = [[[0] * 4 for _ in range(4)] for _ in range(4)]
+    for t1, (a, b) in enumerate(basis):
+        for t2, (c, d) in enumerate(basis):
+            if b == c:
+                sc[t1][t2][idx[(a, d)]] = 1
+    return Algebra(p, sc, [1, 0, 0, 1])
+
+
+def polynomial_quotient(p, low):
+    """F_p[x]/(f) in the basis 1, x, ..., x^(k-1), for the monic
+    f = x^k + low[k-1] x^(k-1) + ... + low[0]."""
+    k = len(low)
+
+    def mul(u, v):
+        out = [0] * (2 * k - 1)
+        for i, a in enumerate(u):
+            for j, b in enumerate(v):
+                out[i + j] += a * b
+        for d in range(2 * k - 2, k - 1, -1):   # x^d = -x^(d-k) * (low . x^i)
+            c, out[d] = out[d], 0
+            for i, a in enumerate(low):
+                out[d - k + i] -= c * a
+        return [x % p for x in out[:k]]
+
+    basis = [[int(i == t) for t in range(k)] for i in range(k)]
+    return Algebra(p, [[mul(u, v) for v in basis] for u in basis], basis[0])
+
+
+def product_algebra(A, B):
+    """The direct product A x B, basis of A then basis of B."""
+    n, m = A.dim, B.dim
+    sc = [[[0] * (n + m) for _ in range(n + m)] for _ in range(n + m)]
+    for i in range(n):
+        for j in range(n):
+            sc[i][j][:n] = A.sc[i][j]
+    for i in range(m):
+        for j in range(m):
+            sc[n + i][n + j][n:] = B.sc[i][j]
+    return Algebra(A.p, sc, A.one + B.one)
 
 
 def rebased(A, rng):

@@ -13,18 +13,9 @@ from brw.corpus import DEFAULT_CORPUS, corpus_algebra
 from brw.errors import NotBimodule, NotSplitBasic, SpecError, TooLarge
 from brw.exact import rref
 from brw.gutkin import top_level
-from helpers import closure_oracle, rebased, recount_subalgebras
-
-
-def matrix_algebra_2x2(p):
-    basis = [(1, 1), (1, 2), (2, 1), (2, 2)]
-    idx = {b: i for i, b in enumerate(basis)}
-    sc = [[[0] * 4 for _ in range(4)] for _ in range(4)]
-    for t1, (a, b) in enumerate(basis):
-        for t2, (c, d) in enumerate(basis):
-            if b == c:
-                sc[t1][t2][idx[(a, d)]] = 1
-    return Algebra(p, sc, [1, 0, 0, 1])
+from helpers import (closure_oracle, ideal_oracle, is_nilpotent,
+                     matrix_algebra_2x2, polynomial_quotient, product_algebra,
+                     rebased, recount_subalgebras, split_basic_oracle)
 
 
 def test_construction_validates():
@@ -81,7 +72,7 @@ def test_decomposition_invariants(b3_f3, pattern3_f3):
         assert total == A.one
         assert dec.diagonal.dim + dec.radical.dim == A.dim
         for v in dec.radical.rows:
-            assert A.is_nilpotent(v)
+            assert is_nilpotent(A, v)
 
 
 def test_bimodule_decompose_examples(b2_f5, b3_f2):
@@ -223,15 +214,78 @@ def test_is_split_basic_examples(b3_f2):
     assert is_split_basic(borel_algebra(5, 2))[0]
     assert is_split_basic(b3_f2)[0]
     ok, reason = is_split_basic(matrix_algebra_2x2(2))
-    assert not ok and "subspace" in reason
+    assert not ok and "not nilpotent" in reason
     with pytest.raises(NotSplitBasic):
         radical(matrix_algebra_2x2(2))
+
+
+def fixed_examples():
+    """(algebra, split basic?) for algebras outside the monomial corpus."""
+    m2_f2 = matrix_algebra_2x2(2)
+    return [
+        (m2_f2, False),
+        (matrix_algebra_2x2(3), False),
+        (polynomial_quotient(3, [1, 0]), False),     # F_9 = F_3[x]/(x^2 + 1)
+        (polynomial_quotient(2, [1, 1]), False),     # F_4 = F_2[x]/(x^2 + x + 1)
+        # I = M_2 x (x) > I^2 = I^3 = M_2 x 0: the chain stalls at its second step
+        (product_algebra(m2_f2, polynomial_quotient(2, [0, 0])), False),
+        (polynomial_quotient(3, [2, 0]), True),      # F_3[x]/(x^2 - 1) = F_3 x F_3
+        (polynomial_quotient(2, [0, 0, 0]), True),   # F_p[x]/(x^k)
+        (polynomial_quotient(5, [0, 0, 0, 0]), True),
+    ]
+
+
+def analysis_matches_oracle(A):
+    """Verdict of the split-basic analysis, after checking it, the radical
+    rows and the quotient idempotents against split_basic_oracle."""
+    verdict, rows, quotient = split_basic_oracle(A)
+    try:
+        chain, _, prims = algebra._split_basic_analysis(A)
+    except NotSplitBasic:
+        assert not verdict
+        return False
+    assert verdict and chain[0] == rows and prims == quotient
+    return True
+
+
+def test_split_basic_analysis_on_fixed_examples():
+    for A, split in fixed_examples():
+        assert analysis_matches_oracle(A) == split
+        assert is_split_basic(A)[0] == split
+
+
+def test_split_basic_analysis_on_the_corpus_in_random_bases():
+    for name in DEFAULT_CORPUS:
+        assert analysis_matches_oracle(corpus_algebra(name))
+    for seed in (1, 2, 3):
+        rng = random.Random(seed)
+        for name in DEFAULT_CORPUS:
+            assert analysis_matches_oracle(rebased(corpus_algebra(name), rng))
+
+
+def test_split_basic_analysis_on_the_subalgebra_corpus():
+    count = 0
+    for name in ("b2_f5", "b3_f2", "pattern3_f3", "pattern4_f2"):
+        A = corpus_algebra(name)
+        for B in enumerate_subalgebras(A):
+            assert analysis_matches_oracle(EmbeddedAlgebra(A, B.rows).alg)
+            count += 1
+    assert count == 266
+
+
+def test_ideal_closure_against_triple_products():
+    rng = random.Random(11)
+    for A in [corpus_algebra(name) for name in DEFAULT_CORPUS] + [A for A, _ in fixed_examples()]:
+        B = rebased(A, rng)
+        for k in (1, 2):
+            gens = [tuple(rng.randrange(B.p) for _ in range(B.dim)) for _ in range(k)]
+            assert algebra._ideal_closure(B, gens)[0] == ideal_oracle(B, gens)
 
 
 def test_radical_contains_random_nilpotents(b3_f3):
     rng = random.Random(5)
     J = radical(b3_f3)
-    nil = [v for v in b3_f3.elements() if b3_f3.is_nilpotent(v)]
+    nil = [v for v in b3_f3.elements() if is_nilpotent(b3_f3, v)]
     for v in rng.sample(nil, 20):
         assert J.contains(v)
 

@@ -1,9 +1,14 @@
+import copy
 import json
 import os
+import random
+import signal
 
 import pytest
 
 from brw.cli import main
+from brw.corpus import DEFAULT_CORPUS, corpus_algebra, corpus_spec
+from helpers import matrix_algebra_2x2, polynomial_quotient
 
 
 def run(tmp_path, *argv):
@@ -217,3 +222,93 @@ def test_malformed_spec_is_a_spec_error(tmp_path, capsys, spec):
     assert main(["info", str(path)]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 2 and all(line.startswith("spec error: ") for line in err)
+
+
+def explicit_spec(A):
+    return {"p": A.p, "dim": A.dim, "one": list(A.one),
+            "sc": [[list(row) for row in plane] for plane in A.sc]}
+
+
+def _pattern_mutations(spec, rng):
+    pat = spec["pattern"]
+    n, pairs = pat["n"], pat["closed_pairs"]
+    pair = rng.choice(pairs) if pairs else [1, 2]
+    return [
+        # types
+        dict(spec, p=float(spec["p"])), dict(spec, p=str(spec["p"])), dict(spec, p=True),
+        dict(spec, pattern=dict(pat, n=str(n))),
+        dict(spec, pattern=dict(pat, closed_pairs=pairs + [[str(pair[0]), pair[1]]])),
+        # shapes
+        [spec], dict(spec, pattern=[n, pairs]), dict(spec, pattern=dict(pat, closed_pairs={"a": 1})),
+        dict(spec, pattern=dict(pat, closed_pairs=pairs + [pair + [3]])),
+        dict(spec, pattern={"n": n}),
+        # ranges
+        dict(spec, p=rng.choice([0, 1, -3, 4, 6, 9, 11, 25])),
+        dict(spec, pattern=dict(pat, n=rng.choice([0, -2]))),
+        dict(spec, pattern=dict(pat, closed_pairs=pairs + [pair[::-1]])),
+        dict(spec, pattern=dict(pat, closed_pairs=pairs + [[0, 1], [1, n + 1]][rng.randrange(2):])),
+        dict(spec, pattern=dict(pat, closed_pairs=pairs + [pair])),
+        # sizes: orders far above the default cap
+        {"p": 3, "pattern": {"n": rng.choice([13, 20, 40]), "closed_pairs": []}},
+        {"p": rng.choice([3, 5]), "pattern": {"n": 6, "closed_pairs": [
+            [i, j] for i in range(1, 7) for j in range(i + 1, 7)]}},
+    ]
+
+
+def _explicit_mutations(spec, rng):
+    dim = spec["dim"]
+    i, j, k = (rng.randrange(dim) for _ in range(3))
+    broken = copy.deepcopy(spec)
+    broken["sc"][i][j][k] = (broken["sc"][i][j][k] + 1) % spec["p"]
+    typed = copy.deepcopy(spec)
+    typed["sc"][i][j][k] = rng.choice(["1", 1.5, None])
+    short = copy.deepcopy(spec)
+    del short["sc"][i][j][-1]
+    return [
+        dict(spec, one=[float(x) for x in spec["one"]]), dict(spec, labels="abc"), typed,
+        dict(spec, one=spec["one"][:-1]), short, {key: v for key, v in spec.items() if key != "sc"},
+        dict(spec, dim=dim + 1), dict(spec, dim=0),
+        # algebra: non-associative or non-unital structure constants
+        broken, dict(spec, one=[0] * dim), dict(spec, one=[int(t == k) for t in range(dim)]),
+    ]
+
+
+def fuzz_specs(seed):
+    """Seeded mutations of corpus specs (types, shapes, ranges, sizes and
+    structure constants), plus algebras that are not split basic."""
+    rng = random.Random(seed)
+    specs = []
+    for name in rng.sample(DEFAULT_CORPUS, 3):
+        specs += _pattern_mutations(corpus_spec(name), rng)
+        specs += _explicit_mutations(explicit_spec(corpus_algebra(name)), rng)
+    specs += [explicit_spec(A) for A in (matrix_algebra_2x2(2), polynomial_quotient(3, [1, 0]),
+                                         polynomial_quotient(2, [1, 1]))]
+    return specs
+
+
+class SpecTimeout(Exception):
+    pass
+
+
+def _alarm(signum, frame):
+    raise SpecTimeout("no answer within the time bound")
+
+
+def test_spec_fuzz(tmp_path, capsys):
+    """Every mutated spec gets an answer from info, chartable, gutkin and
+    orbits within 15 s: exit 0, 2, 3 or 4, no exception and at most one
+    line on stderr."""
+    path = tmp_path / "spec.json"
+    previous = signal.signal(signal.SIGALRM, _alarm)
+    try:
+        for t, spec in enumerate(fuzz_specs(2024)):
+            path.write_text(json.dumps(spec))
+            signal.alarm(15)
+            for command in ("info", "chartable", "gutkin", "orbits"):
+                code = main([command, str(path), "--out", str(tmp_path / "out")])
+                err = capsys.readouterr().err.strip().splitlines()
+                assert code in (0, 2, 3, 4) and len(err) <= 1, (t, spec, command, code, err)
+            signal.alarm(0)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

@@ -270,9 +270,6 @@ class BasicDecomposition:
         """The component of v in D."""
         return self.algebra.combine(self.torus_coeffs(v), self.idempotents)
 
-    def is_unit(self, v):
-        return all(self.torus_coeffs(v))
-
 
 # ---------------------------------------------------------------------------
 # radical / split-basic certification

@@ -14,9 +14,15 @@ of order o runs a length-o DFT: s -> chi(g^s) has period o. Every table is
 checked for row orthonormality before it is returned, and kept on its group
 (FiniteGroup._table) next to the group's classes.
 
+A linear character is induced by counting its exponents per class of G
+(see induce), with no classes of the subgroup.
+
 The Clifford correspondent of chi over a linear theta of a normal Q is the
 projection of Res chi to its theta-part on the stabilizer S = G_theta
 (Isaacs, Character Theory of Finite Groups, Thm 6.11): no table of S is built.
+Its sums run over s*q for q in Q, whose ids are read off Q's Schreier tree
+through the right action of Q's generators on G (groups.right_action), with
+no product once that action is built.
 
 Where values live: a Character keeps its values twice. `values` is a tuple of
 Cyclotomic numbers in normal form (reduced mod Phi_m), read by rendering and
@@ -37,7 +43,8 @@ from .errors import (CertificationFailure, GroupMismatch, LiftFailure,
 from .exact import (Cyclotomic, is_prime, kernel_basis, mod_inv, reduce_vector,
                     rref)
 from .groups import (DEFAULT_ORDER_CAP, ConjData, FiniteGroup, LinearChar,
-                     _cyclic_powers, char_orbit, conjugacy_classes)
+                     _cyclic_powers, char_orbit, conjugacy_classes,
+                     right_action)
 
 
 class Character:
@@ -449,28 +456,43 @@ def _check_subgroup(G: FiniteGroup, H: FiniteGroup):
         raise NotSubgroup("H is not a subgroup of G")
 
 
-def induce(G: FiniteGroup, H: FiniteGroup, chi: Character) -> Character:
-    """Frobenius induction of a class function from H up to G."""
+def induce(G: FiniteGroup, H: FiniteGroup, chi) -> Character:
+    """Frobenius induction of a class function from H up to G.
+
+    chi is a Character of H, or a LinearChar lam of H. A linear lam is
+    induced by counting its exponents per class of G,
+    Ind lam(g_k) = |G| / (|C_k| |H|) * sum_{h in H ∩ C_k} lam(h)
+    (Isaacs, Character Theory of Finite Groups, (5.2)): one class lookup per
+    element of H, values at conductor lam.m, and no classes of H. A Character
+    is summed over the elements of H in each class of G.
+    """
     _check_subgroup(G, H)
-    if chi.group is not H:
-        chi = chi.transfer(H)
     conj = conjugacy_classes(G)
-    m = chi.conductor
-    rows = chi.vectors(m)
+    sums = {}
+    if isinstance(chi, LinearChar):
+        if chi.domain.elements != H.elements:
+            raise GroupMismatch("lambda is not a character of H")
+        m = chi.m
+        for h, e in zip(H.elements, chi.exps):
+            sums.setdefault(conj.class_of[G.index[h]], [0] * m)[e] += 1
+    else:
+        if chi.group is not H:
+            chi = chi.transfer(H)
+        m = chi.conductor
+        rows = chi.vectors(m)
+        for k, cls in enumerate(conj.classes):
+            # sum of chi over the class's elements in H, as one vector in Q[C_m]
+            for xid in cls:
+                i = H.index.get(G.elements[xid])
+                if i is not None:
+                    acc = sums.setdefault(k, [0] * m)
+                    for e, x in rows[chi.conj.class_of[i]]:
+                        acc[e] += x
     values = []
-    for k, cls in enumerate(conj.classes):
-        # sum of chi over the class's elements in H, as one vector in Q[C_m]
-        acc = [0] * m
-        hit = False
-        for xid in cls:
-            i = H.index.get(G.elements[xid])
-            if i is not None:
-                hit = True
-                for e, x in rows[chi.conj.class_of[i]]:
-                    acc[e] += x
-        if hit:
-            scale = Fraction(G.order, conj.sizes[k] * H.order)
-            values.append(Cyclotomic(m, [x * scale if x else 0 for x in acc]))
+    for k, size in enumerate(conj.sizes):
+        if k in sums:
+            scale = Fraction(G.order, size * H.order)
+            values.append(Cyclotomic(m, [x * scale if x else 0 for x in sums[k]]))
         else:
             values.append(Cyclotomic.zero())
     return Character(G, conj, values)
@@ -512,15 +534,16 @@ def clifford_correspondent(G: FiniteGroup, Q: FiniteGroup, theta: LinearChar,
     M = lcm(chi.conductor, theta.m)
     rows = chi.vectors(M)
     step = M // theta.m
-    A = G.algebra
+    perms = right_action(G, Q)
     conj = conjugacy_classes(S)
     values = []
     for r in conj.reps:
-        s = S.elements[r]
         acc = [0] * M
-        for q, e in zip(Q.elements, theta.exps):
+        # ids of s*q for every q of Q, along Q's Schreier tree
+        ids = Q.walk(G.index[S.elements[r]], lambda x, t: perms[t][x])
+        for g, e in zip(ids, theta.exps):
             shift = e * step
-            for f, x in rows[chi.conj.class_of[G.index[A.mul(s, q)]]]:
+            for f, x in rows[chi.conj.class_of[g]]:
                 acc[(f - shift) % M] += x
         values.append(Cyclotomic(M, acc) / Q.order)
     if values[0].is_zero():

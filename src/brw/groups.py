@@ -9,8 +9,10 @@ Cache owners: the algebra keeps one FiniteGroup per element set
 torus coordinates). Each FiniteGroup keeps what is computed from it alone:
 inverses, generators, the breadth-first spanning tree of its Cayley graph
 on them (_tree), conjugacy classes (_conj), its exponent (_exp), its
-character table (_table, set by chars.char_table) and the conjugation action
-of its generators on each normal subgroup (_conj_action, set by check_normal).
+character table (_table, set by chars.char_table), the conjugation action
+of its generators on each normal subgroup (_conj_action, set by check_normal)
+and the right multiplication of its ids by the generators of each subgroup
+(_right_action, set by right_action).
 """
 
 from itertools import product
@@ -19,7 +21,7 @@ from math import lcm
 from .algebra import Algebra, Subspace, cached_decomposition, vec_add
 from .errors import (CertificationFailure, GroupMismatch, NotInsideRadical,
                      NotNormal, TooLarge)
-from .exact import Cyclotomic
+from .exact import Cyclotomic, rref
 
 DEFAULT_ORDER_CAP = 5000
 
@@ -51,6 +53,7 @@ class FiniteGroup:
         self._exp = None
         self._table = None
         self._conj_action = {}
+        self._right_action = {}
 
     @property
     def order(self):
@@ -163,7 +166,8 @@ def _grow(A, elems, gens, g):
 
 def torus_elements(A: Algebra, idempotents):
     """All sum_i t_i e_i with every t_i in F_p^x: the torus of orthogonal
-    idempotents e_1..e_n summing to 1."""
+    idempotents e_1..e_n summing to 1 (or of any vectors e_i, as the units
+    of a subalgebra modulo its radical)."""
     return [A.combine(t, idempotents) for t in product(range(1, A.p), repeat=len(idempotents))]
 
 
@@ -178,16 +182,13 @@ def unit_group(A: Algebra, cap=None) -> FiniteGroup:
     The order is compared with the cap, when given, before any element is
     built."""
     dec = cached_decomposition(A)  # raises NotSplitBasic when appropriate
-    p = A.p
-    order = (p - 1) ** dec.n * p ** dec.radical.dim
+    basis = [A.basis_vector(i) for i in range(A.dim)]
+    order = unit_order(A, basis)
+    if order != (A.p - 1) ** dec.n * A.p ** dec.radical.dim:
+        raise CertificationFailure("unit group order differs from (p-1)^n p^dim(J)")
     if cap is not None and order > cap:
         raise TooLarge(f"group order {order} exceeds cap {cap}")
-    jvecs = list(dec.radical.vectors())
-    G = intern_group(A, [vec_add(t, j, p) for t in torus_elements(A, dec.idempotents)
-                         for j in jvecs])
-    if G.order != order:
-        raise CertificationFailure("unit group order differs from (p-1)^n p^dim(J)")
-    return G
+    return units_of_subspace(A, basis)
 
 
 def torus_subgroup(A: Algebra) -> FiniteGroup:
@@ -207,14 +208,47 @@ def ideal_subgroup(A: Algebra, I) -> FiniteGroup:
     return one_plus(A, I)
 
 
-def units_of_subspace(A: Algebra, rows) -> FiniteGroup:
-    """Unit group of a unital closed subspace, as a subgroup of A^x.
+def _unit_factors(A: Algebra, rows):
+    """(tops, kernel) for a unital closed subspace B = span(rows).
 
-    A unit of A lying in a closed unital subspace has its inverse in the
-    subspace too, so filtering by invertibility in A is exact.
+    The torus map pi = torus_coeffs : A -> A/J = F_p^n is an algebra map,
+    linear on B, with kernel B ∩ J (the radical of B). Its image is a unital
+    subalgebra of F_p^n, whose echelon basis is the set of 0/1 indicators of
+    the blocks of a partition of {1..n}; that shape is certified
+    (CertificationFailure otherwise). tops are elements of B over the
+    indicators and kernel spans B ∩ J, both from one echelon form of the
+    rows (pi(b), b).
     """
     dec = cached_decomposition(A)
-    return intern_group(A, [v for v in Subspace(A, rows).vectors() if dec.is_unit(v)])
+    n = dec.n
+    red, pivots = rref([tuple(dec.torus_coeffs(r)) + tuple(r) for r in rows], A.p)
+    blocks = [r[:n] for r, c in zip(red, pivots) if c < n]
+    if (any(x > 1 for b in blocks for x in b)
+            or [sum(col) for col in zip(*blocks)] != [1] * n):
+        raise CertificationFailure("torus image of the subspace is not a partition algebra")
+    tops = [r[n:] for r, c in zip(red, pivots) if c < n]
+    return tops, [r[n:] for r, c in zip(red, pivots) if c >= n]
+
+
+def unit_order(A: Algebra, rows) -> int:
+    """|B^x| = (p-1)^m p^dim(B ∩ J) for a unital closed subspace B = span(rows)
+    whose torus image has m blocks (see _unit_factors); no element is built."""
+    tops, kernel = _unit_factors(A, rows)
+    return (A.p - 1) ** len(tops) * A.p ** len(kernel)
+
+
+def units_of_subspace(A: Algebra, rows) -> FiniteGroup:
+    """Unit group of a unital closed subspace B = span(rows), as a subgroup of A^x.
+
+    v in B is a unit of A exactly when every coordinate of pi(v) is nonzero,
+    and then its inverse lies in B. With the certified partition of
+    _unit_factors, B^x = {sum_i c_i s_i + j : c_i in F_p^x, j in B ∩ J} for
+    the s_i over the block indicators: unit_order(A, rows) elements, built
+    directly with no scan of the p^dim(B) vectors of B.
+    """
+    tops, kernel = _unit_factors(A, rows)
+    jvecs = list(Subspace(A, kernel).vectors())
+    return intern_group(A, [vec_add(t, j, A.p) for t in torus_elements(A, tops) for j in jvecs])
 
 
 def torus_factorization(A: Algebra, v):
@@ -556,6 +590,21 @@ def check_normal(G: FiniteGroup, Q: FiniteGroup):
         perms.append(tuple(perm))
     perms = tuple(perms)
     G._conj_action[Q] = perms
+    return perms
+
+
+def right_action(G: FiniteGroup, Q: FiniteGroup):
+    """Right multiplication of G's ids by the generators of a subgroup Q: one
+    tuple per generator g of Q, perm[x] = id of elements[x] * g. Built once
+    per (G, Q) from |G|·|gens Q| products and kept on G; with Q.walk it gives
+    the ids of x*q for every q in Q with no further product."""
+    perms = G._right_action.get(Q)
+    if perms is None:
+        if not G.contains_group(Q):
+            raise GroupMismatch("Q is not a subgroup of G")
+        A, index = G.algebra, G.index
+        perms = G._right_action[Q] = tuple(tuple(index[A.mul(x, g)] for x in G.elements)
+                                           for g in Q.generators())
     return perms
 
 

@@ -20,13 +20,13 @@ from .algebra import (Algebra, EmbeddedAlgebra, Subalgebra, Subspace,
                       bimodule_complement, bimodule_decompose,
                       cached_decomposition, enumerate_subalgebras, vec_add,
                       vec_sub)
-from .chars import (Character, char_from_linear, char_table,
-                    clifford_correspondent, induce, inner_product, restrict)
+from .chars import (Character, char_table, clifford_correspondent, induce,
+                    inner_product, restrict)
 from .errors import (CertificationFailure, DecompositionFailure, NoExtension,
                      NotInvariant, PreconditionFailure, VerificationFailure)
 from .exact import Cyclotomic, rref
 from .groups import (DEFAULT_ORDER_CAP, FiniteGroup, LinearChar, char_orbit,
-                     linear_characters, one_plus, torus_elements,
+                     linear_characters, one_plus, torus_elements, unit_order,
                      units_of_subspace)
 
 
@@ -334,17 +334,18 @@ def certify_stabilizer_subalgebra(A_or_level, G_theta: FiniteGroup):
     """A subalgebra whose unit group is exactly G_theta.
 
     Strategy: the linear span of G_theta is a unital closed subspace; certify
-    that its unit group adds nothing. If it does, conjugates g G_theta g^-1
-    are scanned the same way and the witness is transported back. Failure is
-    reportable: it would contradict the finite-field theorem.
+    that its unit group adds nothing. G_theta is a group of units inside its
+    span, so it lies in span ∩ A^x, and equal orders (unit_order, with no
+    element built) make the two equal. If the span has more units, conjugates
+    g G_theta g^-1 are tested the same way and the witness is transported
+    back. Failure is reportable: it would contradict the finite-field theorem.
     """
     level = A_or_level if isinstance(A_or_level, Level) else top_level(A_or_level)
     A = level.ambient
 
     def try_set(elems):
         rows, _ = rref(list(elems), A.p)
-        units = units_of_subspace(A, rows)
-        if set(units.elements) == set(elems):
+        if unit_order(A, rows) == G_theta.order:
             return Subalgebra(A, rows)
         return None
 
@@ -381,7 +382,7 @@ class GutkinWitness:
         self.induced_matches = None
 
     def verify(self):
-        ind = induce(self.group, self.H, char_from_linear(self.lam))
+        ind = induce(self.group, self.H, self.lam)
         self.induced_matches = (ind == self.target)
         return self.induced_matches
 
@@ -537,14 +538,14 @@ def verify_gutkin_brute(A: Algebra, max_dim=None, budget=None,
     per_irr = [{"degree": int(irr.degree), "witness_count": 0, "first": None}
                for irr in table.irreducibles]
     for B in subs:
-        H = units_of_subspace(A, B.rows)
-        index = G.order // H.order
+        index = G.order // unit_order(A, B.rows)
         targets = [(i, irr) for i, irr in enumerate(table.irreducibles)
                    if int(irr.degree) == index]
         if not targets:
             continue
+        H = units_of_subspace(A, B.rows)
         for lam in linear_characters(H, cap=cap):
-            ind = induce(G, H, char_from_linear(lam))
+            ind = induce(G, H, lam)
             for i, irr in targets:
                 if ind == irr:
                     entry = per_irr[i]

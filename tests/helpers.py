@@ -10,10 +10,11 @@ import textwrap
 from itertools import combinations, product
 from math import lcm
 
-from brw.algebra import Algebra, vec_add, vec_scale
+from brw.algebra import Algebra, cached_decomposition, vec_add, vec_scale
 from brw.chars import char_from_linear, char_table, induce, inner_product, restrict
 from brw.exact import mod_matrix_inverse, reduce_vector, rref
-from brw.groups import char_orbit, intern_group, linear_characters
+from brw.groups import (char_orbit, intern_group, linear_characters, unit_order,
+                        units_of_subspace)
 from brw.gutkin import SigmaData, _one_dim_ideal_steps
 
 
@@ -111,6 +112,21 @@ def subspace_vectors(A, rows):
                 v = vec_add(v, vec_scale(c, r, A.p), A.p)
         out.append(v)
     return out
+
+
+def units_oracle(A, rows):
+    """The units of A in span(rows), by enumerating all p^dim vectors of the
+    span and keeping those whose torus coordinates are all nonzero (no
+    partition of the torus, no radical of the subspace)."""
+    dec = cached_decomposition(A)
+    return {v for v in subspace_vectors(A, rref(rows, A.p)[0]) if all(dec.torus_coeffs(v))}
+
+
+def assert_units_match_oracle(A, rows):
+    """units_of_subspace and unit_order against units_oracle on span(rows)."""
+    want = units_oracle(A, rows)
+    assert set(units_of_subspace(A, rows).elements) == want
+    assert unit_order(A, rows) == len(want)
 
 
 def is_nilpotent(A, v):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from brw.algebra import borel_algebra, pattern_algebra, radical_power
+from brw.algebra import Algebra, borel_algebra, pattern_algebra, radical_power
 import brw.chars
 from brw.chars import (Character, CharTable, _charpoly, _class_matrix, _roots,
                        char_from_linear, char_table, clifford_correspondent,
@@ -257,6 +257,23 @@ def test_clifford_degree_certificate(b2_f3, b3_f3):
             clifford_correspondent(G, P, theta, plus_one)
         eta, S = clifford_correspondent(G, P, theta, chi)
         assert induce(G, S, eta) == chi
+
+
+def test_clifford_sums_make_no_products_once_the_action_exists(b3_f3, monkeypatch):
+    # after one step over (G, P), every other irreducible over theta reads the
+    # ids of s*q off P's Schreier tree through the cached right action
+    G, P, theta, chi = _over_theta(b3_f3)
+    clifford_correspondent(G, P, theta, chi)
+    tc = char_from_linear(theta)
+    others = [c for c in char_table(G).irreducibles
+              if c is not chi and inner_product(restrict(G, P, c), tc) != 0]
+    calls = []
+    real = Algebra.mul
+    monkeypatch.setattr(Algebra, "mul", lambda self, x, y: calls.append(1) or real(self, x, y))
+    for other in others:
+        eta, S = clifford_correspondent(G, P, theta, other)
+        assert eta.degree * (G.order // S.order) == other.degree
+    assert others and not calls
 
 
 def test_clifford_identity_across_orbit(b3_f3):

@@ -283,6 +283,8 @@ def fuzz_specs(seed):
         specs += _explicit_mutations(explicit_spec(corpus_algebra(name)), rng)
     specs += [explicit_spec(A) for A in (matrix_algebra_2x2(2), polynomial_quotient(3, [1, 0]),
                                          polynomial_quotient(2, [1, 1]))]
+    # a p = 2 size: |G| = 1 passes the cap, but the span of the units has 2^40 vectors
+    specs.append({"p": 2, "pattern": {"n": 40, "closed_pairs": []}})
     return specs
 
 

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from brw.algebra import (Subspace, borel_algebra, diagonal_algebra, radical,
-                         radical_power)
-from brw.corpus import corpus_algebra
+from brw.algebra import (DEFAULT_DIM_BOUND, BasicDecomposition, Subspace,
+                         borel_algebra, cached_decomposition, diagonal_algebra,
+                         enumerate_subalgebras, radical, radical_power)
+from brw.corpus import DEFAULT_CORPUS, corpus_algebra
 from brw.errors import (CertificationFailure, NotInsideRadical, NotNormal,
                         TooLarge)
 from brw.groups import (abelian_invariants, abelianization, center,
@@ -13,8 +14,8 @@ from brw.groups import (abelian_invariants, abelianization, center,
                         orbit_count_P_dual, radical_subgroup, set_product,
                         torus_factorization, torus_subgroup, unit_group,
                         units_of_subspace)
-from helpers import (assert_orbits_match_oracle, brute_conj_partition, rebased,
-                     run_optimized)
+from helpers import (assert_orbits_match_oracle, assert_units_match_oracle,
+                     brute_conj_partition, rebased, run_optimized)
 
 
 def test_unit_group_orders(b2_f3, b3_f2):
@@ -201,6 +202,58 @@ def test_units_of_subspace(b2_f3):
     assert H.order == 6  # ZP inside B2(F3)
     for v in H.elements:
         assert H.elements[H.inv_id(H.index[v])] in H.index
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_units_of_subspace_against_enumeration(seed):
+    # every subalgebra of every corpus algebra within the scan bound, in the
+    # monomial basis (seed 0) and in seeded random bases (seeds 1-3)
+    rng = random.Random(seed)
+    count = 0
+    for name in DEFAULT_CORPUS:
+        A = corpus_algebra(name)
+        if seed:
+            A = rebased(A, rng)
+        if A.dim > DEFAULT_DIM_BOUND[A.p]:
+            continue
+        for B in enumerate_subalgebras(A):
+            assert_units_match_oracle(A, B.rows)
+            count += 1
+    assert count == 319   # the subalgebras that the brute search visits
+
+
+def test_units_certificate_refuses_a_non_partition_image(monkeypatch):
+    # torus_coeffs with its last coordinate negated: over F_3 the image of 1
+    # becomes (1, 2), which no partition algebra contains
+    A = borel_algebra(3, 2)
+    rows = [A.one] + list(cached_decomposition(A).radical.rows)
+    real = BasicDecomposition.torus_coeffs
+    monkeypatch.setattr(BasicDecomposition, "torus_coeffs",
+                        lambda self, v: list(real(self, v)[:-1]) + [-real(self, v)[-1] % 3])
+    with pytest.raises(CertificationFailure):
+        units_of_subspace(A, rows)
+
+
+def test_units_certificate_survives_optimized_mode():
+    # the same mutation as above, under python -O, where asserts are stripped
+    out = run_optimized("""
+        from brw.algebra import BasicDecomposition, borel_algebra, cached_decomposition
+        from brw.errors import CertificationFailure
+        from brw.groups import units_of_subspace
+        real = BasicDecomposition.torus_coeffs
+
+        def skewed(self, v):
+            c = list(real(self, v))
+            return c[:-1] + [-c[-1] % 3]
+
+        BasicDecomposition.torus_coeffs = skewed
+        A = borel_algebra(3, 2)
+        try:
+            units_of_subspace(A, [A.one] + list(cached_decomposition(A).radical.rows))
+        except CertificationFailure:
+            print("raised")
+    """)
+    assert out.strip() == "raised"
 
 
 def test_invertibility_criterion_against_exhaustive_search(b2_f3, pattern3_f3):

@@ -12,14 +12,16 @@ from brw.chars import (Character, char_from_linear, char_table, induce,
 from brw.corpus import DEFAULT_CORPUS, corpus_algebra
 from brw.errors import (CertificationFailure, DecompositionFailure, NotInvariant,
                         PreconditionFailure)
-from brw.groups import (char_orbit, ideal_subgroup, linear_characters,
-                        radical_subgroup, unit_group, units_of_subspace)
+from brw.groups import (LinearChar, char_orbit, ideal_subgroup,
+                        linear_characters, radical_subgroup, unit_group,
+                        units_of_subspace)
 from brw.gutkin import (SigmaData, _kills_commutators, _one_dim_ideal_steps,
                         certify_stabilizer_subalgebra, diag_centraliser,
                         extend_character, get_level, gutkin_decompose,
                         ideal_intersection_test, j_sigma, phi_sigma, top_level,
                         verify_gutkin_brute)
 from helpers import (assert_orbits_match_oracle, assert_schreier_tree,
+                     assert_units_match_oracle,
                      clifford_oracle, group_exponent, j_sigma_oracle,
                      nondegenerate_step_oracle, radical_power_oracle, rebased,
                      run_optimized)
@@ -509,6 +511,36 @@ def test_brute_diagonal(diag2_f3):
         assert entry["witness_count"] >= 1
 
 
+def test_brute_linear_induction_against_class_functions(monkeypatch):
+    # every (B, lambda) the brute search visits: inducing lambda by exponent
+    # counts gives the same values, conductors included, as inducing it as a
+    # class function of H; and H is built only when [G:H] is a degree
+    visits, built = [], []
+    real_induce, real_units = brw.gutkin.induce, brw.gutkin.units_of_subspace
+
+    def recording_induce(G, H, lam):
+        ind = real_induce(G, H, lam)
+        visits.append((G, H, lam, ind))
+        return ind
+
+    def recording_units(A, rows):
+        H = real_units(A, rows)
+        built.append(H)
+        return H
+
+    monkeypatch.setattr(brw.gutkin, "induce", recording_induce)
+    monkeypatch.setattr(brw.gutkin, "units_of_subspace", recording_units)
+    for name in ("b2_f5", "b3_f2", "pattern3_f3", "pattern4_f2"):
+        built.clear()
+        rep = verify_gutkin_brute(corpus_algebra(name))
+        assert built and all(rep.group.order // H.order in rep.table.degrees for H in built)
+    for G, H, lam, ind in visits:
+        assert isinstance(lam, LinearChar)
+        want = induce(G, H, char_from_linear(lam))
+        assert [(v.m, v.coeffs) for v in ind.values] == [(v.m, v.coeffs) for v in want.values]
+    assert len(visits) == 238
+
+
 def test_brute_and_constructive_agree(b2_f3, b3_f2):
     # the constructive witness appears among the brute-force witnesses:
     # both induce the same irreducible with a subalgebra of the same dim
@@ -528,18 +560,21 @@ def test_brute_and_constructive_agree(b2_f3, b3_f2):
 # -- property tests: other bases and other algebras --------------------------
 
 class CliffordSteps:
-    """Records every Clifford step, every chosen step ideal and every J_sigma
-    of the gutkin_decompose calls made while installed, and checks each
-    against the oracles of helpers: the table scan for eta, all pairs for L_i
-    and for J_sigma, and the edges of the Schreier tree of every group on the
-    way (unit groups, P, Q and stabilizers)."""
+    """Records every Clifford step, every chosen step ideal, every J_sigma and
+    every subspace whose units are built or counted in the gutkin_decompose
+    calls made while installed, and checks each against the oracles of
+    helpers: the table scan for eta, all pairs for L_i and for J_sigma, the
+    enumerated units of the span, and the edges of the Schreier tree of every
+    group on the way (unit groups, P, Q and stabilizers)."""
 
     def __init__(self, monkeypatch):
-        self.cliffords, self.chosen, self.sigmas = [], [], {}
-        self.counts = [0, 0, 0]
+        self.cliffords, self.chosen, self.sigmas, self.units = [], [], {}, set()
+        self.counts = [0, 0, 0, 0]
         real_cc = brw.gutkin.clifford_correspondent
         real_ext = brw.gutkin.extend_character
         real_js = brw.gutkin.j_sigma
+        real_units = brw.gutkin.units_of_subspace
+        real_order = brw.gutkin.unit_order
 
         def clifford(G, Q, theta, chi, orbit=None):
             eta, S = real_cc(G, Q, theta, chi, orbit=orbit)
@@ -555,7 +590,17 @@ class CliffordSteps:
             self.sigmas[id(S)] = (S, js)
             return js
 
+        def units(A, rows):
+            self.units.add((A, tuple(rows)))
+            return real_units(A, rows)
+
+        def order(A, rows):
+            self.units.add((A, tuple(rows)))
+            return real_order(A, rows)
+
         monkeypatch.setattr(brw.gutkin, "clifford_correspondent", clifford)
+        monkeypatch.setattr(brw.gutkin, "units_of_subspace", units)
+        monkeypatch.setattr(brw.gutkin, "unit_order", order)
         monkeypatch.setattr(brw.gutkin, "extend_character", extend)
         monkeypatch.setattr(brw.gutkin, "j_sigma", jsig)
 
@@ -571,12 +616,16 @@ class CliffordSteps:
         for S in self.chosen:
             L = nondegenerate_step_oracle(S.level, S.n, S.sigma)
             assert L is not None and L.rows == S.L.rows
+        for A, rows in self.units:
+            assert_units_match_oracle(A, rows)
         self.counts[0] += len(self.cliffords)
         self.counts[1] += len(self.chosen)
         self.counts[2] += len(self.sigmas)
+        self.counts[3] += len(self.units)
         self.cliffords.clear()
         self.chosen.clear()
         self.sigmas.clear()
+        self.units.clear()
 
 
 def witness_degrees(A, steps):
@@ -598,7 +647,10 @@ def test_clifford_steps_match_oracles_on_the_corpus(monkeypatch):
     steps = CliffordSteps(monkeypatch)
     for name in DEFAULT_CORPUS:
         witness_degrees(corpus_algebra(name), steps)
-    assert steps.counts == [41, 15, 17]
+    # the 13 stabilizer spans are counted on every run; Levels are kept on
+    # the algebra, so how many more spans have their units built here
+    # depends on the tests that ran before
+    assert steps.counts[:3] == [41, 15, 17] and steps.counts[3] >= 13
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -5,15 +5,15 @@ are reduced-echelon row matrices, and all certificates (associativity,
 identity, ideal/subalgebra closure, idempotent orthogonality) are checked at
 construction time. The radical and the primitive idempotents are found and
 certified by linear algebra on the basis (an ideal closure, its chain of
-powers and Lagrange splitting), in time polynomial in the dimension; only
-the subalgebra walk (enumerate_subalgebras) still enumerates vectors.
+powers and Lagrange splitting), in polynomial time; only the subalgebra walk
+(enumerate_subalgebras) enumerates, and its closures stop at known spans.
 """
 
 from itertools import product
 
 from .errors import (CertificationFailure, NotBimodule, NotSplitBasic, SpecError,
                      TooLarge)
-from .exact import (SUPPORTED_PRIMES, kernel_basis, mat_mul_vec,
+from .exact import (SUPPORTED_PRIMES, kernel_basis, mat_mul_vec, mod_inv,
                     mod_matrix_inverse, reduce_vector, rref)
 
 # subalgebra enumeration caps: max algebra dimension per field, and a budget
@@ -275,6 +275,19 @@ class BasicDecomposition:
 # radical / split-basic certification
 # ---------------------------------------------------------------------------
 
+def _insert_row(rows, pivots, vec, p):
+    """RREF (rows, pivots) of rows + (vec,) by one reduction of vec and one
+    clear of its pivot column in rows; None when vec lies in the span."""
+    res, _ = reduce_vector(vec, rows, pivots, p)
+    c = next((i for i, x in enumerate(res) if x), None)
+    if c is None:
+        return None
+    new = vec_scale(mod_inv(res[c], p), res, p)
+    rows = tuple(tuple((x - r[c] * y) % p for x, y in zip(r, new)) if r[c] else r for r in rows)
+    k = sum(q < c for q in pivots)
+    return rows[:k] + (new,) + rows[k:], pivots[:k] + (c,) + pivots[k:]
+
+
 def _ideal_closure(A, gens):
     """RREF (rows, pivots) of the two-sided ideal generated by gens: each new
     independent vector is multiplied by every basis vector on both sides."""
@@ -282,12 +295,13 @@ def _ideal_closure(A, gens):
     basis = [A.basis_vector(i) for i in range(A.dim)]
     todo = list(gens)
     while todo:
-        res, _ = reduce_vector(todo.pop(), rows, pivots, A.p)
-        if vec_is_zero(res):
+        w = todo.pop()
+        grown = _insert_row(rows, pivots, w, A.p)
+        if grown is None:
             continue
-        rows, pivots = rref(rows + (res,), A.p)
+        rows, pivots = grown
         for b in basis:
-            todo += [A.mul(b, res), A.mul(res, b)]
+            todo += [A.mul(b, w), A.mul(w, b)]
     return rows, pivots
 
 
@@ -537,48 +551,58 @@ def _kernel_of_escape(A, cur):
 # subalgebra enumeration
 # ---------------------------------------------------------------------------
 
-def _closure_rows(A, rows, pivots, extra):
-    """Smallest multiplicatively closed subspace containing a closed subspace
-    (RREF rows and pivots) and the vectors extra.
+def _closure_rows(A, rows, pivots, d, known):
+    """RREF rows of the smallest multiplicatively closed subspace containing
+    a closed subspace (RREF rows and pivots) and the vector d.
 
-    span holds independent vectors spanning the current RREF, starting
-    with rows, whose products are already inside. Each new vector is
-    multiplied on both sides by every vector of span and by itself, so each
-    ordered pair of spanning vectors is multiplied at most once; products of
-    a spanning set span the products of the span.
+    span holds independent vectors spanning the running span W, starting with
+    rows, whose products lie in W. Each new vector enters W by one echelon
+    insert and is multiplied on both sides by every vector of span and by
+    itself, so each ordered pair is multiplied at most once; products of a
+    spanning set span the products of the span.
+
+    known maps spans to closures. The closure stops at the first W in known,
+    then maps each W it passed through to its result C (a closure that runs
+    to its end passes C itself). This is exact: once d is in, V = rows + d
+    lies in W and W in closure(V). A closed W is closure(V); a W passed by an
+    earlier closure with result C has closure(V) = closure(W) = C.
     """
-    span, todo = list(rows), list(extra)
+    span, todo, passed = list(rows), [d], []
     while todo:
         w = todo.pop()
-        res, _ = reduce_vector(w, rows, pivots, A.p)
-        if vec_is_zero(res):
+        grown = _insert_row(rows, pivots, w, A.p)
+        if grown is None:
             continue
-        rows, pivots = rref(rows + (res,), A.p)
+        rows, pivots = grown
+        if rows in known:
+            rows = known[rows]
+            break
+        passed.append(rows)
         todo.append(A.mul(w, w))
         for u in span:
             todo += [A.mul(w, u), A.mul(u, w)]
         span.append(w)
+    known.update(dict.fromkeys(passed, rows))
     return rows
 
 
 def _coset_directions(A, rows, pivots):
     """Canonical nonzero coset representatives of A / span(rows), leading coeff 1."""
-    free = [c for c in range(A.dim) if c not in set(pivots)]
+    free = [c for c in range(A.dim) if c not in pivots]
     for coeffs in all_vectors(A.p, len(free)):
-        nz = next((x for x in coeffs if x), None)
-        if nz != 1:
-            continue
-        v = [0] * A.dim
-        for c, x in zip(free, coeffs):
-            v[c] = x
-        yield tuple(v)
+        if next((x for x in coeffs if x), None) == 1:
+            v = [0] * A.dim
+            for c, x in zip(free, coeffs):
+                v[c] = x
+            yield tuple(v)
 
 
 def enumerate_subalgebras(A: Algebra, max_dim=None, budget=None):
     """All unital multiplicatively closed subspaces of A.
 
-    Lattice walk: start at span{1}, repeatedly extend a known subalgebra by one
-    coset direction and complete the multiplicative closure; dedupe by echelon
+    Lattice walk: start at span{1}, repeatedly extend a known subalgebra B by
+    one coset direction d and complete the multiplicative closure, with one
+    span -> closure map for the whole walk (_closure_rows); dedupe by echelon
     normal form. Output sorted by dimension, then lexicographic echelon basis.
     """
     bound = max_dim if max_dim is not None else DEFAULT_DIM_BOUND[A.p]
@@ -586,6 +610,7 @@ def enumerate_subalgebras(A: Algebra, max_dim=None, budget=None):
         raise TooLarge(f"dim {A.dim} exceeds subalgebra scan bound {bound} for p={A.p}")
     budget = budget if budget is not None else DEFAULT_SCAN_BUDGET
     start, _ = rref([A.one], A.p)
+    known = {start: start}
     found = {start}
     queue = [start]
     spent = 0
@@ -596,7 +621,7 @@ def enumerate_subalgebras(A: Algebra, max_dim=None, budget=None):
             spent += 1
             if spent > budget:
                 raise TooLarge(f"subalgebra scan budget {budget} exhausted")
-            closed = _closure_rows(A, rows, pivots, (d,))
+            closed = _closure_rows(A, rows, pivots, d, known)
             if closed not in found:
                 found.add(closed)
                 if len(closed) < A.dim:

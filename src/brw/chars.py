@@ -491,8 +491,7 @@ def induce(G: FiniteGroup, H: FiniteGroup, chi) -> Character:
     values = []
     for k, size in enumerate(conj.sizes):
         if k in sums:
-            scale = Fraction(G.order, size * H.order)
-            values.append(Cyclotomic(m, [x * scale if x else 0 for x in sums[k]]))
+            values.append(Cyclotomic(m, sums[k]) * Fraction(G.order, size * H.order))
         else:
             values.append(Cyclotomic.zero())
     return Character(G, conj, values)

@@ -6,11 +6,11 @@ z^0 .. z^(m-1), kept in the normal form obtained by reducing modulo the
 m-th cyclotomic polynomial.
 
 Every Cyclotomic is reduced mod Phi_m when it is constructed, so each
-arithmetic operation on Cyclotomic values pays one reduction. Character
-arithmetic (brw.chars) therefore sums unreduced group-ring vectors in Z[C_m]
-(Q[C_m] for rational class functions) and builds a Cyclotomic only for each
-final scalar: one reduction per inner product, orthogonality sum or induced
-value.
+arithmetic operation on Cyclotomic values pays one reduction, except scaling
+by a rational, which keeps the normal form. Character arithmetic (brw.chars)
+therefore sums unreduced group-ring vectors in Z[C_m] (Q[C_m] for rational
+class functions) and builds a Cyclotomic only for each final scalar: one
+reduction per inner product, orthogonality sum or induced value.
 """
 
 from fractions import Fraction
@@ -301,7 +301,11 @@ class Cyclotomic:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Cyclotomic(self.m, [x * other for x in self.coeffs])
+            out = object.__new__(Cyclotomic)   # a scaled normal form is one
+            object.__setattr__(out, "m", self.m)
+            object.__setattr__(out, "coeffs", tuple(_coeff(x * other) if x else 0
+                                                    for x in self.coeffs))
+            return out
         a, b = self._common(other)
         m = a.m
         out = [0] * m
@@ -316,7 +320,7 @@ class Cyclotomic:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self * (Fraction(1) / Fraction(other))
+            return self * (1 / Fraction(other))
         raise TypeError("only rational division is supported")
 
     def conjugate(self):

@@ -434,8 +434,10 @@ def abelianization(G: FiniteGroup, cap=None):
     K = commutator_subgroup(G)
     A = G.algebra
     coset_rep = {}
-    for v in G.elements:
-        coset_rep[v] = min(A.mul(v, k) for k in K.elements)
+    for v in G.elements:   # each coset vK labelled once, by its minimum
+        if v not in coset_rep:
+            coset = [A.mul(v, k) for k in K.elements]
+            coset_rep.update(dict.fromkeys(coset, min(coset)))
     q_elems = sorted(set(coset_rep.values()))
 
     def q_mul(a, b):

@@ -10,11 +10,13 @@ import textwrap
 from itertools import combinations, product
 from math import lcm
 
-from brw.algebra import Algebra, cached_decomposition, vec_add, vec_scale
+from brw.algebra import (Algebra, algebra_from_spec, cached_decomposition, vec_add,
+                         vec_scale)
 from brw.chars import char_from_linear, char_table, induce, inner_product, restrict
+from brw.corpus import corpus_spec
 from brw.exact import mod_matrix_inverse, reduce_vector, rref
-from brw.groups import (char_orbit, intern_group, linear_characters, unit_order,
-                        units_of_subspace)
+from brw.groups import (abelian_invariants, char_orbit, commutator_subgroup,
+                        intern_group, linear_characters, unit_order, units_of_subspace)
 from brw.gutkin import SigmaData, _one_dim_ideal_steps
 
 
@@ -127,6 +129,16 @@ def assert_units_match_oracle(A, rows):
     want = units_oracle(A, rows)
     assert set(units_of_subspace(A, rows).elements) == want
     assert unit_order(A, rows) == len(want)
+
+
+def abelianization_oracle(G):
+    """abelianization(G) with each element's coset representative taken
+    separately, as min(v k for k in K) for every v in G (|G| |K| products)."""
+    A, K = G.algebra, commutator_subgroup(G)
+    coset_rep = {v: min(A.mul(v, k) for k in K.elements) for v in G.elements}
+    divisors, _, dlog = abelian_invariants(sorted(set(coset_rep.values())),
+                                           lambda a, b: coset_rep[A.mul(a, b)], coset_rep[A.one])
+    return divisors, tuple(dlog[coset_rep[v]] for v in G.elements)
 
 
 def is_nilpotent(A, v):
@@ -272,6 +284,12 @@ def group_exponent(G):
             y, o = A.mul(y, g), o + 1
         m = lcm(m, o)
     return m
+
+
+def fresh_corpus_algebra(name):
+    """A new Algebra for a corpus spec, with none of the caches that
+    corpus_algebra's shared instance gathers from earlier tests."""
+    return algebra_from_spec(corpus_spec(name))
 
 
 def matrix_algebra_2x2(p):

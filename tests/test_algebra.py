@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -174,25 +175,63 @@ def test_enumerate_matches_all_pairs_closure(monkeypatch):
     # the same lattice when every closure is the all-pairs fixpoint
     walks = [[s.rows for s in enumerate_subalgebras(A)] for A in _scanned_corpus()]
     monkeypatch.setattr(algebra, "_closure_rows",
-                        lambda A, rows, pivots, extra: closure_oracle(A, rows + tuple(extra)))
+                        lambda A, rows, pivots, d, known: closure_oracle(A, rows + (d,)))
     assert walks == [[s.rows for s in enumerate_subalgebras(A)] for A in _scanned_corpus()]
 
 
 def test_closure_against_all_pairs_fixpoint():
     # arbitrary extra vectors, from span{1} and from a random subalgebra of a
-    # corpus algebra in a dense random basis
+    # corpus algebra in a dense random basis, one vector at a time; one span
+    # map per algebra, shared by all its closures
     rng = random.Random(3)
     for A in _scanned_corpus():
         B = rebased(A, rng)
         subs = enumerate_subalgebras(B)
+        known = {}
+
+        def closure(rows, extra):
+            for d in extra:
+                rows = algebra._closure_rows(B, rows, rref(rows, B.p)[1], d, known)
+            return rows
+
         for _ in range(6):
             S = rng.choice(subs)
             extra = [tuple(rng.randrange(B.p) for _ in range(B.dim))
                      for _ in range(rng.randrange(1, 3))]
-            one, one_piv = rref([B.one], B.p)
-            assert algebra._closure_rows(B, one, one_piv, extra) == closure_oracle(B, [B.one] + extra)
-            assert (algebra._closure_rows(B, S.rows, S.pivots, extra)
-                    == closure_oracle(B, S.rows + tuple(extra)))
+            one = rref([B.one], B.p)[0]
+            assert closure(one, extra) == closure_oracle(B, [B.one] + extra)
+            assert closure(S.rows, extra) == closure_oracle(B, S.rows + tuple(extra))
+
+
+def test_every_walk_closure_against_all_pairs_fixpoint(monkeypatch):
+    # every closure the walk asks for, whether computed, stopped early at a
+    # known span or answered by the span map at once, equals the all-pairs
+    # fixpoint: on the corpus, the corpus in random bases (seeds 1-3) and the
+    # 266-algebra subalgebra corpus
+    algebras = list(_scanned_corpus())
+    for seed in (1, 2, 3):
+        rng = random.Random(seed)
+        algebras += [rebased(A, rng) for A in _scanned_corpus()]
+    for name in ("b2_f5", "b3_f2", "pattern3_f3", "pattern4_f2"):
+        A = corpus_algebra(name)
+        algebras += [EmbeddedAlgebra(A, B.rows).alg for B in enumerate_subalgebras(A)]
+    assert len(algebras) == 40 + 266
+    tally = Counter()
+    real = algebra._closure_rows
+
+    def closure(A, rows, pivots, d, known):
+        before = set(known)
+        out = real(A, rows, pivots, d, known)
+        assert out == closure_oracle(A, rows + (d,))
+        tally["calls"] += 1
+        tally["stops"] += out in before           # ended at a known span
+        tally["lookups"] += len(known) == len(before)   # answered at once
+        return out
+
+    monkeypatch.setattr(algebra, "_closure_rows", closure)
+    for A in algebras:
+        enumerate_subalgebras(A)
+    assert 0 < tally["lookups"] < tally["stops"] < tally["calls"]
 
 
 def test_enumerate_caps(b3_f3):

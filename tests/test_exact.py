@@ -106,3 +106,24 @@ def test_kernel_basis_is_reduced():
     ker = kernel_basis(rows, 4, 2)
     red, _ = rref(ker, 2)
     assert tuple(ker) == red
+
+
+def test_rational_scaling_keeps_the_normal_form():
+    # scaling a normal form (no second reduction) against reducing the scaled
+    # integer vector, the way induce built its values, coefficient types included
+    rng = random.Random(17)
+    for m in range(1, 43):
+        for _ in range(4):
+            v = [rng.randrange(-9, 10) for _ in range(rng.randrange(2 * m + 1))]
+            x = Cyclotomic(m, v)
+            q = Fraction(rng.choice([-1, 1]) * rng.randrange(1, 13), rng.randrange(1, 13))
+            n = rng.choice([1, 2, 3, 6, -4, 35])
+            for got, coeffs in ((x * q, [c * q for c in v]),
+                                (q * x, [c * q for c in v]),
+                                (x * n, [c * n for c in v]),
+                                (x * 0, []),
+                                (x / q, [c / q for c in v]),
+                                (x / n, [Fraction(c, n) for c in v])):
+                want = Cyclotomic(m, coeffs)
+                assert got.m == m and got.coeffs == want.coeffs
+                assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import brw.gutkin
 from brw.algebra import (DEFAULT_DIM_BOUND, BasicDecomposition, Subspace,
                          borel_algebra, cached_decomposition, diagonal_algebra,
                          enumerate_subalgebras, radical, radical_power)
@@ -14,8 +15,10 @@ from brw.groups import (abelian_invariants, abelianization, center,
                         orbit_count_P_dual, radical_subgroup, set_product,
                         torus_factorization, torus_subgroup, unit_group,
                         units_of_subspace)
-from helpers import (assert_orbits_match_oracle, assert_units_match_oracle,
-                     brute_conj_partition, rebased, run_optimized)
+from brw.gutkin import top_level, verify_gutkin_brute
+from helpers import (abelianization_oracle, assert_orbits_match_oracle,
+                     assert_units_match_oracle, brute_conj_partition, rebased,
+                     run_optimized)
 
 
 def test_unit_group_orders(b2_f3, b3_f2):
@@ -101,6 +104,27 @@ def test_abelianization_examples(b2_f3, b3_f2):
     assert abelianization(unit_group(b3_f2))[0] == (2, 2)
     assert abelianization(unit_group(b2_f3))[0] == (2, 2)
     assert abelianization(unit_group(diagonal_algebra(5, 1)))[0] == (4,)
+
+
+def test_abelianization_against_per_element_cosets(monkeypatch):
+    # every corpus unit group, its P, and every H the brute search builds
+    built = []
+    real = brw.gutkin.units_of_subspace
+
+    def units(A, rows):
+        built.append(real(A, rows))
+        return built[-1]
+
+    monkeypatch.setattr(brw.gutkin, "units_of_subspace", units)
+    groups = []
+    for name in DEFAULT_CORPUS:
+        A = corpus_algebra(name)
+        groups += [unit_group(A), top_level(A).P]
+        if A.dim <= DEFAULT_DIM_BOUND[A.p]:
+            verify_gutkin_brute(A)
+    assert built
+    for G in groups + built:
+        assert abelianization(G) == abelianization_oracle(G)
 
 
 def test_commutator_subgroup(b2_f3, b3_f2):

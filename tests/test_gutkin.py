@@ -21,8 +21,8 @@ from brw.gutkin import (SigmaData, _kills_commutators, _one_dim_ideal_steps,
                         ideal_intersection_test, j_sigma, phi_sigma, top_level,
                         verify_gutkin_brute)
 from helpers import (assert_orbits_match_oracle, assert_schreier_tree,
-                     assert_units_match_oracle,
-                     clifford_oracle, group_exponent, j_sigma_oracle,
+                     assert_units_match_oracle, clifford_oracle,
+                     fresh_corpus_algebra, group_exponent, j_sigma_oracle,
                      nondegenerate_step_oracle, radical_power_oracle, rebased,
                      run_optimized)
 
@@ -646,11 +646,9 @@ def witness_degrees(A, steps):
 def test_clifford_steps_match_oracles_on_the_corpus(monkeypatch):
     steps = CliffordSteps(monkeypatch)
     for name in DEFAULT_CORPUS:
-        witness_degrees(corpus_algebra(name), steps)
-    # the 13 stabilizer spans are counted on every run; Levels are kept on
-    # the algebra, so how many more spans have their units built here
-    # depends on the tests that ran before
-    assert steps.counts[:3] == [41, 15, 17] and steps.counts[3] >= 13
+        witness_degrees(fresh_corpus_algebra(name), steps)
+    # fresh algebras: no Level or unit group built by an earlier test is reused
+    assert steps.counts == [41, 15, 17, 25]
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -10,8 +10,11 @@ first), as sparse rows ((k, count), ...) from |C_r| * k products. In each
 subspace the eigenvalues are the roots in F_l of the characteristic
 polynomial of the restricted matrix (Hessenberg form, valid for any
 dimension), with one kernel solve per root. The lift at a class of elements
-of order o runs a length-o DFT: s -> chi(g^s) has period o. Every table is
-checked for row orthonormality before it is returned, and kept on its group
+of order o is a length-o DFT of s -> chi(g^s); its weights are computed once
+per table and shared by all characters, and each distinct multiplicity
+vector becomes one shared Cyclotomic. Each table has one certificate,
+CharTable.verify (row orthonormality over Z[zeta_m], run once and kept): it
+is char_table's construction gate. Tables are kept on their group
 (FiniteGroup._table) next to the group's classes.
 
 A linear character is induced by counting its exponents per class of G
@@ -30,18 +33,19 @@ by callers. Arithmetic runs on group-ring vectors instead: per class a sparse
 ((exponent, coeff), ...) vector in Q[C_m] at one conductor m per character,
 not reduced mod Phi_m. For table characters these are the eigenvalue
 multiplicities of the lift (at most deg(chi) nonzeros per class); for every
-other character they are read off `values` on first use. Inner products,
-both orthogonality checks and induction add up integer (or rational) vectors
-and reduce mod Phi_m once per resulting scalar.
+other character they are read off `values` on first use. Inner products, the
+orthonormality certificate and induction add up integer (or rational)
+vectors and reduce mod Phi_m once per resulting scalar.
 """
 
 from fractions import Fraction
 from math import isqrt, lcm
+from operator import mul
 
 from .errors import (CertificationFailure, GroupMismatch, LiftFailure,
                      NotOverTheta, NotSubgroup, TooLarge)
-from .exact import (Cyclotomic, is_prime, kernel_basis, mod_inv, reduce_vector,
-                    rref)
+from .exact import (Cyclotomic, _prime_factors, is_prime, kernel_basis, mod_inv,
+                    reduce_vector, rref)
 from .groups import (DEFAULT_ORDER_CAP, ConjData, FiniteGroup, LinearChar,
                      _cyclic_powers, char_orbit, conjugacy_classes,
                      right_action)
@@ -140,19 +144,16 @@ def regular_character(G: FiniteGroup) -> Character:
     return Character(G, conj, vals)
 
 
-def _hermitian_sum(terms, m) -> Cyclotomic:
-    """sum of c * x * conj(y) over (c, x, y), for sparse vectors x, y in Q[C_m].
-
-    The products are added into one coefficient list indexed by exponent
-    difference and reduced mod Phi_m once, in the single Cyclotomic returned.
-    """
+def _hermitian_sum(terms, m):
+    """Coefficients of sum c * x * conj(y) over (c, x, y), for sparse vectors
+    x, y in Q[C_m]: one list indexed by exponent difference, not reduced."""
     acc = [0] * m
     for c, x, y in terms:
         for e, a in x:
             ca = c * a
             for f, b in y:
                 acc[e - f] += ca * b   # -m < e - f < m: a negative index wraps mod m
-    return Cyclotomic(m, acc)
+    return acc
 
 
 def inner_product(chi: Character, psi: Character) -> Fraction:
@@ -160,10 +161,23 @@ def inner_product(chi: Character, psi: Character) -> Fraction:
     if chi.group is not psi.group:
         raise GroupMismatch("characters live on different groups")
     m = lcm(chi.conductor, psi.conductor)
-    total = _hermitian_sum(zip(chi.conj.sizes, chi.vectors(m), psi.vectors(m)), m)
+    total = Cyclotomic(m, _hermitian_sum(zip(chi.conj.sizes, chi.vectors(m), psi.vectors(m)), m))
     if not total.is_rational():
         raise LiftFailure("inner product is not rational")
     return total.rational() / chi.group.order
+
+
+def _rows_orthonormal(rows, sizes, order, m):
+    """Whether sum_k |C_k| x_ik conj(x_jk) = order * delta_ij in Z[zeta_m] for
+    all i <= j, for rows of per-class sparse vectors x_ik in Q[C_m]. Each pair's
+    coefficient list is reduced mod Phi_m in place; the first failure stops."""
+    for i, x in enumerate(rows):
+        for j in range(i, len(rows)):
+            acc = Cyclotomic._reduce(_hermitian_sum(zip(sizes, x, rows[j]), m), m)
+            acc[0] -= order if i == j else 0
+            if any(acc):
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -177,20 +191,6 @@ def _dixon_prime(order, exponent):
         if l * l > 4 * order and is_prime(l):
             return l
         l += exponent
-
-
-def _prime_factors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def _root_of_order(m, l):
@@ -340,44 +340,62 @@ def _refine_spaces(G: FiniteGroup, conj: ConjData, inv_class, l):
 
 
 class CharTable:
-    """Complete list of irreducible characters, verified against orthogonality."""
+    """Complete list of irreducible characters, certified once by verify()."""
 
     def __init__(self, group, conj, irreducibles, conductor):
         self.group = group
         self.conj = conj
         self.irreducibles = tuple(irreducibles)
         self.conductor = conductor
+        self._verified = None
 
     @property
     def degrees(self):
         return [int(ch.degree) for ch in self.irreducibles]
 
     def verify(self):
-        """Square shape, degree equation and column orthogonality. Rows need no
-        second pass: for the square X = (chi_i(a)), X^H X = D = diag(|G|/|C_a|)
-        gives X^-1 = D^-1 X^H, so X D^-1 X^H = I: <chi_i, chi_j> = delta_ij."""
-        G = self.group
-        k = self.conj.k
-        if len(self.irreducibles) != k:
-            return False
-        if sum(int(ch.degree) ** 2 for ch in self.irreducibles) != G.order:
-            return False
-        # column orthogonality: sum_chi chi(a) conj(chi(b)) = delta_ab |G| / |C_a|
-        m = lcm(*(ch.conductor for ch in self.irreducibles))
-        rows = [ch.vectors(m) for ch in self.irreducibles]
-        for a in range(k):
-            for b in range(a, k):
-                tot = _hermitian_sum(((1, r[a], r[b]) for r in rows), m)
-                want = Fraction(G.order, self.conj.sizes[a]) if a == b else 0
-                if not (tot.is_rational() and tot.rational() == want):
-                    return False
-        return True
+        """Square shape, degree equation and <chi_i, chi_j> = delta_ij for
+        i <= j, exact on the per-class vectors, run once and kept. Columns
+        follow: X D X^H = |G| I for the square X, D = diag(|C_k|), so
+        X^-1 = |G|^-1 D X^H and X^H X = |G| D^-1."""
+        if self._verified is None:
+            G, chars = self.group, self.irreducibles
+            m = lcm(*(ch.conductor for ch in chars))
+            self._verified = (len(chars) == self.conj.k
+                              and sum(int(ch.degree) ** 2 for ch in chars) == G.order
+                              and _rows_orthonormal([ch.vectors(m) for ch in chars],
+                                                    self.conj.sizes, G.order, m))
+        return self._verified
+
+
+def _dft_weights(pk, m, zinvpow, l):
+    """(classes, W) for g of order o with pk[s] the class of g^s: classes are
+    the distinct pk[s] and W[i][c] = o^-1 sum_(pk[s] = classes[c]) z^(-t i s)
+    mod l, t = m/o, so the multiplicity of zeta^(t i) in chi(g) is
+    sum_c chi(classes[c]) W[i][c] mod l for every chi."""
+    o = len(pk)
+    t, o_inv = m // o, mod_inv(o, l)
+    exps = {}   # class -> the s with g^s in it
+    for s, c in enumerate(pk):
+        exps.setdefault(c, []).append(s)
+    W = [tuple(sum(zinvpow[t * i * s % m] for s in ss) * o_inv % l for ss in exps.values())
+         for i in range(o)]
+    return list(exps), W
+
+
+def _multiplicities(vals_mod, weights, l):
+    """Per class, the eigenvalue multiplicities (c_0, ..., c_(o-1)) of one
+    character from its values mod l: c_i is the multiplicity of zeta^(t i)."""
+    out = []
+    for classes, W in weights:
+        x = [vals_mod[c] for c in classes]
+        out.append(tuple(sum(map(mul, x, col)) % l for col in W))
+    return out
 
 
 def _char_table(G: FiniteGroup) -> CharTable:
     conj = conjugacy_classes(G)
-    n = conj.k
-    order = G.order
+    n, order = conj.k, G.order
     powers = [_power_classes(G, conj, r) for r in conj.reps]
     m = lcm(*(len(pk) for pk in powers))
     l = _dixon_prime(order, m)
@@ -386,8 +404,11 @@ def _char_table(G: FiniteGroup) -> CharTable:
 
     z = _root_of_order(m, l)
     zinvpow = [pow(z, -s, l) for s in range(m)]
+    # g of order o has eigenvalues zeta^(t i) only, t = m/o: one length-o DFT
+    weights = [_dft_weights(pk, m, zinvpow, l) for pk in powers]
     size_inv = [mod_inv(s % l, l) for s in conj.sizes]
     bound = 2 * isqrt(order)
+    forms = {}   # multiplicities -> (value, sparse vector), shared by all rows
 
     rows = []
     for w in eigvecs:
@@ -397,45 +418,28 @@ def _char_table(G: FiniteGroup) -> CharTable:
         ratios = [x * scale * size_inv[k] % l for k, x in enumerate(w)]
         den = sum(conj.sizes[k] * ratios[k] * ratios[inv_class[k]] for k in range(n)) % l
         chi1sq = (order % l) * mod_inv(den, l) % l
-        deg = None
-        for d in range(1, isqrt(order) + 1):
-            if (d * d) % l == chi1sq:
-                deg = d
-                break
+        deg = next((d for d in range(1, isqrt(order) + 1) if d * d % l == chi1sq), None)
         if deg is None:
             raise LiftFailure("no integral degree matches the eigenvector")
-        vals_mod = [(deg * x) % l for x in ratios]
-        values, vecs = [], []
-        for pk in powers:
-            # s -> chi(g^s) has period o = ord(g), so the multiplicity of the
-            # eigenvalue zeta^j vanishes unless t = m/o divides j; the others
-            # come from a length-o DFT at the root z^t:
-            # coeffs[t i] = (1/o) sum_(s<o) chi(g^s) z^(-t i s)
-            o = len(pk)
-            t = m // o
-            o_inv = mod_inv(o, l)
-            chi_s = [vals_mod[c] for c in pk]
-            coeffs = [0] * m
-            for i in range(o):
-                c = sum(x * zinvpow[t * i * s % m] for s, x in enumerate(chi_s)) * o_inv % l
-                if c > bound:
-                    raise LiftFailure("eigenvalue multiplicity out of range")
-                coeffs[t * i] = c
-            if sum(coeffs) != deg:
+        mults = _multiplicities([(deg * x) % l for x in ratios], weights, l)
+        for mult in mults:
+            if max(mult) > bound:
+                raise LiftFailure("eigenvalue multiplicity out of range")
+            if sum(mult) != deg:
                 raise LiftFailure("multiplicities do not sum to the degree")
-            values.append(Cyclotomic(m, coeffs))
-            vecs.append(tuple((j, c) for j, c in enumerate(coeffs) if c))
-        rows.append(Character(G, conj, values, (m, tuple(vecs))))
+            if mult not in forms:
+                t = m // len(mult)
+                coeffs = [0] * m
+                coeffs[::t] = mult
+                forms[mult] = (Cyclotomic(m, coeffs),
+                               tuple((t * i, c) for i, c in enumerate(mult) if c))
+        values, vecs = zip(*(forms[mult] for mult in mults))
+        rows.append(Character(G, conj, values, (m, vecs)))
 
     chars = sorted(rows, key=lambda ch: (ch.degree, [v.key(m) for v in ch.values]))
     table = CharTable(G, conj, chars, m)
-    # construction gate: row orthonormality, degree equation, completeness
-    # (column orthogonality follows and is re-checked by CharTable.verify)
-    if len(chars) != n or sum(int(c.degree) ** 2 for c in chars) != order:
-        raise LiftFailure("degree equation failed after lifting")
-    if not all(inner_product(chi, chars[j]) == (1 if i == j else 0)
-               for i, chi in enumerate(chars) for j in range(i, n)):
-        raise LiftFailure("row orthogonality failed after lifting")
+    if not table.verify():   # the construction gate, and the table's one certificate
+        raise LiftFailure("lifted table failed its orthonormality certificate")
     return table
 
 

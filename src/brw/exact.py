@@ -128,35 +128,27 @@ def mod_matrix_inverse(rows, p):
 # cyclotomic numbers
 # ---------------------------------------------------------------------------
 
-def euler_phi(m):
-    out = m
-    n = m
-    d = 2
+def _prime_factors(n):
+    """Distinct prime factors of n >= 1, ascending."""
+    out, d = [], 2
     while d * d <= n:
         if n % d == 0:
-            out -= out // d
+            out.append(d)
             while n % d == 0:
                 n //= d
         d += 1
-    if n > 1:
-        out -= out // n
-    return out
+    return out + [n] if n > 1 else out
+
+
+def euler_phi(m):
+    for q in _prime_factors(m):
+        m -= m // q
+    return m
 
 
 def moebius(m):
-    out = 1
-    n = m
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            out = -out
-        d += 1
-    if n > 1:
-        out = -out
-    return out
+    qs = _prime_factors(m)
+    return 0 if any(m % (q * q) == 0 for q in qs) else (-1) ** len(qs)
 
 
 def _poly_divmod_int(num, den):
@@ -231,9 +223,9 @@ class Cyclotomic:
 
     @staticmethod
     def _reduce(c, m):
+        """Reduce the coefficient list c (length m) mod Phi_m in place; returns c."""
         phi = cyclotomic_polynomial(m)
         deg = len(phi) - 1
-        c = list(c)
         for k in range(len(c) - 1, deg - 1, -1):
             f = c[k]
             if f:
@@ -333,10 +325,10 @@ class Cyclotomic:
 
     # predicates and views ----------------------------------------------------
     def is_zero(self):
-        return all(x == 0 for x in self.coeffs)
+        return not any(self.coeffs)
 
     def is_rational(self):
-        return all(x == 0 for x in self.coeffs[1:])
+        return not any(self.coeffs[1:])
 
     def rational(self):
         if not self.is_rational():
@@ -355,9 +347,13 @@ class Cyclotomic:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Cyclotomic.from_rational(other)
+            return self.is_rational() and self.coeffs[0] == other
         if not isinstance(other, Cyclotomic):
             return NotImplemented
+        if self.is_rational():   # a normal form is rational exactly when its number is
+            return other == self.coeffs[0]
+        if other.is_rational():
+            return False
         a, b = self._common(other)
         return a.coeffs == b.coeffs
 

@@ -14,7 +14,7 @@ from brw.algebra import (Algebra, algebra_from_spec, cached_decomposition, vec_a
                          vec_scale)
 from brw.chars import char_from_linear, char_table, induce, inner_product, restrict
 from brw.corpus import corpus_spec
-from brw.exact import mod_matrix_inverse, reduce_vector, rref
+from brw.exact import Cyclotomic, mod_matrix_inverse, reduce_vector, rref
 from brw.groups import (abelian_invariants, char_orbit, commutator_subgroup,
                         intern_group, linear_characters, unit_order, units_of_subspace)
 from brw.gutkin import SigmaData, _one_dim_ideal_steps
@@ -239,6 +239,55 @@ def clifford_oracle(G, Q, theta, chi):
                and induce(G, S, eta) == chi]
     assert len(matches) == 1, len(matches)
     return matches[0], S
+
+
+def lift_oracle(table):
+    """Every multiplicity vector of a table by the exact DFT over Q(zeta_m).
+
+    For each irreducible chi and class representative g of order o, the
+    eigenvalue zeta_m^j of chi(g), j = t i with t = m/o, has multiplicity
+    c_j = o^-1 sum_(s<o) chi(g^s) zeta_m^(-j s). The powers g^s are formed
+    by Algebra.mul; each sum is one coefficient list in Q[C_m] (zeta^(-j s)
+    times the normal form of chi(g^s)), made a Cyclotomic and divided by o,
+    which must leave a natural number. No prime l and no root mod l are used;
+    a value sequence met again reuses its DFT.
+    Returns, per irreducible, per class the vector ((j, c_j), ...) over the
+    nonzero c_j, in the layout of Character.vectors(m).
+    """
+    G, conj, m = table.group, table.conj, table.conductor
+    A = G.algebra
+    powers = []
+    for r in conj.reps:
+        g, y, pk = G.elements[r], A.one, []
+        while True:
+            pk.append(conj.class_of[G.index[y]])
+            y = A.mul(y, g)
+            if y == A.one:
+                break
+        powers.append(pk)
+    done = {}   # the DFT of each sequence (chi(g^s))_s, computed once
+    out = []
+    for chi in table.irreducibles:
+        terms = [tuple((e, x) for e, x in enumerate(v.embed(m).coeffs) if x) for v in chi.values]
+        rows = []
+        for pk in powers:
+            seq = tuple(terms[c] for c in pk)
+            if seq not in done:
+                o = len(pk)
+                row = []
+                for j in range(0, m, m // o):
+                    acc = [0] * m
+                    for s, value in enumerate(seq):
+                        for e, x in value:
+                            acc[(e - j * s) % m] += x
+                    mult = (Cyclotomic(m, acc) / o).rational()
+                    assert mult.denominator == 1 and mult >= 0, mult
+                    if mult:
+                        row.append((j, int(mult)))
+                done[seq] = tuple(row)
+            rows.append(done[seq])
+        out.append(tuple(rows))
+    return out
 
 
 def nondegenerate_step_oracle(level, n, sigma):

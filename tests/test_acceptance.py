@@ -201,7 +201,7 @@ def test_criterion_4_character_oracle_health():
         tab = char_table(G)
         assert len(tab.irreducibles) == tab.conj.k
         assert sum(d * d for d in tab.degrees) == G.order
-        assert tab.verify()  # both orthogonality relations, exact
+        assert tab.verify()  # row orthonormality, exact; the column relation follows
     rng = random.Random(2027)
     frobenius = 0
     for name in ("b2_f3", "b3_f2", "b3_f3", "pattern3_f3", "b2_f5"):

@@ -3,13 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from brw.algebra import Algebra, borel_algebra, pattern_algebra, radical_power
+from brw.algebra import (Algebra, algebra_from_spec, borel_algebra, pattern_algebra,
+                         radical_power)
 import brw.chars
 from brw.chars import (Character, CharTable, _charpoly, _class_matrix, _roots,
                        char_from_linear, char_table, clifford_correspondent,
                        constituents, induce, inner_product, regular_character,
                        restrict, trivial_character)
-from brw.corpus import corpus_algebra
+from brw.corpus import DEFAULT_CORPUS, corpus_algebra
 from brw.errors import (CertificationFailure, GroupMismatch, NotOverTheta,
                         NotSubgroup, TooLarge)
 from brw.exact import Cyclotomic, kernel_basis
@@ -17,7 +18,7 @@ from brw.groups import (DEFAULT_ORDER_CAP, FiniteGroup, center,
                         conjugacy_classes, ideal_subgroup, linear_characters,
                         radical_subgroup, set_product, torus_subgroup,
                         unit_group)
-from helpers import rebased, run_optimized
+from helpers import lift_oracle, rebased, run_optimized
 
 
 def test_char_table_degrees(b2_f3, b3_f2, diag2_f3):
@@ -55,6 +56,71 @@ def test_verify_catches_one_changed_value(b2_f5):
         irreducibles = list(tab.irreducibles)
         irreducibles[i] = Character(G, tab.conj, values)
         assert not CharTable(G, tab.conj, irreducibles, tab.conductor).verify()
+
+
+def test_each_table_is_certified_once(monkeypatch):
+    calls = []
+    real = brw.chars._rows_orthonormal
+    monkeypatch.setattr(brw.chars, "_rows_orthonormal",
+                        lambda *args: calls.append(1) or real(*args))
+    G = unit_group(borel_algebra(3, 2))   # a fresh algebra: no table cached yet
+    tab = char_table(G)
+    assert calls == [1]
+    assert tab.verify() and char_table(G).verify()
+    assert calls == [1]
+    # a table built by hand runs the pass on its first verify, and only then
+    hand = CharTable(G, tab.conj, tab.irreducibles, tab.conductor)
+    assert hand.verify() and hand.verify()
+    assert calls == [1, 1]
+
+
+def test_verify_rejects_a_duplicated_row(b2_f5, monkeypatch):
+    # one linear character in place of another keeps the shape and the degree
+    # equation, so the row pass is what refuses it
+    G = unit_group(b2_f5)
+    tab = char_table(G)
+    rows = list(tab.irreducibles)
+    assert rows[0].degree == rows[1].degree == 1
+    rows[1] = rows[0]
+    calls = []
+    real = brw.chars._rows_orthonormal
+    monkeypatch.setattr(brw.chars, "_rows_orthonormal",
+                        lambda *args: calls.append(1) or real(*args))
+    assert not CharTable(G, tab.conj, rows, tab.conductor).verify()
+    assert calls == [1]
+
+
+def test_corrupted_multiplicity_fails_the_certificate_in_optimized_mode():
+    # one eigenvalue multiplicity moved to the next eigenvalue of its class
+    # keeps the degree sum and the range check: only the orthonormality
+    # certificate can refuse the table, with assert statements stripped
+    out = run_optimized("""
+        import brw.chars as chars
+        from brw.algebra import borel_algebra
+        from brw.errors import LiftFailure
+        from brw.groups import unit_group
+        real = chars._multiplicities
+        corrupted = []
+
+        def multiplicities(vals_mod, weights, l):
+            out = real(vals_mod, weights, l)
+            if not corrupted:
+                k = next(k for k, mult in enumerate(out) if len(mult) > 1)
+                mult = list(out[k])
+                i = next(i for i, c in enumerate(mult) if c)
+                mult[i] -= 1
+                mult[(i + 1) % len(mult)] += 1
+                out[k] = tuple(mult)
+                corrupted.append(k)
+            return out
+
+        chars._multiplicities = multiplicities
+        try:
+            chars.char_table(unit_group(borel_algebra(5, 2)))
+        except LiftFailure as e:
+            print(len(corrupted), e)
+    """)
+    assert out.strip() == "1 lifted table failed its orthonormality certificate"
 
 
 def test_char_table_cap(b2_f3):
@@ -505,6 +571,19 @@ def test_lift_matches_values_on_powers(b3_f3, pattern3_f3):
                     for j, c in exps:
                         acc[j * s % m] += c
                     assert Cyclotomic(m, acc) == chi.values[cls], (k, s)
+
+
+def test_lift_matches_exact_dft_oracle():
+    # every multiplicity vector of the shared mod-l DFT against the exact DFT
+    # over Q(zeta_m), on the corpus, two mid-size groups and their rebasings
+    algebras = [corpus_algebra(name) for name in DEFAULT_CORPUS]
+    for spec in ({"p": 7, "pattern": {"n": 2, "closed_pairs": [[1, 2]]}},
+                 {"p": 3, "pattern": {"n": 4, "closed_pairs": [[1, 2], [1, 3], [1, 4]]}}):
+        A = algebra_from_spec(spec)
+        algebras += [A] + [rebased(A, random.Random(seed)) for seed in (1, 2, 3)]
+    for A in algebras:
+        tab = char_table(unit_group(A))
+        assert lift_oracle(tab) == [ch.vectors(tab.conductor) for ch in tab.irreducibles]
 
 
 def test_certificates_survive_optimized_mode():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -127,3 +128,33 @@ def test_rational_scaling_keeps_the_normal_form():
                 want = Cyclotomic(m, coeffs)
                 assert got.m == m and got.coeffs == want.coeffs
                 assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
+
+
+def test_equality_against_the_lcm_conductor():
+    # __eq__ settles a pair with a rational normal form on either side without
+    # a common conductor; it must agree with coefficient equality at lcm(m, m2)
+    # on rationals, on sums of roots that reduce to rationals, and on equal
+    # irrational numbers written at different conductors
+    def samples(m):
+        def z(k):
+            return Cyclotomic.root(m, k)
+        return [Cyclotomic(m, [q]) for q in (0, 1, -1, Fraction(1, 3))] + [
+            z(1), z(-1) + z(1), z(0) + z(1), z(m // 2), z(2) * 3, -z(m // 3)]
+
+    compared = rational_pairs = 0
+    for m in range(1, 43):
+        xs = samples(m)
+        for m2 in sorted({1, 2, 3, 4, 6, m, 2 * m}):
+            L = m * m2 // gcd(m, m2)
+            ys = samples(m2)
+            at_l = [y.embed(L).coeffs for y in ys]
+            for x in xs:
+                xl = x.embed(L).coeffs
+                for y, yl in zip(ys, at_l):
+                    assert (x == y) == (y == x) == (xl == yl), (x, y)
+                    rational_pairs += x.is_rational() or y.is_rational()
+                    compared += 1
+            for x in xs:
+                for q in (0, 1, -1, 2, Fraction(1, 3), Fraction(-1, 3)):
+                    assert (x == q) == (x.embed(m).coeffs == Cyclotomic(m, [q]).coeffs), (x, q)
+    assert compared > rational_pairs > 0

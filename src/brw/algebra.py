@@ -72,8 +72,9 @@ class Algebra:
         self.labels = tuple(labels) if labels else tuple(f"b{i}" for i in range(dim))
         if len(self.labels) != dim:
             raise SpecError("labels length mismatch")
-        self._nz = tuple(tuple(tuple((k, c) for k, c in enumerate(row) if c)
-                               for row in plane) for plane in self.sc)
+        # for each i, the j with b_i * b_j != 0 and the nonzero terms (k, c) of that product
+        self._nz = tuple(tuple((j, tuple((k, c) for k, c in enumerate(row) if c))
+                               for j, row in enumerate(plane) if any(row)) for plane in self.sc)
         self._check_identity()
         self._check_associativity()
         self._dec = None
@@ -102,14 +103,13 @@ class Algebra:
     def mul(self, x, y):
         p = self.p
         out = [0] * self.dim
-        nz = self._nz
-        for i, xi in enumerate(x):
+        for xi, nzi in zip(x, self._nz):
             if xi:
-                nzi = nz[i]
-                for j, yj in enumerate(y):
+                for j, terms in nzi:
+                    yj = y[j]
                     if yj:
                         f = xi * yj
-                        for k, c in nzi[j]:
+                        for k, c in terms:
                             out[k] = (out[k] + f * c) % p
         return tuple(out)
 

@@ -7,11 +7,14 @@ keeps memory flat for orders up to the configured cap.
 Cache owners: the algebra keeps one FiniteGroup per element set
 (intern_group, in algebra._groups) and its BasicDecomposition (J^n and the
 torus coordinates). Each FiniteGroup keeps what is computed from it alone:
-inverses, generators, the breadth-first spanning tree of its Cayley graph
-on them (_tree), conjugacy classes (_conj), its exponent (_exp), its
-character table (_table, set by chars.char_table), the conjugation action
-of its generators on each normal subgroup (_conj_action, set by check_normal)
-and the right multiplication of its ids by the generators of each subgroup
+generators, its one product table (_right, right multiplication of every id
+by each generator, recorded by generators()), the breadth-first spanning
+tree of its Cayley graph on them (_tree), the inverses and the conjugation
+permutations of the generators read off that tree (_inverse, _conj_perms),
+conjugacy classes (_conj), its exponent (_exp), its character table
+(_table, set by chars.char_table), the conjugation action of its generators
+on each normal subgroup (_conj_action, set by check_normal) and the right
+multiplication of its ids by the generators of each subgroup
 (_right_action, set by right_action).
 """
 
@@ -46,9 +49,11 @@ class FiniteGroup:
         if algebra.one not in self.index:
             raise ValueError("identity missing from group element list")
         self.identity = self.index[algebra.one]
-        self._inv = [None] * len(self.elements)
         self._gens = None
+        self._right = None
         self._tree = None
+        self._inverse = None
+        self._conj_perms = None
         self._conj = None
         self._exp = None
         self._table = None
@@ -63,10 +68,7 @@ class FiniteGroup:
         return self.index[self.algebra.mul(self.elements[i], self.elements[j])]
 
     def inv_id(self, i):
-        if self._inv[i] is None:
-            x = self.algebra.power(self.elements[i], self.order - 1)
-            self._inv[i] = self.index[x]
-        return self._inv[i]
+        return self.inverses()[i]
 
     def conj_id(self, g, x):
         """id of g x g^-1."""
@@ -83,29 +85,37 @@ class FiniteGroup:
         return self.index[v]
 
     def generators(self):
-        """Small deterministic generating set (greedy over sorted elements)."""
+        """Small deterministic generating set (greedy over sorted elements); the
+        products x * gens[s] of its growth are kept as the table right_table."""
         if self._gens is None:
-            gens = []
+            gens, right = [], []
             known = {self.algebra.one}
             for v in self.elements:
                 if v not in known:
-                    _grow(self.algebra, known, gens, v)
+                    _grow(self.algebra, known, gens, right, v)
                     if len(known) == self.order:
                         break
-            self._gens = tuple(gens)
+            self._gens, index = tuple(gens), self.index
+            self._right = (self._gens, tuple(tuple(index.get(r.get(v)) for v in self.elements)
+                                             for r in right))
         return self._gens
 
     def schreier_tree(self):
         """Breadth-first spanning tree of the right Cayley graph on generators()
         (a Schreier vector): edges (y, x, s) with elements[y] = elements[x] *
-        gens[s], parents first. Built once from |G|·|gens| products; raises
-        CertificationFailure if the generators do not reach every element."""
+        gens[s], parents first. Read off the table generators() recorded, with
+        no product; raises CertificationFailure if no table matches
+        generators() or the generators do not reach every element."""
         if self._tree is None:
-            A, gens = self.algebra, self.generators()
+            gens = self.generators()
+            if self._right is None or self._right[0] != gens:
+                raise CertificationFailure("no product table recorded for the generators")
             seen, tree, queue = {self.identity}, [], [self.identity]
             for x in queue:
-                for s, g in enumerate(gens):
-                    y = self.index[A.mul(self.elements[x], g)]
+                for s, row in enumerate(self._right[1]):
+                    y = row[x]
+                    if y is None:
+                        raise CertificationFailure("a product leaves the group")
                     if y not in seen:
                         seen.add(y)
                         tree.append((y, x, s))
@@ -115,6 +125,11 @@ class FiniteGroup:
             self._tree = tuple(tree)
         return self._tree
 
+    def right_table(self):
+        """right[s][x] = id of elements[x] * gens[s], certified by schreier_tree."""
+        self.schreier_tree()
+        return self._right[1]
+
     def walk(self, start, step):
         """Values by id of a function fixed by its value at the identity and
         value(x * gens[s]) = step(value(x), s), read along schreier_tree()."""
@@ -123,6 +138,28 @@ class FiniteGroup:
         for y, x, s in self.schreier_tree():
             value[y] = step(value[x], s)
         return value
+
+    def left(self, h):
+        """ids of elements[h] * x by id x, read off the tree: h(x g) = (hx) g."""
+        right = self.right_table()
+        return self.walk(h, lambda v, s: right[s][v])
+
+    def inverses(self):
+        """Inverse ids by id, read off the tree with no product: (x g)^-1 =
+        g^-1 x^-1, where left multiplication by g^-1 inverts that by g. Also
+        keeps conjugations(): g x g^-1 = left_g(right_g^-1(x))."""
+        if self._inverse is None:
+            lefts = [self.left(self.index[g]) for g in self.generators()]
+            left_inv = [_inverse_perm(L) for L in lefts]
+            self._conj_perms = tuple(tuple(L[y] for y in _inverse_perm(R))
+                                     for L, R in zip(lefts, self.right_table()))
+            self._inverse = tuple(self.walk(self.identity, lambda v, s: left_inv[s][v]))
+        return self._inverse
+
+    def conjugations(self):
+        """One permutation of ids per generator g: perm[x] = id of g x g^-1."""
+        self.inverses()
+        return self._conj_perms
 
     def exponent(self):
         """lcm of the element orders, from the class representatives; computed once."""
@@ -139,22 +176,29 @@ class FiniteGroup:
         return f"FiniteGroup(order={self.order})"
 
 
-def _grow(A, elems, gens, g):
+def _inverse_perm(perm):
+    return sorted(range(len(perm)), key=perm.__getitem__)
+
+
+def _grow(A, elems, gens, right, g):
     """Grow the subgroup elems = <gens> (a set, updated in place) to <gens, g>.
 
     Breadth-first search under right multiplication by the generators (the
     orbit algorithm): old elements are multiplied by g only, new ones by every
-    generator, so a call costs O(|old| + |new| * |gens|) products. g is
-    appended to gens unless it already lies in elems.
+    generator, so a call costs O(|old| + |new| * |gens|) products, each
+    recorded as right[s][x] = x * gens[s]; over the calls that build a group
+    every element meets every generator exactly once. g is appended to gens
+    unless it already lies in elems.
     """
     if g in elems:
         return
     gens.append(g)
-    queue = [y for y in [A.mul(x, g) for x in elems] if y not in elems]
+    right.append({x: A.mul(x, g) for x in elems})
+    queue = [y for y in right[-1].values() if y not in elems]
     elems.update(queue)
     for x in queue:
-        for h in gens:
-            y = A.mul(x, h)
+        for r, h in zip(right, gens):
+            y = r[x] = A.mul(x, h)
             if y not in elems:
                 elems.add(y)
                 queue.append(y)
@@ -261,21 +305,18 @@ def torus_factorization(A: Algebra, v):
 
 
 def center(G: FiniteGroup) -> FiniteGroup:
-    gens = G.generators()
-    elems = []
-    A = G.algebra
-    for v in G.elements:
-        if all(A.mul(v, g) == A.mul(g, v) for g in gens):
-            elems.append(v)
-    return intern_group(A, elems)
+    """The elements fixed by the conjugation permutation of every generator."""
+    perms = G.conjugations()
+    return intern_group(G.algebra, [v for x, v in enumerate(G.elements)
+                                    if all(perm[x] == x for perm in perms)])
 
 
 def set_product(G: FiniteGroup, H: FiniteGroup, K: FiniteGroup) -> FiniteGroup:
     """Subgroup H*K of G (valid when one factor normalizes the product set)."""
     A = G.algebra
-    elems, gens = {A.one}, []
+    elems, gens, right = {A.one}, [], []
     for g in H.generators() + K.generators():
-        _grow(A, elems, gens, g)
+        _grow(A, elems, gens, right, g)
     return intern_group(A, elems)
 
 
@@ -309,7 +350,7 @@ def conjugacy_classes(G: FiniteGroup, cap=None) -> ConjData:
         raise TooLarge(f"group order {G.order} exceeds cap {cap}")
     if G._conj is not None:
         return G._conj
-    gen_ids = [G.index[g] for g in G.generators()]
+    perms = G.conjugations()
     class_of = [None] * G.order
     classes = []
     for start in range(G.order):
@@ -318,8 +359,8 @@ def conjugacy_classes(G: FiniteGroup, cap=None) -> ConjData:
         class_of[start] = len(classes)
         orbit = [start]
         for x in orbit:
-            for g in gen_ids:
-                y = G.conj_id(g, x)
+            for perm in perms:
+                y = perm[x]
                 if class_of[y] is None:
                     class_of[y] = len(classes)
                     orbit.append(y)
@@ -411,15 +452,16 @@ def abelian_invariants(elems, mul, identity):
 
 
 def commutator_subgroup(G: FiniteGroup) -> FiniteGroup:
-    """[G,G]: normal closure of the commutators of a generating set."""
+    """[G,G]: normal closure of the commutators of a generating set, closed
+    under the conjugation permutations of G's generators."""
     A = G.algebra
     gen_ids = [G.index[g] for g in G.generators()]
-    elems, gens = {A.one}, []
+    elems, gens, right = {A.one}, [], []
     pending = {G.elements[G.commutator_id(a, b)] for a in gen_ids for b in gen_ids}
     while pending:
         for y in pending:
-            _grow(A, elems, gens, y)
-        pending = {G.elements[G.conj_id(g, G.index[x])] for g in gen_ids for x in elems}
+            _grow(A, elems, gens, right, y)
+        pending = {G.elements[perm[G.index[x]]] for perm in G.conjugations() for x in elems}
         pending -= elems
     return intern_group(A, elems)
 
@@ -569,28 +611,20 @@ def check_normal(G: FiniteGroup, Q: FiniteGroup):
     """Check that Q is normal in G and return the conjugation action of G on Q.
 
     The action is one tuple per generator g of G, perm[x] = id in Q of
-    g x g^-1 for x an id in Q; building it is the normality test, since an
-    image outside Q raises NotNormal. It is built once per (G, Q) and kept
-    on G.
+    g x g^-1 for x an id in Q: G's conjugation permutations restricted to Q.
+    Building it is the normality test, since an image outside Q raises
+    NotNormal. It is built once per (G, Q) and kept on G.
     """
     perms = G._conj_action.get(Q)
     if perms is not None:
         return perms
     if not G.contains_group(Q):
         raise NotNormal("Q is not a subset of G")
-    A = G.algebra
-    index = Q.index
-    perms = []
-    for g in G.generators():
-        gin = G.elements[G.inv_id(G.index[g])]
-        perm = []
-        for q in Q.elements:
-            y = index.get(A.mul(A.mul(g, q), gin))
-            if y is None:
-                raise NotNormal("Q is not normal in G")
-            perm.append(y)
-        perms.append(tuple(perm))
-    perms = tuple(perms)
+    ids = [G.index[q] for q in Q.elements]
+    perms = tuple(tuple(Q.index.get(G.elements[conj[x]]) for x in ids)
+                  for conj in G.conjugations())
+    if any(None in perm for perm in perms):
+        raise NotNormal("Q is not normal in G")
     G._conj_action[Q] = perms
     return perms
 
@@ -598,15 +632,16 @@ def check_normal(G: FiniteGroup, Q: FiniteGroup):
 def right_action(G: FiniteGroup, Q: FiniteGroup):
     """Right multiplication of G's ids by the generators of a subgroup Q: one
     tuple per generator g of Q, perm[x] = id of elements[x] * g. Built once
-    per (G, Q) from |G|·|gens Q| products and kept on G; with Q.walk it gives
-    the ids of x*q for every q in Q with no further product."""
+    per (G, Q) with no product, as x g = (g^-1 x^-1)^-1 from G's inverses and
+    left multiplication, and kept on G; with Q.walk it gives the ids of x*q
+    for every q in Q with no further product."""
     perms = G._right_action.get(Q)
     if perms is None:
         if not G.contains_group(Q):
             raise GroupMismatch("Q is not a subgroup of G")
-        A, index = G.algebra, G.index
-        perms = G._right_action[Q] = tuple(tuple(index[A.mul(x, g)] for x in G.elements)
-                                           for g in Q.generators())
+        inv = G.inverses()
+        lefts = [G.left(inv[G.index[g]]) for g in Q.generators()]   # by g^-1
+        perms = G._right_action[Q] = tuple(tuple(inv[L[y]] for y in inv) for L in lefts)
     return perms
 
 

@@ -11,7 +11,8 @@ provides an independent check of the same statement.
 Cache owners: the ambient algebra keeps one Level per subalgebra basis
 (get_level, in algebra._levels); a Level's local algebra keeps its own
 BasicDecomposition, which holds the J^n that radical_power maps into ambient
-coordinates; a SigmaData keeps its J_sigma.
+coordinates; a Level keeps its one-dimensional ideal steps per n (_steps, set
+by _one_dim_ideal_steps); a SigmaData keeps its J_sigma.
 """
 
 from math import lcm
@@ -51,6 +52,7 @@ class Level:
         self.radical = emb.subspace_to_ambient(dec.radical)
         self.units = units_of_subspace(ambient, self.rows)
         self.P = one_plus(ambient, self.radical)
+        self._steps = {}
 
     def radical_power(self, n):
         """Ambient image of J^n for the level algebra."""
@@ -413,12 +415,15 @@ def _scalar_restriction(level: Level, psi: Character, n):
 
 def _one_dim_ideal_steps(level: Level, n):
     """Ideals L_i with J^n <= L_i <= J^(n-1), dim(L_i/J^n) = 1, in the order
-    induced by the homogeneous bimodule decomposition of a complement."""
-    dec = level.dec
-    Jn_loc = dec.radical_power(n)
-    comp = bimodule_complement(dec.diagonal, dec.radical_power(n - 1), Jn_loc)
-    return [level.emb.subspace_to_ambient(Subspace(level.alg, Jn_loc.rows + (v,)))
-            for _, _, comp_ij in bimodule_decompose(dec.diagonal, comp) for v in comp_ij.rows]
+    induced by the homogeneous bimodule decomposition of a complement; kept per n."""
+    if n not in level._steps:
+        dec = level.dec
+        Jn_loc = dec.radical_power(n)
+        comp = bimodule_complement(dec.diagonal, dec.radical_power(n - 1), Jn_loc)
+        level._steps[n] = tuple(
+            level.emb.subspace_to_ambient(Subspace(level.alg, Jn_loc.rows + (v,)))
+            for _, _, comp_ij in bimodule_decompose(dec.diagonal, comp) for v in comp_ij.rows)
+    return level._steps[n]
 
 
 def _decompose(level: Level, chi: Character, steps, cap):

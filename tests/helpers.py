@@ -14,9 +14,11 @@ from brw.algebra import (Algebra, algebra_from_spec, cached_decomposition, vec_a
                          vec_scale)
 from brw.chars import char_from_linear, char_table, induce, inner_product, restrict
 from brw.corpus import corpus_spec
+from brw.errors import NotNormal
 from brw.exact import Cyclotomic, mod_matrix_inverse, reduce_vector, rref
-from brw.groups import (abelian_invariants, char_orbit, commutator_subgroup,
-                        intern_group, linear_characters, unit_order, units_of_subspace)
+from brw.groups import (abelian_invariants, center, char_orbit, check_normal,
+                        commutator_subgroup, intern_group, linear_characters,
+                        right_action, unit_order, units_of_subspace)
 from brw.gutkin import SigmaData, _one_dim_ideal_steps
 
 
@@ -90,10 +92,16 @@ def recount_subalgebras(A):
     return {rows for rows in subspaces_containing_one(A) if is_closed_unital(A, rows)}
 
 
+def brute_inverses(G):
+    """Every element's inverse x^(|G|-1) by Algebra.mul (no product table)."""
+    A = G.algebra
+    return {v: A.power(v, G.order - 1) for v in G.elements}
+
+
 def brute_conj_partition(G):
     """Conjugacy partition by all-pairs conjugation (no generator BFS)."""
     A = G.algebra
-    inv = {v: G.elements[G.inv_id(i)] for i, v in enumerate(G.elements)}
+    inv = brute_inverses(G)
     classes = []
     seen = set()
     for x in G.elements:
@@ -131,11 +139,28 @@ def assert_units_match_oracle(A, rows):
     assert unit_order(A, rows) == len(want)
 
 
+def commutator_subgroup_oracle(G):
+    """Elements of [G,G] by Algebra.mul alone: the subgroup N generated by the
+    [x, g] = x^-1 g^-1 x g for every x in G and generator g of G. N is normal,
+    as z^-1 [x,g] z = [xz,g] [z,g]^-1, and G/N is abelian, being generated by
+    the central images of the g."""
+    A, inv = G.algebra, brute_inverses(G)
+    comms = {A.mul(A.mul(inv[x], inv[g]), A.mul(x, g)) for x in G.elements for g in G.generators()}
+    elems, queue = {A.one}, [A.one]
+    for x in queue:
+        for c in comms:
+            y = A.mul(x, c)
+            if y not in elems:
+                elems.add(y)
+                queue.append(y)
+    return elems
+
+
 def abelianization_oracle(G):
     """abelianization(G) with each element's coset representative taken
     separately, as min(v k for k in K) for every v in G (|G| |K| products)."""
-    A, K = G.algebra, commutator_subgroup(G)
-    coset_rep = {v: min(A.mul(v, k) for k in K.elements) for v in G.elements}
+    A, K = G.algebra, commutator_subgroup_oracle(G)
+    coset_rep = {v: min(A.mul(v, k) for k in K) for v in G.elements}
     divisors, _, dlog = abelian_invariants(sorted(set(coset_rep.values())),
                                            lambda a, b: coset_rep[A.mul(a, b)], coset_rep[A.one])
     return divisors, tuple(dlog[coset_rep[v]] for v in G.elements)
@@ -206,13 +231,14 @@ def radical_power_oracle(A, rows, n):
 
 def brute_char_orbit(G, theta):
     """(orbit exponent tables, stabilizer elements) of a linear character of a
-    normal subgroup, by conjugating with every element of G (no generators,
-    no cached action)."""
+    normal subgroup, by conjugating with every element of G through
+    Algebra.mul (no generators, no cached action, no product table)."""
+    A, Q, inv = G.algebra, theta.domain, brute_inverses(G)
     orbit, stab = set(), set()
-    for gid, g in enumerate(G.elements):
-        img = theta.conj_by(G, gid)
-        orbit.add(img.exps)
-        if img.exps == theta.exps:
+    for g in G.elements:
+        img = tuple(theta.exps[Q.index[A.mul(A.mul(g, q), inv[g])]] for q in Q.elements)
+        orbit.add(img)
+        if img == theta.exps:
             stab.add(g)
     return orbit, stab
 
@@ -321,6 +347,34 @@ def assert_schreier_tree(G):
         assert G.elements[y] == A.mul(G.elements[x], gens[s])
         reached.add(y)
     assert len(reached) == G.order
+
+
+def assert_tables_against_mul(G, subgroups=()):
+    """G's product table, left multiplication by every generator and by a few
+    other elements, inverses, conjugation permutations, center and commutator
+    subgroup, and check_normal and right_action on each subgroup, entry by entry against
+    Algebra.mul with inverses from brute_inverses."""
+    A, E, idx, gens = G.algebra, G.elements, G.index, G.generators()
+    inv = brute_inverses(G)
+    for s, g in enumerate(gens):
+        assert G.right_table()[s] == tuple(idx[A.mul(x, g)] for x in E)
+        assert G.conjugations()[s] == tuple(idx[A.mul(A.mul(g, x), inv[g])] for x in E)
+    for h in gens + E[::max(1, G.order // 4)]:
+        assert G.left(idx[h]) == [idx[A.mul(h, x)] for x in E]
+    assert G.inverses() == tuple(idx[inv[x]] for x in E)
+    assert set(center(G).elements) == {v for v in E if all(A.mul(v, g) == A.mul(g, v) for g in gens)}
+    assert set(commutator_subgroup(G).elements) == commutator_subgroup_oracle(G)
+    for Q in subgroups:
+        assert right_action(G, Q) == tuple(tuple(idx[A.mul(x, q)] for x in E)
+                                           for q in Q.generators())
+        perms = [[Q.index.get(A.mul(A.mul(g, q), inv[g])) for q in Q.elements] for g in gens]
+        if any(None in perm for perm in perms):
+            try:
+                check_normal(G, Q)
+            except NotNormal:
+                continue
+            raise AssertionError("check_normal accepted a subgroup that is not normal")
+        assert check_normal(G, Q) == tuple(map(tuple, perms))
 
 
 def group_exponent(G):

@@ -429,3 +429,24 @@ def test_algebra_from_spec_roundtrip(b2_f3):
         algebra_from_spec({"p": 3})
     with pytest.raises(SpecError):
         algebra_from_spec({"p": 3, "dim": 2, "one": [1], "sc": [[[1]]]})
+
+
+def test_mul_against_dense_structure_constants():
+    # the kernel skips the pairs with b_i b_j = 0; a dense triple loop over sc
+    # does not, on sparse corpus bases, dense random ones and products and
+    # polynomial quotients with many zero products
+    rng = random.Random(4)
+    algebras = [corpus_algebra(name) for name in DEFAULT_CORPUS]
+    for seed in (1, 2, 3):
+        seeded = random.Random(seed)
+        algebras += [rebased(corpus_algebra(name), seeded) for name in DEFAULT_CORPUS]
+    algebras += [A for A, _ in fixed_examples()]
+    algebras += [product_algebra(corpus_algebra("b2_f3"), polynomial_quotient(3, [0, 0, 0])),
+                 product_algebra(diagonal_algebra(5, 2), polynomial_quotient(5, [0, 0]))]
+    for A in algebras:
+        n = A.dim
+        for _ in range(20):
+            x, y = ([rng.choice([0] * 2 + list(range(A.p))) for _ in range(n)] for _ in "xy")
+            dense = tuple(sum(x[i] * y[j] * A.sc[i][j][k] for i in range(n) for j in range(n))
+                          % A.p for k in range(n))
+            assert A.mul(tuple(x), tuple(y)) == dense

@@ -3,21 +3,23 @@ import random
 import pytest
 
 import brw.gutkin
-from brw.algebra import (DEFAULT_DIM_BOUND, BasicDecomposition, Subspace,
-                         borel_algebra, cached_decomposition, diagonal_algebra,
-                         enumerate_subalgebras, radical, radical_power)
+from brw.algebra import (DEFAULT_DIM_BOUND, BasicDecomposition, EmbeddedAlgebra,
+                         Subspace, borel_algebra, cached_decomposition,
+                         diagonal_algebra, enumerate_subalgebras, radical,
+                         radical_power)
 from brw.corpus import DEFAULT_CORPUS, corpus_algebra
 from brw.errors import (CertificationFailure, NotInsideRadical, NotNormal,
                         TooLarge)
 from brw.groups import (abelian_invariants, abelianization, center,
                         char_orbit, check_normal, commutator_subgroup,
                         conjugacy_classes, ideal_subgroup, linear_characters,
-                        orbit_count_P_dual, radical_subgroup, set_product,
-                        torus_factorization, torus_subgroup, unit_group,
-                        units_of_subspace)
+                        orbit_count_P_dual, radical_subgroup, right_action,
+                        set_product, torus_factorization, torus_subgroup,
+                        unit_group, units_of_subspace)
 from brw.gutkin import top_level, verify_gutkin_brute
 from helpers import (abelianization_oracle, assert_orbits_match_oracle,
-                     assert_units_match_oracle, brute_conj_partition, rebased,
+                     assert_tables_against_mul, assert_units_match_oracle,
+                     brute_conj_partition, fresh_corpus_algebra, rebased,
                      run_optimized)
 
 
@@ -353,3 +355,73 @@ def test_certificate_survives_optimized_mode():
             print("raised")
     """)
     assert out.strip() == "raised"
+
+
+def test_tree_tables_against_mul_on_the_corpus_and_brute_subgroups(monkeypatch):
+    # every corpus unit group, its P and every H the brute search builds; the
+    # subgroups of check_normal and right_action are P, the torus (not normal
+    # once J != 0) and every such H inside G
+    built = []
+    real = brw.gutkin.units_of_subspace
+
+    def units(A, rows):
+        built.append(real(A, rows))
+        return built[-1]
+
+    monkeypatch.setattr(brw.gutkin, "units_of_subspace", units)
+    count = 0
+    for name in DEFAULT_CORPUS:
+        A = fresh_corpus_algebra(name)
+        G, P = unit_group(A), top_level(A).P
+        del built[:]
+        if A.dim <= DEFAULT_DIM_BOUND[A.p]:
+            verify_gutkin_brute(A)
+        assert_tables_against_mul(G, [P, torus_subgroup(A)] + built)
+        for H in [P] + built:
+            assert_tables_against_mul(H)
+        count += len(built)
+    assert count > 50
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_tree_tables_and_classes_in_random_bases(seed):
+    rng = random.Random(seed)
+    for name in DEFAULT_CORPUS:
+        A = rebased(corpus_algebra(name), rng)
+        G, P = unit_group(A), radical_subgroup(A)
+        assert_tables_against_mul(G, (P, torus_subgroup(A)))
+        assert_tables_against_mul(P)
+        cd = conjugacy_classes(G)
+        assert {frozenset(G.elements[i] for i in c) for c in cd.classes} == brute_conj_partition(G)
+
+
+def test_tree_tables_against_mul_on_the_subalgebra_corpus():
+    count = 0
+    for name in ("b2_f5", "b3_f2", "pattern3_f3", "pattern4_f2"):
+        for B in enumerate_subalgebras(corpus_algebra(name)):
+            A = EmbeddedAlgebra(corpus_algebra(name), B.rows).alg
+            G, P = unit_group(A), radical_subgroup(A)
+            assert_tables_against_mul(G, (P, torus_subgroup(A)))
+            assert_tables_against_mul(P)
+            count += 1
+    assert count == 266
+
+
+def test_tree_reads_make_no_products(monkeypatch):
+    # after generators(), everything read off the tree is integer steps only
+    A = fresh_corpus_algebra("b3_f3")
+    G, P, T = unit_group(A), radical_subgroup(A), torus_subgroup(A)
+    for K in (G, P, T):
+        K.generators()
+    calls = []
+    real = A.mul
+    monkeypatch.setattr(A, "mul", lambda x, y: calls.append(1) or real(x, y))
+    G.schreier_tree()
+    conjugacy_classes(G)
+    G.inv_id(1)
+    check_normal(G, P)
+    with pytest.raises(NotNormal):
+        check_normal(G, T)
+    right_action(G, P)
+    right_action(G, T)
+    assert not calls

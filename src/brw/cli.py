@@ -16,15 +16,14 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .algebra import (Ideal, Subalgebra, cached_decomposition, is_split_basic,
-                      radical_power)
+from .algebra import (Ideal, Subalgebra, _check_int_array, cached_decomposition,
+                      is_split_basic, radical_power)
 from .chars import char_table
-from .corpus import ALL_CORPUS, DEFAULT_CORPUS, load_spec, spec_algebra
+from .corpus import ALL_CORPUS, DEFAULT_CORPUS, load_spec, read_json, spec_algebra
 from .errors import (BrwError, NotSplitBasic, SpecError, TooLarge,
                      VerificationFailure)
-from .groups import (DEFAULT_ORDER_CAP, char_orbit, ideal_subgroup,
-                     linear_characters, radical_subgroup, torus_subgroup,
-                     unit_group)
+from .groups import (DEFAULT_ORDER_CAP, char_orbits, ideal_subgroup,
+                     radical_subgroup, torus_subgroup, unit_group)
 from .gutkin import (certify_stabilizer_subalgebra, gutkin_decompose,
                      verify_gutkin_brute)
 from .localfield import (InductionDatum, LocalCharGroup, SmoothCharLocal,
@@ -215,9 +214,10 @@ def _resolve_ideal(A, text):
         pass
     try:
         rows = json.loads(text)
-        return "custom", Ideal(A, [tuple(int(x) for x in r) for r in rows])
+        _check_int_array(rows, (len(rows), A.dim), "--ideal")
     except (json.JSONDecodeError, TypeError) as exc:
         raise SpecError(f"--ideal must be a radical power or a JSON row list: {exc}")
+    return "custom", Ideal(A, [tuple(r) for r in rows])
 
 
 def cmd_orbits(args):
@@ -226,23 +226,18 @@ def cmd_orbits(args):
     G = unit_group(A, cap=args.cap_order)
     label, I = _resolve_ideal(A, args.ideal)
     Q = ideal_subgroup(A, I)
-    remaining = {ch.exps: ch for ch in linear_characters(Q, cap=args.cap_order)}
     orbits = []
-    while remaining:
-        _, base = sorted(remaining.items())[0]
-        orb = char_orbit(G, Q, base)
-        for member in orb.orbit:
-            remaining.pop(member.exps, None)
-        sub, conj = certify_stabilizer_subalgebra(A, orb.stabilizer)
+    for orb in char_orbits(G, Q, cap=args.cap_order):
+        sub = certify_stabilizer_subalgebra(A, orb.stabilizer)
         orbits.append({
-            "base_exps": list(base.exps),
-            "conductor": base.m,
+            "base_exps": list(orb.base.exps),
+            "conductor": orb.base.m,
             "size": orb.size,
             "stabilizer_order": orb.stabilizer.order,
             "stabilizer_subalgebra_dim": sub.dim,
             "stabilizer_subalgebra_basis": [list(r) for r in sub.rows],
             "certified": True,
-            "conjugated": conj is not None,
+            "conjugated": False,
         })
     report = {
         "schema": "brw.orbits/1",
@@ -274,6 +269,23 @@ def _parse_phase(text):
         return int(m), int(e)
     except ValueError:
         raise SpecError(f"--phase must look like 'conductor:exponent', got '{text}'")
+
+
+def _witness_bases(path, name, dim):
+    """(index, degree, subalgebra basis) of each constructive witness for the
+    spec name in a gutkin report file; SpecError on any other shape."""
+    wit = read_json(path, "witness file")
+    try:
+        blocks = [b for b in wit["results"] if b["spec_name"] == name]
+        if not blocks:
+            raise SpecError(f"witness file has no results for spec '{name}'")
+        bases = [(e["index"], e["degree"], e["constructive"]["subalgebra_basis"])
+                 for e in blocks[0]["witnesses"] if e.get("constructive")]
+        for _, _, rows in bases:
+            _check_int_array(rows, (len(rows), dim), "subalgebra_basis")
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise SpecError(f"witness file '{path}' is not a gutkin report: {exc!r}")
+    return bases
 
 
 def cmd_local(args):
@@ -313,21 +325,12 @@ def cmd_local(args):
     if args.local_cmd == "admissible":
         name, spec = load_spec(args.spec)
         A = spec_algebra(spec)
-        with open(args.witness, "r", encoding="utf-8") as f:
-            wit = json.load(f)
-        blocks = [b for b in wit.get("results", []) if b["spec_name"] == name]
-        if not blocks:
-            raise SpecError(f"witness file has no results for spec '{name}'")
         out = []
-        for entry in blocks[0]["witnesses"]:
-            cons = entry.get("constructive")
-            if not cons:
-                continue
-            rows = [tuple(r) for r in cons["subalgebra_basis"]]
-            B = Subalgebra(A, rows)
+        for index, degree, rows in _witness_bases(args.witness, name, A.dim):
+            B = Subalgebra(A, [tuple(r) for r in rows])
             out.append({
-                "index": entry["index"],
-                "degree": entry["degree"],
+                "index": index,
+                "degree": degree,
                 "admissible_shape": is_admissible_shape(InductionDatum(A, B)),
             })
         report = {

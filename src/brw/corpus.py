@@ -50,17 +50,22 @@ def corpus_algebra(name: str) -> Algebra:
     return spec_algebra(corpus_spec(name))
 
 
+def read_json(path: str, what: str):
+    """The JSON value in a file; SpecError if it cannot be read or decoded."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return json.load(f)
+    except OSError as exc:
+        raise SpecError(f"cannot read {what} '{path}': {exc}")
+    except ValueError as exc:   # undecodable bytes or malformed JSON
+        raise SpecError(f"{what} '{path}' is not valid JSON: {exc}")
+
+
 def load_spec(path_or_name: str) -> tuple[str, dict]:
     """Resolve a CLI spec argument: a corpus name or a JSON file path."""
     if path_or_name in ALL_CORPUS:
         return path_or_name, corpus_spec(path_or_name)
-    try:
-        with open(path_or_name, "r", encoding="utf-8") as f:
-            spec = json.load(f)
-    except OSError as exc:
-        raise SpecError(f"cannot read spec '{path_or_name}': {exc}")
-    except json.JSONDecodeError as exc:
-        raise SpecError(f"spec '{path_or_name}' is not valid JSON: {exc}")
+    spec = read_json(path_or_name, "spec")
     name = path_or_name.rsplit("/", 1)[-1]
     if name.endswith(".json"):
         name = name[:-5]

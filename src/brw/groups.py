@@ -7,15 +7,16 @@ keeps memory flat for orders up to the configured cap.
 Cache owners: the algebra keeps one FiniteGroup per element set
 (intern_group, in algebra._groups) and its BasicDecomposition (J^n and the
 torus coordinates). Each FiniteGroup keeps what is computed from it alone:
-generators, its one product table (_right, right multiplication of every id
-by each generator, recorded by generators()), the breadth-first spanning
-tree of its Cayley graph on them (_tree), the inverses and the conjugation
-permutations of the generators read off that tree (_inverse, _conj_perms),
-conjugacy classes (_conj), its exponent (_exp), its character table
-(_table, set by chars.char_table), the conjugation action of its generators
-on each normal subgroup (_conj_action, set by check_normal) and the right
-multiplication of its ids by the generators of each subgroup
-(_right_action, set by right_action).
+generators, with what generators() records while it grows them (_grow, on
+ids): the one product table (_right, right multiplication of every id by
+each generator) and the spanning tree of the Cayley graph on them (_tree,
+the edge that first reached each element); the inverses and the conjugation
+permutations of the generators, read off that tree with no product
+(_inverse, _conj_perms); conjugacy classes (_conj), its exponent (_exp),
+its character table (_table, set by chars.char_table), the conjugation
+action of its generators on each normal subgroup (_conj_action, set by
+check_normal) and the right multiplication of its ids by the generators of
+each subgroup (_right_action, set by right_action).
 """
 
 from itertools import product
@@ -70,12 +71,6 @@ class FiniteGroup:
     def inv_id(self, i):
         return self.inverses()[i]
 
-    def conj_id(self, g, x):
-        """id of g x g^-1."""
-        A = self.algebra
-        gi = self.elements[g]
-        return self.index[A.mul(A.mul(gi, self.elements[x]), self.elements[self.inv_id(g)])]
-
     def commutator_id(self, g, h):
         """id of [g,h] = g^-1 h^-1 g h."""
         A = self.algebra
@@ -85,50 +80,33 @@ class FiniteGroup:
         return self.index[v]
 
     def generators(self):
-        """Small deterministic generating set (greedy over sorted elements); the
-        products x * gens[s] of its growth are kept as the table right_table."""
+        """Small deterministic generating set (greedy over sorted elements). Its
+        growth records the product table right_table and the Schreier tree."""
         if self._gens is None:
-            gens, right = [], []
-            known = {self.algebra.one}
-            for v in self.elements:
-                if v not in known:
-                    _grow(self.algebra, known, gens, right, v)
-                    if len(known) == self.order:
+            growth = reached, seen, gens, right, tree = _growth(self)
+            for x in range(self.order):
+                if x not in seen:
+                    _grow(self, *growth, x)
+                    if len(reached) == self.order:
                         break
-            self._gens, index = tuple(gens), self.index
-            self._right = (self._gens, tuple(tuple(index.get(r.get(v)) for v in self.elements)
-                                             for r in right))
+            self._right, self._tree = tuple(map(tuple, right)), tuple(tree)
+            self._gens = tuple(self.elements[g] for g in gens)
         return self._gens
 
     def schreier_tree(self):
-        """Breadth-first spanning tree of the right Cayley graph on generators()
-        (a Schreier vector): edges (y, x, s) with elements[y] = elements[x] *
-        gens[s], parents first. Read off the table generators() recorded, with
-        no product; raises CertificationFailure if no table matches
-        generators() or the generators do not reach every element."""
+        """Spanning tree of the right Cayley graph on generators() (a Schreier
+        vector), as generators() recorded it: edges (y, x, s) with elements[y] =
+        elements[x] * gens[s], parents first. Raises CertificationFailure if no
+        tree was recorded for generators()."""
+        self.generators()
         if self._tree is None:
-            gens = self.generators()
-            if self._right is None or self._right[0] != gens:
-                raise CertificationFailure("no product table recorded for the generators")
-            seen, tree, queue = {self.identity}, [], [self.identity]
-            for x in queue:
-                for s, row in enumerate(self._right[1]):
-                    y = row[x]
-                    if y is None:
-                        raise CertificationFailure("a product leaves the group")
-                    if y not in seen:
-                        seen.add(y)
-                        tree.append((y, x, s))
-                        queue.append(y)
-            if len(seen) != self.order:
-                raise CertificationFailure("generators do not generate the group")
-            self._tree = tuple(tree)
+            raise CertificationFailure("no Schreier tree recorded for the generators")
         return self._tree
 
     def right_table(self):
-        """right[s][x] = id of elements[x] * gens[s], certified by schreier_tree."""
+        """right[s][x] = id of elements[x] * gens[s], recorded with schreier_tree."""
         self.schreier_tree()
-        return self._right[1]
+        return self._right
 
     def walk(self, start, step):
         """Values by id of a function fixed by its value at the identity and
@@ -180,28 +158,39 @@ def _inverse_perm(perm):
     return sorted(range(len(perm)), key=perm.__getitem__)
 
 
-def _grow(A, elems, gens, right, g):
-    """Grow the subgroup elems = <gens> (a set, updated in place) to <gens, g>.
+def _growth(G):
+    """(reached, seen, gens, right, tree) of the trivial subgroup of G, for _grow."""
+    return [G.identity], {G.identity}, [], [], []
 
-    Breadth-first search under right multiplication by the generators (the
-    orbit algorithm): old elements are multiplied by g only, new ones by every
-    generator, so a call costs O(|old| + |new| * |gens|) products, each
-    recorded as right[s][x] = x * gens[s]; over the calls that build a group
-    every element meets every generator exactly once. g is appended to gens
-    unless it already lies in elems.
+
+def _grow(G, reached, seen, gens, right, tree, g):
+    """Grow the subgroup <gens> to <gens, g>, on the ids of a group G containing it.
+
+    reached lists the ids of <gens> in the order they were reached and seen
+    holds them. Breadth-first search under right multiplication by the
+    generators (the orbit algorithm): old elements are multiplied by g only,
+    new ones by every generator, so a call costs O(|old| + |new| * |gens|)
+    products; over the calls that build a group every element meets every
+    generator exactly once. Each product is recorded as right[s][x] = id of
+    x * gens[s], and the edge (y, x, s) that first reaches y is appended to
+    tree, parents first. g is appended to gens unless it is seen; a product
+    outside G raises CertificationFailure.
     """
-    if g in elems:
+    if g in seen:
         return
+    A, E, index = G.algebra, G.elements, G.index
     gens.append(g)
-    right.append({x: A.mul(x, g) for x in elems})
-    queue = [y for y in right[-1].values() if y not in elems]
-    elems.update(queue)
-    for x in queue:
-        for r, h in zip(right, gens):
-            y = r[x] = A.mul(x, h)
-            if y not in elems:
-                elems.add(y)
-                queue.append(y)
+    right.append([None] * G.order)
+    last, old = len(gens) - 1, len(reached)
+    for i, x in enumerate(reached):   # reached grows while it is read
+        for s in range(last if i < old else 0, last + 1):
+            y = right[s][x] = index.get(A.mul(E[x], E[gens[s]]))
+            if y is None:
+                raise CertificationFailure("a product leaves the group")
+            if y not in seen:
+                seen.add(y)
+                reached.append(y)
+                tree.append((y, x, s))
 
 
 # ---------------------------------------------------------------------------
@@ -313,11 +302,10 @@ def center(G: FiniteGroup) -> FiniteGroup:
 
 def set_product(G: FiniteGroup, H: FiniteGroup, K: FiniteGroup) -> FiniteGroup:
     """Subgroup H*K of G (valid when one factor normalizes the product set)."""
-    A = G.algebra
-    elems, gens, right = {A.one}, [], []
+    growth = _growth(G)
     for g in H.generators() + K.generators():
-        _grow(A, elems, gens, right, g)
-    return intern_group(A, elems)
+        _grow(G, *growth, G.index[g])
+    return intern_group(G.algebra, [G.elements[x] for x in growth[0]])
 
 
 # ---------------------------------------------------------------------------
@@ -454,16 +442,14 @@ def abelian_invariants(elems, mul, identity):
 def commutator_subgroup(G: FiniteGroup) -> FiniteGroup:
     """[G,G]: normal closure of the commutators of a generating set, closed
     under the conjugation permutations of G's generators."""
-    A = G.algebra
     gen_ids = [G.index[g] for g in G.generators()]
-    elems, gens, right = {A.one}, [], []
-    pending = {G.elements[G.commutator_id(a, b)] for a in gen_ids for b in gen_ids}
+    growth = reached, seen, *_ = _growth(G)
+    pending = {G.commutator_id(a, b) for a in gen_ids for b in gen_ids}
     while pending:
         for y in pending:
-            _grow(A, elems, gens, right, y)
-        pending = {G.elements[perm[G.index[x]]] for perm in G.conjugations() for x in elems}
-        pending -= elems
-    return intern_group(A, elems)
+            _grow(G, *growth, y)
+        pending = {perm[x] for perm in G.conjugations() for x in reached} - seen
+    return intern_group(G.algebra, [G.elements[x] for x in reached])
 
 
 def abelianization(G: FiniteGroup, cap=None):
@@ -495,8 +481,8 @@ class LinearChar:
 
     value(g) = zeta_m ^ exps[g]; exps is a homomorphism to Z/m. The domain
     is a FiniteGroup or any group with elements and index, such as the
-    residue units (Z/p^k)^x of localfield; conj_by, fixed_by, is_invariant
-    and restrict need a FiniteGroup.
+    residue units (Z/p^k)^x of localfield; conj_by, is_invariant and
+    restrict need a FiniteGroup.
     """
 
     __slots__ = ("domain", "m", "exps")
@@ -523,14 +509,6 @@ class LinearChar:
         gin = G.elements[G.inv_id(g)]
         exps = [self.exps[Q.index[A.mul(A.mul(gv, x), gin)]] for x in Q.elements]
         return LinearChar(Q, self.m, exps)
-
-    def fixed_by(self, G: FiniteGroup, g):
-        """Whether value(g q g^-1) = value(q) for all q (g by id in G), tested on
-        the generators of the normal domain Q: both sides are homomorphisms."""
-        Q, A, e = self.domain, G.algebra, self.exps
-        gv, gin = G.elements[g], G.elements[G.inv_id(g)]
-        return all(e[Q.index[A.mul(A.mul(gv, q), gin)]] == e[Q.index[q]]
-                   for q in Q.generators())
 
     def is_invariant(self, G: FiniteGroup):
         """Whether value(g x g^-1) = value(x) for every g in G, tested on the
@@ -678,17 +656,20 @@ def char_orbit(G: FiniteGroup, Q: FiniteGroup, theta: LinearChar) -> CharOrbit:
     return CharOrbit(theta, G, orbit, intern_group(G.algebra, stab))
 
 
+def char_orbits(G: FiniteGroup, Q: FiniteGroup, cap=None):
+    """The orbits of G on the linear characters of Q (char_orbit), each based
+    at its least exponent table, in increasing order of their bases. The cap
+    is passed to linear_characters."""
+    seen, orbits = set(), []
+    for ch in linear_characters(Q, cap=cap):
+        if ch.exps not in seen:
+            orbits.append(char_orbit(G, Q, ch))
+            seen.update(member.exps for member in orbits[-1].orbit)
+    return orbits
+
+
 def orbit_count_P_dual(q: int) -> int:
     """Number of G-orbits on the characters of P for G = B_2(F_q)."""
     from .algebra import borel_algebra
     A = borel_algebra(q, 2)
-    G = unit_group(A)
-    P = radical_subgroup(A)
-    remaining = {ch.exps: ch for ch in linear_characters(P)}
-    orbits = 0
-    while remaining:
-        _, ch = sorted(remaining.items())[0]
-        for member in char_orbit(G, P, ch).orbit:
-            remaining.pop(member.exps, None)
-        orbits += 1
-    return orbits
+    return len(char_orbits(unit_group(A), radical_subgroup(A)))

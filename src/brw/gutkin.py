@@ -134,9 +134,8 @@ def diag_centraliser_level(level: Level, I: Subspace, theta: LinearChar) -> Suba
     except Exception as exc:
         raise CertificationFailure(f"diagonal centraliser not a subalgebra: {exc}")
     # unit group must be the stabilizer of theta in T
-    U = level.units
-    t_stab = {t for t in torus_elements(A, level.idempotents)
-              if theta.fixed_by(U, U.index[t])}
+    stab = char_orbit(level.units, Q, theta).stabilizer.index
+    t_stab = {t for t in torus_elements(A, level.idempotents) if t in stab}
     units = set(units_of_subspace(A, rows).elements)
     if units != t_stab:
         raise CertificationFailure("unit group of D_theta differs from T_theta")
@@ -248,9 +247,8 @@ def phi_sigma(S: SigmaData, g) -> LinearChar:
     return ch
 
 
-def ideal_intersection_test(A_or_level, I: Subspace, S: SigmaData) -> bool:
+def ideal_intersection_test(level: Level, I: Subspace, S: SigmaData) -> bool:
     """Whether I / J_sigma intersect to a two-sided ideal (requires G-invariant sigma)."""
-    level = A_or_level if isinstance(A_or_level, Level) else top_level(A_or_level)
     if not S.is_g_invariant():
         raise PreconditionFailure("sigma is not G-invariant")
     Jsq = level.radical_power(2)
@@ -332,37 +330,19 @@ def extend_character(S: SigmaData) -> ExtensionResult:
 # stabilizer subalgebra certification
 # ---------------------------------------------------------------------------
 
-def certify_stabilizer_subalgebra(A_or_level, G_theta: FiniteGroup):
-    """A subalgebra whose unit group is exactly G_theta.
+def certify_stabilizer_subalgebra(A: Algebra, G_theta: FiniteGroup) -> Subalgebra:
+    """The subalgebra W = span(G_theta), certified to have unit group G_theta.
 
-    Strategy: the linear span of G_theta is a unital closed subspace; certify
-    that its unit group adds nothing. G_theta is a group of units inside its
-    span, so it lies in span ∩ A^x, and equal orders (unit_order, with no
-    element built) make the two equal. If the span has more units, conjugates
-    g G_theta g^-1 are tested the same way and the witness is transported
-    back. Failure is reportable: it would contradict the finite-field theorem.
+    G_theta is a group of units inside W, so it lies in W ∩ A^x = W^x, and
+    equal orders (unit_order, with no element built) make the two equal.
+    Nothing else can succeed where this fails: if G_theta = C^x for a
+    subalgebra C, then W ⊆ C and W ∩ A^x ⊆ C^x = G_theta. Failure is
+    reportable: it would contradict the finite-field theorem.
     """
-    level = A_or_level if isinstance(A_or_level, Level) else top_level(A_or_level)
-    A = level.ambient
-
-    def try_set(elems):
-        rows, _ = rref(list(elems), A.p)
-        if unit_order(A, rows) == G_theta.order:
-            return Subalgebra(A, rows)
-        return None
-
-    direct = try_set(G_theta.elements)
-    if direct is not None:
-        return direct, None
-    U = level.units
-    for gid, g in enumerate(U.elements):
-        found = try_set([U.elements[U.conj_id(gid, U.index[x])] for x in G_theta.elements])
-        if found is not None:
-            gin = U.elements[U.inv_id(gid)]
-            back = [A.mul(A.mul(gin, r), g) for r in found.rows]
-            return Subalgebra(A, rref(back, A.p)[0]), g
-    raise CertificationFailure(
-        "stabilizer is not the unit group of any conjugate of its span")
+    rows, _ = rref(list(G_theta.elements), A.p)
+    if unit_order(A, rows) != G_theta.order:
+        raise CertificationFailure("stabilizer is not the unit group of its span")
+    return Subalgebra(A, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -483,9 +463,8 @@ def _decompose(level: Level, chi: Character, steps, cap):
         raise DecompositionFailure("stabilizer did not decrease at a nonlinear step")
     # a linear psi needs p odd (at p = 2, H = P and psi = chi); then
     # G_theta = T_theta P spans D_theta + J
-    sub, conjugator = certify_stabilizer_subalgebra(level, G_theta)
+    sub = certify_stabilizer_subalgebra(level.ambient, G_theta)
     new_level = get_level(level.ambient, sub.rows)
-    step["conjugated"] = conjugator is not None
     eta, _ = clifford_correspondent(H, Q, theta, chi, orbit=orbit)
     step.update(stabilizer_order=G_theta.order, next_dim=new_level.dim)
     steps.append(step)

@@ -123,6 +123,23 @@ def test_orbits_radical_power_zero_is_a_spec_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("spec error:")
 
 
+@pytest.mark.parametrize("rows", ['[[1]]', '"2"', '{"a": 1}', '[["x", 0, 0]]', '[[0, 0, 1.5]]'])
+def test_orbits_malformed_ideal_rows_are_spec_errors(tmp_path, capsys, rows):
+    code, _ = run(tmp_path, "orbits", "b2_f3", "--ideal", rows)
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("spec error:") and err.count("\n") <= 1
+
+
+def test_orbits_ideal_rows(tmp_path):
+    # the rows of J^2 written out give the orbits of --ideal 2
+    code, out = run(tmp_path, "orbits", "b3_f3", "--ideal", "[[0, 0, 0, 0, 1, 0]]")
+    code2, out2 = run(tmp_path / "n", "orbits", "b3_f3", "--ideal", "2")
+    assert code == code2 == 0
+    rows, power = load(out, "orbits_b3_f3.json"), load(out2, "orbits_b3_f3.json")
+    assert rows["ideal"] == "custom" and power["ideal"] == "J^2"
+    assert rows["orbits"] == power["orbits"]
+
+
 def test_local_factor(tmp_path):
     code, out = run(tmp_path, "local", "factor", "--p", "3", "--k", "2",
                     "--unit", "1", "--r", "3", "--phase", "4:1")
@@ -147,6 +164,25 @@ def test_local_admissible_on_witness_file(tmp_path):
     rep = load(out2, "admissible_b2_f3.json")
     for entry in rep["per_witness"]:
         assert entry["admissible_shape"] == (entry["degree"] == 1)
+
+
+_BAD_WITNESSES = {
+    "not_json": "{",
+    "list": "[1, 2]",
+    "no_spec_name": json.dumps({"results": [{"witnesses": []}]}),
+    "short_row": json.dumps({"results": [{"spec_name": "b2_f3", "witnesses": [
+        {"index": 0, "degree": 1, "constructive": {"subalgebra_basis": [[1, 1]]}}]}]}),
+}
+
+
+@pytest.mark.parametrize("case", ["missing"] + sorted(_BAD_WITNESSES))
+def test_local_admissible_malformed_witness(tmp_path, capsys, case):
+    path = tmp_path / "witness.json"
+    if case != "missing":
+        path.write_text(_BAD_WITNESSES[case], encoding="utf-8")
+    code, _ = run(tmp_path, "local", "admissible", "b2_f3", "--witness", str(path))
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("spec error:") and err.count("\n") <= 1
 
 
 def test_determinism_byte_identical(tmp_path):

@@ -10,17 +10,18 @@ from brw.algebra import (DEFAULT_DIM_BOUND, BasicDecomposition, EmbeddedAlgebra,
 from brw.corpus import DEFAULT_CORPUS, corpus_algebra
 from brw.errors import (CertificationFailure, NotInsideRadical, NotNormal,
                         TooLarge)
-from brw.groups import (abelian_invariants, abelianization, center,
-                        char_orbit, check_normal, commutator_subgroup,
-                        conjugacy_classes, ideal_subgroup, linear_characters,
-                        orbit_count_P_dual, radical_subgroup, right_action,
-                        set_product, torus_factorization, torus_subgroup,
-                        unit_group, units_of_subspace)
-from brw.gutkin import top_level, verify_gutkin_brute
+from brw.groups import (FiniteGroup, abelian_invariants, abelianization,
+                        center, char_orbit, char_orbits, check_normal,
+                        commutator_subgroup, conjugacy_classes, ideal_subgroup,
+                        linear_characters, orbit_count_P_dual, radical_subgroup,
+                        right_action, set_product, torus_factorization,
+                        torus_subgroup, unit_group, units_of_subspace)
+from brw.gutkin import diag_centraliser_level, top_level, verify_gutkin_brute
 from helpers import (abelianization_oracle, assert_orbits_match_oracle,
-                     assert_tables_against_mul, assert_units_match_oracle,
-                     brute_conj_partition, fresh_corpus_algebra, rebased,
-                     run_optimized)
+                     assert_schreier_tree, assert_tables_against_mul,
+                     assert_units_match_oracle, brute_char_orbit,
+                     brute_conj_partition, commutator_subgroup_oracle,
+                     fresh_corpus_algebra, rebased, run_optimized)
 
 
 def test_unit_group_orders(b2_f3, b3_f2):
@@ -318,14 +319,35 @@ def test_check_normal_builds_the_action_once(b3_f3):
             assert tuple(ch.exps[y] for y in perm) == ch.conj_by(G, G.index[g]).exps
 
 
-def test_fixed_by_against_conj_by(b2_f3, b2_f5, b3_f2, pattern3_f3):
-    # the generator test of fixed_by against conjugating all of Q
+def test_diag_centraliser_torus_stabilizer_against_conj_by(b2_f3, b2_f5, b3_f2, pattern3_f3):
+    # T_theta as diag_centraliser_level reads it (the torus part of the
+    # stabilizer from char_orbit) against conjugating all of Q by every t in T
     for A in (b2_f3, b2_f5, b3_f2, pattern3_f3):
+        G, lvl, T = unit_group(A), top_level(A), torus_subgroup(A).elements
+        for I in (radical(A), radical_power(A, 2)):
+            Q = ideal_subgroup(A, I)
+            for theta in linear_characters(Q):
+                t_theta = {t for t in T if theta.conj_by(G, G.index[t]).exps == theta.exps}
+                stab = char_orbit(G, Q, theta).stabilizer
+                assert {t for t in T if t in stab.index} == t_theta
+                sub = diag_centraliser_level(lvl, I, theta)
+                assert set(units_of_subspace(A, sub.rows).elements) == t_theta
+
+
+def test_char_orbits_partition_the_characters(b2_f3, b3_f2, b3_f3, pattern3_f3):
+    # based at the least exponent table of each orbit, in increasing order,
+    # every character in exactly one orbit, each orbit as by brute force
+    for A in (b2_f3, b3_f2, b3_f3, pattern3_f3):
         G = unit_group(A)
         for Q in (radical_subgroup(A), ideal_subgroup(A, radical_power(A, 2))):
-            for theta in linear_characters(Q):
-                for g in range(G.order):
-                    assert theta.fixed_by(G, g) == (theta.conj_by(G, g).exps == theta.exps)
+            orbits = char_orbits(G, Q)
+            bases = [orb.base.exps for orb in orbits]
+            assert bases == sorted(bases)
+            assert all(orb.base.exps == min(m.exps for m in orb.orbit) for orb in orbits)
+            members = sorted(m.exps for orb in orbits for m in orb.orbit)
+            assert members == [ch.exps for ch in linear_characters(Q)]
+            for orb in orbits:
+                assert {m.exps for m in orb.orbit} == brute_char_orbit(G, orb.base)[0]
 
 
 def test_char_orbit_certifies_the_generator_shortcut(monkeypatch):
@@ -405,6 +427,60 @@ def test_tree_tables_against_mul_on_the_subalgebra_corpus():
             assert_tables_against_mul(P)
             count += 1
     assert count == 266
+
+
+def test_generators_make_one_product_per_element_and_generator(monkeypatch):
+    # the growth multiplies every element by every generator exactly once and
+    # records the tree as it goes; schreier_tree() then multiplies nothing
+    for name in DEFAULT_CORPUS:
+        A = fresh_corpus_algebra(name)
+        groups = dict.fromkeys((unit_group(A), radical_subgroup(A)))   # G = P over F_2
+        calls = []
+        real = A.mul
+        monkeypatch.setattr(A, "mul", lambda x, y: calls.append(1) or real(x, y))
+        for K in groups:
+            del calls[:]
+            gens = K.generators()
+            assert len(calls) == K.order * len(gens)
+            K.schreier_tree()
+            K.right_table()
+            assert len(calls) == K.order * len(gens)
+        monkeypatch.undo()
+        for K in groups:
+            assert_schreier_tree(K)
+
+
+def test_generators_certify_closure(b2_f3):
+    # {1, 1 + e12} over F_3 is not closed: (1 + e12)^2 = 1 + 2 e12
+    with pytest.raises(CertificationFailure):
+        FiniteGroup(b2_f3, [b2_f3.one, (1, 1, 1)]).generators()
+    out = run_optimized("""
+        from brw.corpus import corpus_algebra
+        from brw.errors import CertificationFailure
+        from brw.groups import FiniteGroup
+        A = corpus_algebra("b2_f3")
+        try:
+            FiniteGroup(A, [A.one, (1, 1, 1)]).generators()
+        except CertificationFailure:
+            print("raised")
+    """)
+    assert out.strip() == "raised"
+
+
+def test_set_product_and_commutator_subgroup_tables():
+    # groups grown on the ids of G: their element sets against products and
+    # the oracle, and their own trees and tables against Algebra.mul
+    for name in DEFAULT_CORPUS:
+        for rng in (None, random.Random(5)):
+            A = corpus_algebra(name) if rng is None else rebased(corpus_algebra(name), rng)
+            G, P = unit_group(A), radical_subgroup(A)
+            Z = center(G)
+            ZP, K = set_product(G, Z, P), commutator_subgroup(G)
+            assert set(ZP.elements) == {A.mul(z, x) for z in Z.elements for x in P.elements}
+            assert set(K.elements) == commutator_subgroup_oracle(G)
+            for H in (ZP, K):
+                assert_schreier_tree(H)
+                assert_tables_against_mul(H)
 
 
 def test_tree_reads_make_no_products(monkeypatch):

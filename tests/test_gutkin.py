@@ -12,7 +12,7 @@ from brw.chars import (Character, char_from_linear, char_table, induce,
 from brw.corpus import DEFAULT_CORPUS, corpus_algebra
 from brw.errors import (CertificationFailure, DecompositionFailure, NotInvariant,
                         PreconditionFailure)
-from brw.groups import (LinearChar, char_orbit, ideal_subgroup,
+from brw.groups import (LinearChar, char_orbit, ideal_subgroup, intern_group,
                         linear_characters, radical_subgroup, unit_group,
                         units_of_subspace)
 from brw.gutkin import (SigmaData, _kills_commutators, _one_dim_ideal_steps,
@@ -355,16 +355,36 @@ def test_certify_stabilizer_zp(b2_f3):
     P = radical_subgroup(A)
     nt = next(c for c in linear_characters(P) if not c.is_trivial())
     stab = char_orbit(G, P, nt).stabilizer
-    sub, conj = certify_stabilizer_subalgebra(A, stab)
-    assert conj is None
+    sub = certify_stabilizer_subalgebra(A, stab)
     assert sub.dim == 2 and sub.rows == ((1, 1, 0), (0, 0, 1))  # span{1, e12}
     assert set(units_of_subspace(A, sub.rows).elements) == set(stab.elements)
 
 
 def test_certify_stabilizer_full_group(b2_f3):
     G = unit_group(b2_f3)
-    sub, conj = certify_stabilizer_subalgebra(b2_f3, G)
-    assert sub.dim == b2_f3.dim and conj is None
+    sub = certify_stabilizer_subalgebra(b2_f3, G)
+    assert sub.dim == b2_f3.dim
+
+
+def test_certify_stabilizer_rejects_a_span_with_more_units(b2_f3):
+    # <t> for t = 2 e11 + e22 has order 2 and spans the diagonal D, whose
+    # unit group has 4 elements: no subalgebra has unit group <t>
+    H = intern_group(b2_f3, [b2_f3.one, (2, 1, 0)])
+    assert H.order == 2 and units_of_subspace(b2_f3, H.elements).order == 4
+    with pytest.raises(CertificationFailure):
+        certify_stabilizer_subalgebra(b2_f3, H)
+    out = run_optimized("""
+        from brw.corpus import corpus_algebra
+        from brw.errors import CertificationFailure
+        from brw.groups import intern_group
+        from brw.gutkin import certify_stabilizer_subalgebra
+        A = corpus_algebra("b2_f3")
+        try:
+            certify_stabilizer_subalgebra(A, intern_group(A, [A.one, (2, 1, 0)]))
+        except CertificationFailure:
+            print("raised")
+    """)
+    assert out.strip() == "raised"
 
 
 def test_certify_stabilizers_from_orbits(b3_f3, pattern3_f3):
@@ -373,7 +393,7 @@ def test_certify_stabilizers_from_orbits(b3_f3, pattern3_f3):
         Q = ideal_subgroup(A, radical_power(A, 2))
         for theta in linear_characters(Q):
             stab = char_orbit(G, Q, theta).stabilizer
-            sub, conj = certify_stabilizer_subalgebra(A, stab)
+            sub = certify_stabilizer_subalgebra(A, stab)
             assert set(units_of_subspace(A, sub.rows).elements) == set(stab.elements)
             assert sub.dim < A.dim or stab.order == G.order
 

@@ -4,6 +4,11 @@ orbit reports and the local-character utilities.
 All reports are deterministic for a fixed (spec, seed): no timestamps, sorted
 JSON keys, and the run configuration embedded in every file.
 
+`gutkin` runs its specs in up to one process per CPU of its affinity mask
+(the calling process and forked children) and merges their blocks in spec
+order, so its reports are identical to a run in one process. Run it under
+`taskset -c 0` for one process when profiling or tracing.
+
 Exit codes: 0 success, 2 spec error, 3 cap exceeded, 4 verification failure.
 """
 
@@ -20,8 +25,8 @@ from .algebra import (Ideal, Subalgebra, _check_int_array, cached_decomposition,
                       is_split_basic, radical_power)
 from .chars import char_table
 from .corpus import ALL_CORPUS, DEFAULT_CORPUS, load_spec, read_json, spec_algebra
-from .errors import (BrwError, NotSplitBasic, SpecError, TooLarge,
-                     VerificationFailure)
+from .errors import (BrwError, NotInsideRadical, NotSplitBasic, SpecError,
+                     TooLarge, VerificationFailure)
 from .groups import (DEFAULT_ORDER_CAP, char_orbits, ideal_subgroup,
                      radical_subgroup, torus_subgroup, unit_group)
 from .gutkin import (certify_stabilizer_subalgebra, gutkin_decompose,
@@ -180,18 +185,100 @@ def _gutkin_one(name, spec, args):
     return block
 
 
+def _cpu_count():
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _gutkin_share(items, indices, args):
+    """[(i, block or exception)] for the specs at `indices`, in order, up to
+    and including the first that raises."""
+    out = []
+    for i in indices:
+        try:
+            out.append((i, _gutkin_one(*load_spec(items[i]), args)))
+        except Exception as exc:  # re-raised by _gutkin_blocks in spec order
+            out.append((i, exc))
+            break
+    return out
+
+
+def _gutkin_blocks(items, args):
+    """The block of every spec, in spec order; the first failure in spec
+    order is raised as the serial loop would raise it.
+
+    No block reads another, so spec i runs in worker i mod W, with W the
+    number of CPUs this process may use, at most one per spec. Worker 0 is
+    this process; workers 1..W-1 are forked children that pickle their
+    [(i, block or exception)] to a pipe. The CLI starts no thread, so the
+    fork is safe, and the children start with the parent's imports. The
+    shares of workers that could not be forked run in this process.
+    """
+    n = len(items)
+    W = min(n, _cpu_count()) if hasattr(os, "fork") else 1
+    children = []    # (worker, pid, read end) of every child not yet reaped
+    lost = {}        # worker -> exit code of a child that sent no result
+    done = {}
+    try:
+        if W > 1:
+            import pickle
+            import signal
+            for w in range(1, W):
+                r, wfd = os.pipe()
+                try:
+                    pid = os.fork()
+                except OSError:  # no process to spare: this one runs the rest
+                    os.close(r)
+                    os.close(wfd)
+                    break
+                if pid == 0:
+                    status = 1
+                    try:
+                        os.close(r)
+                        for _, _, f in children:
+                            f.close()
+                        with os.fdopen(wfd, "wb") as f:
+                            pickle.dump(_gutkin_share(items, range(w, n, W), args), f)
+                        status = 0
+                    finally:
+                        os._exit(status)
+                os.close(wfd)
+                children.append((w, pid, os.fdopen(r, "rb")))
+        own = [i for i in range(n) if i % W == 0 or i % W > len(children)]
+        done.update(_gutkin_share(items, own, args))
+        while children:
+            w, pid, f = children[0]
+            with f:
+                data = f.read()
+            _, status = os.waitpid(pid, 0)
+            children.pop(0)
+            try:
+                done.update(pickle.loads(data))
+            except Exception:  # the child died before or while writing
+                lost[w] = os.waitstatus_to_exitcode(status)
+    finally:
+        for _, pid, f in children:
+            f.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    for i in range(n):
+        if i not in done:
+            raise VerificationFailure(f"gutkin worker {i % W} ended without a result "
+                                      f"(exit code {lost[i % W]})")
+        if isinstance(done[i], Exception):
+            raise done[i]
+    return [done[i] for i in range(n)]
+
+
 def cmd_gutkin(args):
     names = list(args.spec) if args.spec else list(DEFAULT_CORPUS)
-    results = []
-    failed = False
-    for item in names:
-        name, spec = load_spec(item)
-        block = _gutkin_one(name, spec, args)
-        results.append(block)
-        if block.get("constructive_ok") is False or block.get("brute_ok") is False:
-            failed = True
-        if args.mode == "both" and not block.get("modes_agree", True):
-            failed = True
+    results = _gutkin_blocks(names, args)
+    failed = any(b.get("constructive_ok") is False or b.get("brute_ok") is False
+                 or (args.mode == "both" and not b.get("modes_agree", True))
+                 for b in results)
     report = {
         "schema": "brw.gutkin/1",
         "config": _config_block(args, mode=args.mode),
@@ -214,9 +301,11 @@ def _resolve_ideal(A, text):
         pass
     try:
         rows = json.loads(text)
-        _check_int_array(rows, (len(rows), A.dim), "--ideal")
-    except (json.JSONDecodeError, TypeError) as exc:
-        raise SpecError(f"--ideal must be a radical power or a JSON row list: {exc}")
+    except json.JSONDecodeError as exc:
+        raise SpecError(f"--ideal must be a radical power or a JSON list of rows: {exc}")
+    if not isinstance(rows, list):
+        raise SpecError(f"--ideal must be a radical power or a JSON list of rows, not {text}")
+    _check_int_array(rows, (len(rows), A.dim), "--ideal")
     return "custom", Ideal(A, [tuple(r) for r in rows])
 
 
@@ -225,7 +314,10 @@ def cmd_orbits(args):
     A = spec_algebra(spec)
     G = unit_group(A, cap=args.cap_order)
     label, I = _resolve_ideal(A, args.ideal)
-    Q = ideal_subgroup(A, I)
+    try:
+        Q = ideal_subgroup(A, I)
+    except NotInsideRadical as exc:
+        raise SpecError(f"--ideal: {exc}")
     orbits = []
     for orb in char_orbits(G, Q, cap=args.cap_order):
         sub = certify_stabilizer_subalgebra(A, orb.stabilizer)

@@ -65,9 +65,6 @@ class FiniteGroup:
     def order(self):
         return len(self.elements)
 
-    def mul_ids(self, i, j):
-        return self.index[self.algebra.mul(self.elements[i], self.elements[j])]
-
     def inv_id(self, i):
         return self.inverses()[i]
 
@@ -282,15 +279,6 @@ def units_of_subspace(A: Algebra, rows) -> FiniteGroup:
     tops, kernel = _unit_factors(A, rows)
     jvecs = list(Subspace(A, kernel).vectors())
     return intern_group(A, [vec_add(t, j, A.p) for t in torus_elements(A, tops) for j in jvecs])
-
-
-def torus_factorization(A: Algebra, v):
-    """Unique factorization v = t * x with t in T, x in P = 1 + J."""
-    t = cached_decomposition(A).diagonal_part(v)
-    # t lies in the torus, where t^(p-1) = 1
-    tinv = A.power(t, A.p - 2) if A.p > 2 else t
-    x = A.mul(tinv, v)
-    return t, x
 
 
 def center(G: FiniteGroup) -> FiniteGroup:
@@ -666,10 +654,3 @@ def char_orbits(G: FiniteGroup, Q: FiniteGroup, cap=None):
             orbits.append(char_orbit(G, Q, ch))
             seen.update(member.exps for member in orbits[-1].orbit)
     return orbits
-
-
-def orbit_count_P_dual(q: int) -> int:
-    """Number of G-orbits on the characters of P for G = B_2(F_q)."""
-    from .algebra import borel_algebra
-    A = borel_algebra(q, 2)
-    return len(char_orbits(unit_group(A), radical_subgroup(A)))

@@ -10,15 +10,16 @@ import textwrap
 from itertools import combinations, product
 from math import lcm
 
-from brw.algebra import (Algebra, algebra_from_spec, cached_decomposition, vec_add,
-                         vec_scale)
+from brw.algebra import (Algebra, algebra_from_spec, borel_algebra,
+                         cached_decomposition, vec_add, vec_scale)
 from brw.chars import char_from_linear, char_table, induce, inner_product, restrict
 from brw.corpus import corpus_spec
 from brw.errors import NotNormal
 from brw.exact import Cyclotomic, mod_matrix_inverse, reduce_vector, rref
-from brw.groups import (abelian_invariants, center, char_orbit, check_normal,
-                        commutator_subgroup, intern_group, linear_characters,
-                        right_action, unit_order, units_of_subspace)
+from brw.groups import (abelian_invariants, center, char_orbit, char_orbits,
+                        check_normal, commutator_subgroup, intern_group,
+                        linear_characters, radical_subgroup, right_action,
+                        unit_group, unit_order, units_of_subspace)
 from brw.gutkin import SigmaData, _one_dim_ideal_steps
 
 
@@ -90,6 +91,25 @@ def closure_oracle(A, rows):
 def recount_subalgebras(A):
     """Order-agnostic recount of the unital closed subspaces of A."""
     return {rows for rows in subspaces_containing_one(A) if is_closed_unital(A, rows)}
+
+
+def mul_ids(G, i, j):
+    """id of the product of elements i and j of G, by Algebra.mul."""
+    return G.index[G.algebra.mul(G.elements[i], G.elements[j])]
+
+
+def torus_factorization(A, v):
+    """Unique factorization v = t * x with t in T, x in P = 1 + J."""
+    t = cached_decomposition(A).diagonal_part(v)
+    # t lies in the torus, where t^(p-1) = 1
+    tinv = A.power(t, A.p - 2) if A.p > 2 else t
+    return t, A.mul(tinv, v)
+
+
+def orbit_count_P_dual(q):
+    """Number of G-orbits on the characters of P for G = B_2(F_q)."""
+    A = borel_algebra(q, 2)
+    return len(char_orbits(unit_group(A), radical_subgroup(A)))
 
 
 def brute_inverses(G):

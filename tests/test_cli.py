@@ -1,11 +1,14 @@
 import copy
+import hashlib
 import json
 import os
 import random
 import signal
+import time
 
 import pytest
 
+import brw.cli
 from brw.cli import main
 from brw.corpus import DEFAULT_CORPUS, corpus_algebra, corpus_spec
 from helpers import matrix_algebra_2x2, polynomial_quotient
@@ -130,6 +133,21 @@ def test_orbits_malformed_ideal_rows_are_spec_errors(tmp_path, capsys, rows):
     assert code == 2 and err.startswith("spec error:") and err.count("\n") <= 1
 
 
+@pytest.mark.parametrize("value", ['"2"', '{"a": 1}', '5.5', 'null'])
+def test_orbits_ideal_that_is_not_a_list(tmp_path, capsys, value):
+    code, _ = run(tmp_path, "orbits", "b2_f3", "--ideal", value)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"spec error: --ideal must be a radical power or a JSON list of rows, not {value}\n"
+
+
+def test_orbits_ideal_outside_the_radical_is_a_spec_error(tmp_path, capsys):
+    # the rows span all of A, a two-sided ideal that is not inside J
+    code, _ = run(tmp_path, "orbits", "b2_f3", "--ideal", "[[1, 0, 0], [0, 1, 0], [0, 0, 1]]")
+    err = capsys.readouterr().err
+    assert code == 2 and err == "spec error: --ideal: ideal is not contained in the radical\n"
+
+
 def test_orbits_ideal_rows(tmp_path):
     # the rows of J^2 written out give the orbits of --ideal 2
     code, out = run(tmp_path, "orbits", "b3_f3", "--ideal", "[[0, 0, 0, 0, 1, 0]]")
@@ -196,6 +214,118 @@ def test_determinism_byte_identical(tmp_path):
     for name in ("gutkin.json", "chartable_b2_f5.csv", "orbits_b2_f3.json"):
         with open(a / name, "rb") as f1, open(b / name, "rb") as f2:
             assert f1.read() == f2.read(), name
+
+
+# the sha256 of the default-corpus `gutkin --mode both` report, as pinned in CI
+DEFAULT_CORPUS_BOTH_SHA256 = "ef3af0cbad24f97dfb14a211b2f9a87eec9e0943f8b601d40fcbe7353b2a98f5"
+
+F9_SPEC = {"p": 3, "dim": 2, "one": [1, 0], "sc": [[[1, 0], [0, 1]], [[0, 1], [2, 0]]]}
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Sets the CPU count that `gutkin` divides its specs by (1 to 3)."""
+    def set_count(k):
+        assert 1 <= k <= 3
+        monkeypatch.setattr(brw.cli, "_cpu_count", lambda: k)
+    return set_count
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_gutkin_reports_identical_for_one_two_and_three_workers(tmp_path, cpus):
+    specs = ["b2_f2", "b2_f3", "b3_f2", "pattern3_f2", "diag2_f2"]
+    reports = []
+    for k in (1, 2, 3):
+        cpus(k)
+        out = tmp_path / f"w{k}"
+        assert main(["gutkin", *specs, "--mode", "both", "--out", str(out)]) == 0
+        assert_no_child_left()
+        reports.append((out / "gutkin.json").read_bytes())
+    assert reports[0] == reports[1] == reports[2]
+
+
+def test_gutkin_runs_the_shares_it_cannot_fork(tmp_path, cpus, monkeypatch):
+    specs = ["b2_f2", "b2_f3", "b3_f2", "diag2_f2"]
+    cpus(1)
+    assert main(["gutkin", *specs, "--out", str(tmp_path / "w1")]) == 0
+    forks, real_fork = [], os.fork
+
+    def fork_once():
+        forks.append(None)
+        if len(forks) > 1:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        return real_fork()
+    monkeypatch.setattr(os, "fork", fork_once)
+    cpus(3)
+    assert main(["gutkin", *specs, "--out", str(tmp_path / "w3")]) == 0
+    assert len(forks) == 2
+    assert_no_child_left()
+    assert (tmp_path / "w1" / "gutkin.json").read_bytes() == \
+        (tmp_path / "w3" / "gutkin.json").read_bytes()
+
+
+def test_gutkin_default_corpus_report_matches_the_pin(tmp_path, cpus, monkeypatch):
+    monkeypatch.delenv("BRW_CAP_ORDER", raising=False)    # the report records the cap
+    cpus(3)
+    assert main(["gutkin", "--mode", "both", "--out", str(tmp_path)]) == 0
+    assert_no_child_left()
+    digest = hashlib.sha256((tmp_path / "gutkin.json").read_bytes()).hexdigest()
+    assert digest == DEFAULT_CORPUS_BOTH_SHA256
+
+
+@pytest.mark.parametrize("f9_first", [True, False])
+def test_gutkin_first_failure_in_spec_order_wins(tmp_path, capsys, cpus, f9_first):
+    f9 = tmp_path / "f9.json"
+    f9.write_text(json.dumps(F9_SPEC))
+    bad = [str(f9), str(tmp_path / "missing.json")]
+    if not f9_first:
+        bad.reverse()
+    # index 2 runs in this process and index 3 in a child for two workers;
+    # for three it is the other way round
+    specs = ["b2_f2", "b2_f3"] + bad
+    assert main(["gutkin", bad[0]]) == 2
+    expected = capsys.readouterr().err
+    assert expected.startswith("spec error:") and expected.count("\n") == 1
+    for k in (1, 2, 3):
+        cpus(k)
+        assert main(["gutkin", *specs, "--out", str(tmp_path / "out")]) == 2, k
+        assert capsys.readouterr().err == expected, k
+        assert_no_child_left()
+
+
+def test_gutkin_worker_without_a_result(tmp_path, capsys, cpus, monkeypatch):
+    parent, one = os.getpid(), brw.cli._gutkin_one
+
+    def dies_in_a_child(name, spec, args):
+        if os.getpid() != parent:
+            os._exit(9)
+        return one(name, spec, args)
+    monkeypatch.setattr(brw.cli, "_gutkin_one", dies_in_a_child)
+    cpus(2)
+    assert main(["gutkin", "b2_f2", "b2_f3", "--out", str(tmp_path)]) == 4
+    assert capsys.readouterr().err == (
+        "verification failure: gutkin worker 1 ended without a result (exit code 9)\n")
+    assert_no_child_left()
+
+
+def test_gutkin_interrupt_reaps_every_child(tmp_path, cpus, monkeypatch):
+    parent = os.getpid()
+
+    def interrupted(name, spec, args):
+        if os.getpid() != parent:
+            time.sleep(60)    # killed by the parent long before
+        raise KeyboardInterrupt
+    monkeypatch.setattr(brw.cli, "_gutkin_one", interrupted)
+    cpus(3)
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        main(["gutkin", "b2_f2", "b2_f3", "b3_f2", "--out", str(tmp_path)])
+    assert time.perf_counter() - start < 30
+    assert_no_child_left()
 
 
 def test_corpus_listing(capsys):

@@ -517,36 +517,6 @@ def bimodule_complement(D: Subalgebra, V: Subspace, V1: Subspace) -> Subspace:
     return V2
 
 
-def largest_ideal_inside(A: Algebra, X: Subspace) -> Subspace:
-    """The unique maximal two-sided ideal of A contained in X.
-
-    Equals the sum of all ideals contained in X; computed by shrinking X to
-    the fixpoint of the linear conditions b*v, v*b in current for all basis b.
-    """
-    cur = X
-    while True:
-        nxt = Subspace(A, [A.combine(c, cur.rows) for c in _kernel_of_escape(A, cur)])
-        if nxt.dim == cur.dim:
-            return nxt
-        cur = nxt
-
-
-def _kernel_of_escape(A, cur):
-    """Coefficient vectors c with both b*(c.rows) and (c.rows)*b inside cur."""
-    if cur.dim == 0:
-        return []
-    rows = []
-    for b_idx in range(A.dim):
-        b = A.basis_vector(b_idx)
-        for prod in (lambda v: A.mul(b, v), lambda v: A.mul(v, b)):
-            images = [prod(v) for v in cur.rows]
-            residues = [reduce_vector(w, cur.rows, cur.pivots, A.p)[0] for w in images]
-            for c in range(A.dim):
-                rows.append([res[c] for res in residues])
-    ker = kernel_basis(rows, cur.dim, A.p)
-    return list(ker)
-
-
 # ---------------------------------------------------------------------------
 # subalgebra enumeration
 # ---------------------------------------------------------------------------

@@ -4,18 +4,21 @@ Tables are computed by the class-sum eigenvector method (Dixon 1967,
 Schneider 1990): the class multiplication matrices are simultaneously
 diagonalized over F_l for the smallest prime l = 1 (mod exponent) with
 l > 2*sqrt(|G|), and the eigenvalue data is lifted to cyclotomic integers
-through discrete Fourier inversion at a fixed root of unity mod l. A class
+through discrete Fourier inversion at the root z^((l-1)/m) mod l. A class
 matrix is built only when the split reaches its class (smallest classes
-first), as sparse rows ((k, count), ...) from |C_r| * k products. In each
-subspace the eigenvalues are the roots in F_l of the characteristic
-polynomial of the restricted matrix (Hessenberg form, valid for any
-dimension), with one kernel solve per root. The lift at a class of elements
-of order o is a length-o DFT of s -> chi(g^s); its weights are computed once
-per table and shared by all characters, and each distinct multiplicity
-vector becomes one shared Cyclotomic. Each table has one certificate,
-CharTable.verify (row orthonormality over Z[zeta_m], run once and kept): it
-is char_table's construction gate. Tables are kept on their group
-(FiniteGroup._table) next to the group's classes.
+first), as sparse columns from |C_r| * k products, and acts on a sparse row
+through the columns at its entries. In each subspace the eigenvalues are the
+roots in F_l of the characteristic polynomial of the restricted matrix
+(Hessenberg form, valid for any dimension), with one kernel solve per root.
+The lift at a class of elements of order o is a length-o DFT of
+s -> chi(g^s); its weights, the DFT of each tuple of values met, and the
+Cyclotomic of each multiplicity vector are shared by all characters.
+
+Each table has one certificate, CharTable.verify, run once and kept: it is
+char_table's construction gate. It decides row orthonormality in Z[zeta_m]
+by one Gram product mod a second prime l = 1 (mod m), above a bound on every
+complex embedding, and an exact check that Gal(Q(zeta_m)/Q) permutes the
+rows. Tables are kept on their group (FiniteGroup._table) next to its classes.
 
 A linear character is induced by counting its exponents per class of G
 (see induce), with no classes of the subgroup.
@@ -33,19 +36,18 @@ by callers. Arithmetic runs on group-ring vectors instead: per class a sparse
 ((exponent, coeff), ...) vector in Q[C_m] at one conductor m per character,
 not reduced mod Phi_m. For table characters these are the eigenvalue
 multiplicities of the lift (at most deg(chi) nonzeros per class); for every
-other character they are read off `values` on first use. Inner products, the
-orthonormality certificate and induction add up integer (or rational)
-vectors and reduce mod Phi_m once per resulting scalar.
+other character they are read off `values` on first use. Inner products and
+induction add up integer (or rational) vectors and reduce mod Phi_m once per
+resulting scalar; the certificate evaluates integer vectors mod l.
 """
 
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from operator import mul
 
 from .errors import (CertificationFailure, GroupMismatch, LiftFailure,
                      NotOverTheta, NotSubgroup, TooLarge)
-from .exact import (Cyclotomic, _prime_factors, is_prime, kernel_basis, mod_inv,
-                    reduce_vector, rref)
+from .exact import Cyclotomic, _prime_factors, is_prime, kernel_basis, mod_inv
 from .groups import (DEFAULT_ORDER_CAP, ConjData, FiniteGroup, LinearChar,
                      _cyclic_powers, char_orbit, conjugacy_classes,
                      right_action)
@@ -132,18 +134,6 @@ def char_from_linear(theta: LinearChar) -> Character:
     return Character(G, conj, [theta.value(r) for r in conj.reps])
 
 
-def trivial_character(G: FiniteGroup) -> Character:
-    conj = conjugacy_classes(G)
-    return Character(G, conj, [Cyclotomic.one() for _ in conj.reps])
-
-
-def regular_character(G: FiniteGroup) -> Character:
-    conj = conjugacy_classes(G)
-    vals = [Cyclotomic.from_rational(G.order if G.elements[r] == G.algebra.one else 0)
-            for r in conj.reps]
-    return Character(G, conj, vals)
-
-
 def _hermitian_sum(terms, m):
     """Coefficients of sum c * x * conj(y) over (c, x, y), for sparse vectors
     x, y in Q[C_m]: one list indexed by exponent difference, not reduced."""
@@ -167,38 +157,58 @@ def inner_product(chi: Character, psi: Character) -> Fraction:
     return total.rational() / chi.group.order
 
 
-def _rows_orthonormal(rows, sizes, order, m):
+def _orthonormal_at_split_prime(rows, sizes, order, m):
     """Whether sum_k |C_k| x_ik conj(x_jk) = order * delta_ij in Z[zeta_m] for
-    all i <= j, for rows of per-class sparse vectors x_ik in Q[C_m]. Each pair's
-    coefficient list is reduced mod Phi_m in place; the first failure stops."""
-    for i, x in enumerate(rows):
-        for j in range(i, len(rows)):
-            acc = Cyclotomic._reduce(_hermitian_sum(zip(sizes, x, rows[j]), m), m)
-            acc[0] -= order if i == j else 0
-            if any(acc):
-                return False
-    return True
+    all i, j, for rows of per-class sparse vectors x_ik in Z[C_m]; False on a
+    coefficient that is not an int. Each distinct vector is evaluated and
+    mapped by each sigma_a once; vectors are compared as given, so a row set
+    written in another form may be refused, never accepted in error. The
+    argument is in CharTable.verify."""
+    ids = {}   # distinct vector -> its index
+    table = [tuple(ids.setdefault(x, len(ids)) for x in row) for row in rows]
+    vecs = list(ids)
+    if any(type(c) is not int for v in vecs for _, c in v):
+        return False
+    # Galois closure, exact: sigma_a (exponents times a) permutes the rows
+    row_set = set(table)
+    for a in filter(lambda a: gcd(a, m) == 1, range(2, m)):
+        image = [ids.get(tuple(sorted((e * a % m, c) for e, c in v))) for v in vecs]
+        if any(tuple(map(image.__getitem__, row)) not in row_set for row in table):
+            return False
+    # the Gram matrix at one root of unity mod l, above the bound on |sigma(y_ij)|
+    norm = max((sum(abs(c) for _, c in v) for v in vecs), default=0)
+    l = _split_prime(order * (norm * norm + 1), m)
+    w = _root_of_order(m, l)
+    pw = [pow(w, e, l) for e in range(m)]
+    at = [sum(c * pw[e % m] for e, c in v) % l for v in vecs]
+    at_conj = [sum(c * pw[-e % m] for e, c in v) % l for v in vecs]
+    X = [[at[i] for i in row] for row in table]
+    Y = [[s * at_conj[i] % l for s, i in zip(sizes, row)] for row in table]
+    diagonal = order % l
+    return all(sum(map(mul, x, y)) % l == (diagonal if i == j else 0)
+               for i, x in enumerate(X) for j, y in enumerate(Y))
 
 
 # ---------------------------------------------------------------------------
 # Dixon class-sum method
 # ---------------------------------------------------------------------------
 
-def _dixon_prime(order, exponent):
-    """Smallest prime l = 1 (mod exponent) with l*l > 4*order."""
-    l = exponent + 1
-    while True:
-        if l * l > 4 * order and is_prime(l):
-            return l
-        l += exponent
+def _split_prime(bound, m):
+    """Smallest prime l = 1 (mod m) with l > bound."""
+    l = bound + 1 + (-bound) % m
+    while not is_prime(l):
+        l += m
+    return l
 
 
 def _root_of_order(m, l):
-    """Smallest z in [1, l) of multiplicative order exactly m mod l."""
-    qs = _prime_factors(m)
+    """z^((l-1)/m) mod l for the smallest z >= 1 that gives multiplicative
+    order exactly m, for a prime l = 1 (mod m)."""
+    qs, e = _prime_factors(m), (l - 1) // m
     for z in range(1, l):
-        if pow(z, m, l) == 1 and all(pow(z, m // q, l) != 1 for q in qs):
-            return z
+        w = pow(z, e, l)
+        if all(pow(w, m // q, l) != 1 for q in qs):
+            return w
     raise LiftFailure(f"no element of order {m} mod {l}")
 
 
@@ -209,21 +219,23 @@ def _power_classes(G: FiniteGroup, conj: ConjData, r):
 
 
 def _class_matrix(G: FiniteGroup, conj: ConjData, r, r_inv):
-    """Sparse rows of M_r[j][k] = #{(x,y) in C_r x C_j : x y = rep_k}.
+    """Sparse columns of M_r[j][k] = #{(x,y) in C_r x C_j : x y = rep_k}.
 
-    Row j is ((k, M_r[j][k]), ...) over the nonzero entries. r_inv is the class
-    of the inverses of C_r: x runs over C_r as u = x^-1 in C_{r_inv}, so that
-    y = u rep_k costs |C_r| * k products and no inversion.
+    Column k is ((j, M_r[j][k]), ...) over the nonzero entries. r_inv is the
+    class of the inverses of C_r: x runs over C_r as u = x^-1 in C_{r_inv},
+    and y = u rep_k lies in C_j, so that the matrix costs |C_r| * k products
+    and no inversion.
     """
     A = G.algebra
-    reps = [G.elements[i] for i in conj.reps]
-    counts = [{} for _ in reps]
-    for u in conj.classes[r_inv]:
-        x = G.elements[u]
-        for k, z in enumerate(reps):
-            row = counts[conj.class_of[G.index[A.mul(x, z)]]]
-            row[k] = row.get(k, 0) + 1
-    return [tuple(sorted(row.items())) for row in counts]
+    xs = [G.elements[u] for u in conj.classes[r_inv]]
+    cols = []
+    for i in conj.reps:
+        z, col = G.elements[i], {}
+        for x in xs:
+            j = conj.class_of[G.index[A.mul(x, z)]]
+            col[j] = col.get(j, 0) + 1
+        cols.append(tuple(sorted(col.items())))
+    return cols
 
 
 def _charpoly(B, l):
@@ -287,33 +299,49 @@ def _roots(poly, l):
 def _refine_spaces(G: FiniteGroup, conj: ConjData, inv_class, l):
     """Common one-dimensional eigenspaces of the class matrices over F_l.
 
-    Each space is (rows, pivots) in reduced echelon form. Classes are taken
-    smallest first, since the matrix of C_r costs |C_r| * k products, and a
-    matrix is built only while some space still has dimension > 1.
+    Each space is (rows, pivots) in reduced echelon form, every row sparse as
+    ((k, x), ...) over its nonzero entries. Classes are taken smallest first,
+    since the matrix of C_r costs |C_r| * k products, and a matrix is built
+    only while some space still has dimension > 1. A matrix acts on a row by
+    the sum of its columns at the row's entries, and a space on which it acts
+    as a scalar is kept whole. Returns each spanning vector as {k: x}.
     """
     n = conj.k
-    spaces = [(tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n)),
-               tuple(range(n)))]
+    spaces = [(tuple(((i, 1),) for i in range(n)), tuple(range(n)))]
     for r in sorted(range(1, n), key=lambda r: conj.sizes[r]):
         if all(len(rows) == 1 for rows, _ in spaces):
             break
-        M = _class_matrix(G, conj, r, inv_class[r])
+        cols = _class_matrix(G, conj, r, inv_class[r])
         new_spaces = []
         for rows, pivots in spaces:
             d = len(rows)
             if d == 1:
                 new_spaces.append((rows, pivots))
                 continue
-            # B[i] = coordinates of M w_i in the basis rows
+            # B[i] = coordinates of M w_i in the basis rows: its entries at
+            # the pivots, once M w_i - sum_j B[i][j] w_j is checked to vanish
             B = []
             for w in rows:
-                u = [sum(c * w[k] for k, c in row) % l for row in M]
-                res, coeffs = reduce_vector(u, rows, pivots, l)
-                if any(res):
+                u = {}
+                for k, x in w:
+                    for j, c in cols[k]:
+                        u[j] = u.get(j, 0) + c * x
+                coeffs = tuple(u.get(p, 0) % l for p in pivots)
+                for f, v in zip(coeffs, rows):
+                    if f:
+                        for k, x in v:
+                            u[k] = u.get(k, 0) - f * x
+                if any(x % l for x in u.values()):
                     raise LiftFailure("class-matrix action left the subspace")
                 B.append(coeffs)
+            lam = B[0][0]
+            if all(b == (lam if i == j else 0) for i, row in enumerate(B) for j, b in enumerate(row)):
+                new_spaces.append((rows, pivots))
+                continue
             # row eigenvectors a of B (a.B = lam.a): kernel of (B - lam I)^T,
-            # one kernel per root lam of the characteristic polynomial
+            # one kernel per root lam of the characteristic polynomial. The
+            # kernel is in reduced echelon form, so sum_i a_i w_i is too, with
+            # its pivots at those of the w_i where a has its pivots.
             found = 0
             for lam in _roots(_charpoly(B, l), l):
                 bt = [[(B[i][j] - (lam if i == j else 0)) % l for i in range(d)]
@@ -324,19 +352,19 @@ def _refine_spaces(G: FiniteGroup, conj: ConjData, inv_class, l):
                     v = [0] * n
                     for ai, w in zip(a, rows):
                         if ai:
-                            v = [x + ai * y for x, y in zip(v, w)]
-                    vecs.append([x % l for x in v])
-                red, piv = rref(vecs, l)
-                if not ker or len(red) != len(ker):
-                    raise LiftFailure("eigenvalue without independent eigenvectors")
-                new_spaces.append((red, piv))
+                            for k, x in w:
+                                v[k] += ai * x
+                    vecs.append(tuple((k, x % l) for k, x in enumerate(v) if x % l))
+                new_spaces.append((tuple(vecs),
+                                   tuple(pivots[next(i for i, x in enumerate(a) if x)]
+                                         for a in ker)))
                 found += len(ker)
             if found != d:
                 raise LiftFailure("class matrix is not diagonalizable mod l")
         spaces = new_spaces
     if not all(len(rows) == 1 for rows, _ in spaces):
         raise LiftFailure("class matrices not simultaneously diagonalizable")
-    return [rows[0] for rows, _ in spaces]
+    return [dict(w) for (w,), _ in spaces]
 
 
 class CharTable:
@@ -354,25 +382,37 @@ class CharTable:
         return [int(ch.degree) for ch in self.irreducibles]
 
     def verify(self):
-        """Square shape, degree equation and <chi_i, chi_j> = delta_ij for
-        i <= j, exact on the per-class vectors, run once and kept. Columns
-        follow: X D X^H = |G| I for the square X, D = diag(|C_k|), so
+        """Square shape, degree equation and <chi_i, chi_j> = delta_ij for all
+        i, j, exact on the per-class vectors x_ik in Z[C_m], run once and kept.
+
+        With L the largest l1 norm of an x_ik, B = |G| (L^2 + 1) bounds
+        |sigma(y_ij)| for y_ij = sum_k |C_k| x_ik conj(x_jk) - |G| delta_ij
+        under every complex embedding sigma. Take the smallest prime l = 1
+        (mod m) with l > B and w of order m mod l. The rows are checked to be
+        closed, as vectors, under e -> a e (mod m) for every unit a mod m, and
+        X_w diag(|C_k|) X_(w^-1)^T = |G| I mod l on all k^2 pairs. Closure
+        gives y_ij(w^a) = y_pi(i)pi(j)(w) = 0 mod l for every unit a, so y_ij
+        lies in all phi(m) primes above l and l^phi(m) divides N(y_ij); as
+        |N(y_ij)| <= B^phi(m) < l^phi(m), y_ij = 0.
+        Every check returns False, none is an assert. Columns follow:
+        X D X^H = |G| I for the square X, D = diag(|C_k|), so
         X^-1 = |G|^-1 D X^H and X^H X = |G| D^-1."""
         if self._verified is None:
             G, chars = self.group, self.irreducibles
             m = lcm(*(ch.conductor for ch in chars))
             self._verified = (len(chars) == self.conj.k
                               and sum(int(ch.degree) ** 2 for ch in chars) == G.order
-                              and _rows_orthonormal([ch.vectors(m) for ch in chars],
-                                                    self.conj.sizes, G.order, m))
+                              and _orthonormal_at_split_prime(
+                                  [ch.vectors(m) for ch in chars], self.conj.sizes, G.order, m))
         return self._verified
 
 
 def _dft_weights(pk, m, zinvpow, l):
-    """(classes, W) for g of order o with pk[s] the class of g^s: classes are
-    the distinct pk[s] and W[i][c] = o^-1 sum_(pk[s] = classes[c]) z^(-t i s)
-    mod l, t = m/o, so the multiplicity of zeta^(t i) in chi(g) is
-    sum_c chi(classes[c]) W[i][c] mod l for every chi."""
+    """(classes, W, memo) for g of order o with pk[s] the class of g^s:
+    classes are the distinct pk[s] and W[i][c] = o^-1 sum_(pk[s] = classes[c])
+    z^(-t i s) mod l, t = m/o, so the multiplicity of zeta^(t i) in chi(g) is
+    sum_c chi(classes[c]) W[i][c] mod l for every chi. memo keeps the
+    multiplicities of each tuple of values at classes met so far."""
     o = len(pk)
     t, o_inv = m // o, mod_inv(o, l)
     exps = {}   # class -> the s with g^s in it
@@ -380,16 +420,20 @@ def _dft_weights(pk, m, zinvpow, l):
         exps.setdefault(c, []).append(s)
     W = [tuple(sum(zinvpow[t * i * s % m] for s in ss) * o_inv % l for ss in exps.values())
          for i in range(o)]
-    return list(exps), W
+    return list(exps), W, {}
 
 
 def _multiplicities(vals_mod, weights, l):
     """Per class, the eigenvalue multiplicities (c_0, ..., c_(o-1)) of one
-    character from its values mod l: c_i is the multiplicity of zeta^(t i)."""
+    character from its values mod l: c_i is the multiplicity of zeta^(t i).
+    Characters that agree on the powers of g share one sum."""
     out = []
-    for classes, W in weights:
-        x = [vals_mod[c] for c in classes]
-        out.append(tuple(sum(map(mul, x, col)) % l for col in W))
+    for classes, W, memo in weights:
+        x = tuple(vals_mod[c] for c in classes)
+        mult = memo.get(x)
+        if mult is None:
+            mult = memo[x] = tuple(sum(map(mul, x, col)) % l for col in W)
+        out.append(mult)
     return out
 
 
@@ -398,7 +442,7 @@ def _char_table(G: FiniteGroup) -> CharTable:
     n, order = conj.k, G.order
     powers = [_power_classes(G, conj, r) for r in conj.reps]
     m = lcm(*(len(pk) for pk in powers))
-    l = _dixon_prime(order, m)
+    l = _split_prime(isqrt(4 * order), m)   # l * l > 4 |G| (Dixon)
     inv_class = [pk[-1] for pk in powers]   # class of g^(o-1) = g^-1
     eigvecs = _refine_spaces(G, conj, inv_class, l)
 
@@ -412,10 +456,10 @@ def _char_table(G: FiniteGroup) -> CharTable:
 
     rows = []
     for w in eigvecs:
-        if w[0] == 0:
+        if not w.get(0):
             raise LiftFailure("central character vanishes on the identity class")
         scale = mod_inv(w[0], l)
-        ratios = [x * scale * size_inv[k] % l for k, x in enumerate(w)]
+        ratios = [w.get(k, 0) * scale * size_inv[k] % l for k in range(n)]
         den = sum(conj.sizes[k] * ratios[k] * ratios[inv_class[k]] for k in range(n)) % l
         chi1sq = (order % l) * mod_inv(den, l) % l
         deg = next((d for d in range(1, isqrt(order) + 1) if d * d % l == chi1sq), None)
@@ -507,18 +551,6 @@ def restrict(G: FiniteGroup, H: FiniteGroup, chi: Character) -> Character:
     if chi.group is not G:
         chi = chi.transfer(G)
     return chi._on(H)
-
-
-def constituents(chi: Character, table: CharTable):
-    """[(multiplicity, irreducible)] of a character against a table."""
-    out = []
-    for irr in table.irreducibles:
-        mult = inner_product(chi, irr)
-        if mult:
-            if mult.denominator != 1 or mult < 0:
-                raise CertificationFailure(f"multiplicity {mult} is not a natural number")
-            out.append((int(mult), irr))
-    return out
 
 
 def clifford_correspondent(G: FiniteGroup, Q: FiniteGroup, theta: LinearChar,

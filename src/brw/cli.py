@@ -450,9 +450,19 @@ def cmd_corpus(args):
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(sub):
-    sub.add_argument("--cap-order", type=int,
-                     default=int(os.environ.get("BRW_CAP_ORDER", DEFAULT_ORDER_CAP)),
+def _env_cap_order():
+    """BRW_CAP_ORDER, the default of --cap-order; SpecError unless an integer."""
+    text = os.environ.get("BRW_CAP_ORDER")
+    if text is None:
+        return DEFAULT_ORDER_CAP
+    try:
+        return int(text)
+    except ValueError:
+        raise SpecError(f"BRW_CAP_ORDER must be a positive integer, not {text!r}") from None
+
+
+def _add_common(sub, cap_order):
+    sub.add_argument("--cap-order", type=int, default=cap_order,
                      help="max group order for class/table computations")
     sub.add_argument("--cap-scan", type=int, default=None,
                      help="max algebra dimension for subalgebra enumeration")
@@ -460,7 +470,7 @@ def _add_common(sub):
     sub.add_argument("--out", default=None, help="directory for report files")
 
 
-def build_parser():
+def build_parser(cap_order=DEFAULT_ORDER_CAP):
     ap = argparse.ArgumentParser(prog="brw",
                                  description="unit groups of split basic algebras: "
                                              "exact tables, orbits and induced-character witnesses")
@@ -469,24 +479,24 @@ def build_parser():
 
     p_info = subs.add_parser("info", help="algebra summary")
     p_info.add_argument("spec")
-    _add_common(p_info)
+    _add_common(p_info, cap_order)
     p_info.set_defaults(fn=cmd_info)
 
     p_tab = subs.add_parser("chartable", help="exact character table as CSV")
     p_tab.add_argument("spec")
-    _add_common(p_tab)
+    _add_common(p_tab, cap_order)
     p_tab.set_defaults(fn=cmd_chartable)
 
     p_gut = subs.add_parser("gutkin", help="induced-character witness report")
     p_gut.add_argument("spec", nargs="*", help="spec names/paths (default: whole corpus)")
     p_gut.add_argument("--mode", choices=["constructive", "brute", "both"], default="both")
-    _add_common(p_gut)
+    _add_common(p_gut, cap_order)
     p_gut.set_defaults(fn=cmd_gutkin)
 
     p_orb = subs.add_parser("orbits", help="conjugation orbits on ideal-subgroup characters")
     p_orb.add_argument("spec")
     p_orb.add_argument("--ideal", default="1", help="radical power n (J^n) or JSON basis rows")
-    _add_common(p_orb)
+    _add_common(p_orb, cap_order)
     p_orb.set_defaults(fn=cmd_orbits)
 
     p_loc = subs.add_parser("local", help="smooth characters of the local multiplicative group")
@@ -497,28 +507,28 @@ def build_parser():
     p_f.add_argument("--unit", type=int, default=0, help="index into the unit character list")
     p_f.add_argument("--r", default="1", help="modulus at the uniformizer (rational)")
     p_f.add_argument("--phase", default="1:0", help="root-of-unity phase 'conductor:exponent'")
-    _add_common(p_f)
+    _add_common(p_f, cap_order)
     p_f.set_defaults(fn=cmd_local)
     p_c = locsubs.add_parser("chargroup", help="structure of the unit character group")
     p_c.add_argument("--p", type=int, required=True)
     p_c.add_argument("--k", type=int, required=True)
-    _add_common(p_c)
+    _add_common(p_c, cap_order)
     p_c.set_defaults(fn=cmd_local)
     p_a = locsubs.add_parser("admissible", help="admissible-shape flags for a witness file")
     p_a.add_argument("spec")
     p_a.add_argument("--witness", required=True)
-    _add_common(p_a)
+    _add_common(p_a, cap_order)
     p_a.set_defaults(fn=cmd_local)
 
     p_cor = subs.add_parser("corpus", help="list built-in specs")
-    _add_common(p_cor)
+    _add_common(p_cor, cap_order)
     p_cor.set_defaults(fn=cmd_corpus)
     return ap
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser(_env_cap_order()).parse_args(argv)
         if getattr(args, "cap_order", 1) <= 0 or (getattr(args, "cap_scan", None) or 1) <= 0:
             raise SpecError("caps must be positive")
         return args.fn(args)

@@ -10,14 +10,15 @@ import textwrap
 from itertools import combinations, product
 from math import lcm
 
-from brw.algebra import (Algebra, algebra_from_spec, borel_algebra,
+from brw.algebra import (Algebra, Subspace, algebra_from_spec, borel_algebra,
                          cached_decomposition, vec_add, vec_scale)
-from brw.chars import char_from_linear, char_table, induce, inner_product, restrict
+from brw.chars import (Character, _hermitian_sum, char_from_linear, char_table, induce,
+                       inner_product, restrict)
 from brw.corpus import corpus_spec
-from brw.errors import NotNormal
-from brw.exact import Cyclotomic, mod_matrix_inverse, reduce_vector, rref
+from brw.errors import CertificationFailure, NotNormal
+from brw.exact import Cyclotomic, kernel_basis, mod_matrix_inverse, reduce_vector, rref
 from brw.groups import (abelian_invariants, center, char_orbit, char_orbits,
-                        check_normal, commutator_subgroup, intern_group,
+                        check_normal, conjugacy_classes, commutator_subgroup, intern_group,
                         linear_characters, radical_subgroup, right_action,
                         unit_group, unit_order, units_of_subspace)
 from brw.gutkin import SigmaData, _one_dim_ideal_steps
@@ -287,6 +288,83 @@ def clifford_oracle(G, Q, theta, chi):
     return matches[0], S
 
 
+def largest_ideal_inside(A: Algebra, X: Subspace) -> Subspace:
+    """The unique maximal two-sided ideal of A contained in X.
+
+    Equals the sum of all ideals contained in X; computed by shrinking X to
+    the fixpoint of the linear conditions b*v, v*b in current for all basis b.
+    """
+    cur = X
+    while True:
+        nxt = Subspace(A, [A.combine(c, cur.rows) for c in _kernel_of_escape(A, cur)])
+        if nxt.dim == cur.dim:
+            return nxt
+        cur = nxt
+
+
+def _kernel_of_escape(A, cur):
+    """Coefficient vectors c with both b*(c.rows) and (c.rows)*b inside cur."""
+    if cur.dim == 0:
+        return []
+    rows = []
+    for b_idx in range(A.dim):
+        b = A.basis_vector(b_idx)
+        for prod in (lambda v: A.mul(b, v), lambda v: A.mul(v, b)):
+            images = [prod(v) for v in cur.rows]
+            residues = [reduce_vector(w, cur.rows, cur.pivots, A.p)[0] for w in images]
+            for c in range(A.dim):
+                rows.append([res[c] for res in residues])
+    ker = kernel_basis(rows, cur.dim, A.p)
+    return list(ker)
+
+
+def trivial_character(G):
+    conj = conjugacy_classes(G)
+    return Character(G, conj, [Cyclotomic.one() for _ in conj.reps])
+
+
+def regular_character(G):
+    conj = conjugacy_classes(G)
+    vals = [Cyclotomic.from_rational(G.order if G.elements[r] == G.algebra.one else 0)
+            for r in conj.reps]
+    return Character(G, conj, vals)
+
+
+def constituents(chi, table):
+    """[(multiplicity, irreducible)] of a character against a table."""
+    out = []
+    for irr in table.irreducibles:
+        mult = inner_product(chi, irr)
+        if mult:
+            if mult.denominator != 1 or mult < 0:
+                raise CertificationFailure(f"multiplicity {mult} is not a natural number")
+            out.append((int(mult), irr))
+    return out
+
+
+def rows_orthonormal(rows, sizes, order, m):
+    """Whether sum_k |C_k| x_ik conj(x_jk) = order * delta_ij in Z[zeta_m] for
+    all i <= j, for rows of per-class sparse vectors x_ik in Q[C_m]: every
+    pair summed over the group ring and reduced mod Phi_m, with no prime."""
+    for i, x in enumerate(rows):
+        for j in range(i, len(rows)):
+            acc = Cyclotomic._reduce(_hermitian_sum(zip(sizes, x, rows[j]), m), m)
+            acc[0] -= order if i == j else 0
+            if any(acc):
+                return False
+    return True
+
+
+def verify_oracle(table):
+    """CharTable.verify with the pair-by-pair pass over Z[zeta_m] in place of
+    the certificate at a split prime."""
+    G, chars = table.group, table.irreducibles
+    m = lcm(*(ch.conductor for ch in chars))
+    return (len(chars) == table.conj.k
+            and sum(int(ch.degree) ** 2 for ch in chars) == G.order
+            and rows_orthonormal([ch.vectors(m) for ch in chars], table.conj.sizes, G.order, m))
+
+
 def lift_oracle(table):
     """Every multiplicity vector of a table by the exact DFT over Q(zeta_m).
 
@@ -477,9 +555,11 @@ def rebased(A, rng):
 
 
 def run_optimized(code):
-    """stdout of code run under python -O (asserts stripped) with brw on the path."""
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    """stdout of code run under python -O (asserts stripped) with brw and these
+    helpers on the path."""
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(tests), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-O", "-c", textwrap.dedent(code)], env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr

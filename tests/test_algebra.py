@@ -368,7 +368,7 @@ def test_subalgebra_certificates(b2_f3):
 
 
 def test_largest_ideal_inside(b3_f2, b4_f2):
-    from brw.algebra import largest_ideal_inside
+    from helpers import largest_ideal_inside
     from helpers import echelon_subspaces
 
     def brute_sum_of_ideals(A, X):

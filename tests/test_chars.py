@@ -1,24 +1,27 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
 from brw.algebra import (Algebra, algebra_from_spec, borel_algebra, pattern_algebra,
                          radical_power)
 import brw.chars
-from brw.chars import (Character, CharTable, _charpoly, _class_matrix, _roots,
-                       char_from_linear, char_table, clifford_correspondent,
-                       constituents, induce, inner_product, regular_character,
-                       restrict, trivial_character)
+from brw.chars import (Character, CharTable, _charpoly, _class_matrix,
+                       _orthonormal_at_split_prime, _root_of_order, _roots,
+                       _split_prime, char_from_linear, char_table,
+                       clifford_correspondent, induce, inner_product, restrict)
 from brw.corpus import DEFAULT_CORPUS, corpus_algebra
 from brw.errors import (CertificationFailure, GroupMismatch, NotOverTheta,
                         NotSubgroup, TooLarge)
-from brw.exact import Cyclotomic, kernel_basis
+from brw.exact import Cyclotomic, is_prime, kernel_basis
 from brw.groups import (DEFAULT_ORDER_CAP, FiniteGroup, center,
                         conjugacy_classes, ideal_subgroup, linear_characters,
                         radical_subgroup, set_product, torus_subgroup,
                         unit_group)
-from helpers import lift_oracle, rebased, run_optimized
+from helpers import (constituents, lift_oracle, rebased, regular_character,
+                     rows_orthonormal, run_optimized, trivial_character,
+                     verify_oracle)
 
 
 def test_char_table_degrees(b2_f3, b3_f2, diag2_f3):
@@ -58,17 +61,23 @@ def test_verify_catches_one_changed_value(b2_f5):
         assert not CharTable(G, tab.conj, irreducibles, tab.conductor).verify()
 
 
-def test_each_table_is_certified_once(monkeypatch):
+def count_certificates(monkeypatch):
+    """A list that grows by one at each call of the table certificate."""
     calls = []
-    real = brw.chars._rows_orthonormal
-    monkeypatch.setattr(brw.chars, "_rows_orthonormal",
+    real = brw.chars._orthonormal_at_split_prime
+    monkeypatch.setattr(brw.chars, "_orthonormal_at_split_prime",
                         lambda *args: calls.append(1) or real(*args))
+    return calls
+
+
+def test_each_table_is_certified_once(monkeypatch):
+    calls = count_certificates(monkeypatch)
     G = unit_group(borel_algebra(3, 2))   # a fresh algebra: no table cached yet
     tab = char_table(G)
     assert calls == [1]
     assert tab.verify() and char_table(G).verify()
     assert calls == [1]
-    # a table built by hand runs the pass on its first verify, and only then
+    # a table built by hand runs the certificate on its first verify, and only then
     hand = CharTable(G, tab.conj, tab.irreducibles, tab.conductor)
     assert hand.verify() and hand.verify()
     assert calls == [1, 1]
@@ -76,18 +85,147 @@ def test_each_table_is_certified_once(monkeypatch):
 
 def test_verify_rejects_a_duplicated_row(b2_f5, monkeypatch):
     # one linear character in place of another keeps the shape and the degree
-    # equation, so the row pass is what refuses it
+    # equation, so the certificate is what refuses it
     G = unit_group(b2_f5)
     tab = char_table(G)
     rows = list(tab.irreducibles)
     assert rows[0].degree == rows[1].degree == 1
     rows[1] = rows[0]
-    calls = []
-    real = brw.chars._rows_orthonormal
-    monkeypatch.setattr(brw.chars, "_rows_orthonormal",
-                        lambda *args: calls.append(1) or real(*args))
+    calls = count_certificates(monkeypatch)
     assert not CharTable(G, tab.conj, rows, tab.conductor).verify()
     assert calls == [1]
+
+
+def test_verify_sums_no_pair_over_the_group_ring(monkeypatch):
+    calls = []
+    real = brw.chars._hermitian_sum
+    monkeypatch.setattr(brw.chars, "_hermitian_sum",
+                        lambda *args: calls.append(1) or real(*args))
+    G = unit_group(borel_algebra(5, 2))   # a fresh algebra: no table cached yet
+    tab = char_table(G)
+    assert CharTable(G, tab.conj, tab.irreducibles, tab.conductor).verify()
+    assert calls == []
+
+
+def table_of(spec, cap=DEFAULT_ORDER_CAP):
+    return char_table(unit_group(algebra_from_spec(spec)), cap=cap)
+
+
+B2_F7 = {"p": 7, "pattern": {"n": 2, "closed_pairs": [[1, 2]]}}
+ROW4_F3 = {"p": 3, "pattern": {"n": 4, "closed_pairs": [[1, 2], [1, 3], [1, 4]]}}
+B3_F5 = {"p": 5, "pattern": {"n": 3, "closed_pairs": [[1, 2], [1, 3], [2, 3]]}}
+
+
+def test_certificate_prime_is_above_the_bound(monkeypatch):
+    # l prime, l = 1 (mod m) and l > |G| (L^2 + 1), L the largest l1 norm of
+    # a class vector, for the prime each certificate takes
+    primes = []
+    real = brw.chars._split_prime
+    monkeypatch.setattr(brw.chars, "_split_prime",
+                        lambda bound, m: primes.append((bound, m, real(bound, m))) or primes[-1][2])
+    for spec in (B2_F7, ROW4_F3):
+        tab = table_of(spec)
+        hand = CharTable(tab.group, tab.conj, tab.irreducibles, tab.conductor)
+        del primes[:]
+        assert hand.verify()
+        (_, m, l), = primes
+        norm = max(sum(abs(c) for _, c in x)
+                   for ch in tab.irreducibles for x in ch.vectors(tab.conductor))
+        assert m == tab.conductor and is_prime(l) and l % m == 1
+        assert l > tab.group.order * (norm * norm + 1)
+
+
+def test_split_prime_and_root_of_order():
+    # Dixon's l * l > 4 |G| is l > isqrt(4 |G|), and the root has order m
+    for m in (1, 2, 6, 20, 42):
+        for order in (1, 2, 12, 99, 100, 8000):
+            l = _split_prime(isqrt(4 * order), m)
+            assert l == next(q for q in range(m + 1, 10 ** 6, m)
+                             if q * q > 4 * order and is_prime(q))
+            w = _root_of_order(m, l)
+            assert min(e for e in range(1, m + 1) if pow(w, e, l) == 1) == m
+
+
+def certificate_agrees_with_oracle(tab, rows):
+    """verify() of a table with these rows against verify_oracle."""
+    hand = CharTable(tab.group, tab.conj, rows, tab.conductor)
+    ok = hand.verify()
+    assert ok == verify_oracle(hand), rows
+    return ok
+
+
+def with_vector(tab, i, k, vec):
+    """Row i of tab with its class-k vector replaced by vec."""
+    m, ch = tab.conductor, tab.irreducibles[i]
+    vecs = list(ch.vectors(m))
+    vecs[k] = tuple(sorted((e, c) for e, c in vec.items() if c))
+    values = [Cyclotomic(m, [dict(x).get(e, 0) for e in range(m)]) for x in vecs]
+    return Character(tab.group, tab.conj, values, (m, tuple(vecs)))
+
+
+def mutations(tab, rng):
+    """Tables one step from tab, none of them a character table: one class
+    vector changed, a row dropped, a row duplicated, and one eigenvalue
+    multiplicity moved to the next root of unity (off the identity class,
+    so that degrees stay rational)."""
+    rows, m = list(tab.irreducibles), tab.conductor
+    i, k, e = rng.randrange(len(rows)), rng.randrange(1, tab.conj.k), rng.randrange(m)
+    vec = dict(rows[i].vectors(m)[k])
+    vec[e] = vec.get(e, 0) + rng.choice((-1, 1))
+    yield rows[:i] + [with_vector(tab, i, k, vec)] + rows[i + 1:]
+    yield rows[:i] + rows[i + 1:]
+    j = (i + rng.randrange(1, len(rows))) % len(rows)
+    yield rows[:j] + [rows[i]] + rows[j + 1:]
+    if m > 1:
+        vec = dict(rows[i].vectors(m)[k])
+        e = rng.choice(sorted(vec))
+        vec[e] -= 1
+        vec[(e + 1) % m] = vec.get((e + 1) % m, 0) + 1
+        yield rows[:i] + [with_vector(tab, i, k, vec)] + rows[i + 1:]
+
+
+def test_certificate_agrees_with_the_oracle(b2_f3, b2_f5, b3_f2, b3_f3, b4_f2, pattern3_f3):
+    rng = random.Random(17)
+    tables = [char_table(unit_group(corpus_algebra(name))) for name in DEFAULT_CORPUS]
+    tables = [tab for tab in tables if tab.conj.k > 1]   # mutations need a second class
+    tables += [table_of(B2_F7), table_of(ROW4_F3)]
+    tables += [char_table(unit_group(rebased(A, random.Random(seed))))
+               for seed, A in enumerate((b2_f5, b3_f3, pattern3_f3))]
+    for tab in tables:
+        assert certificate_agrees_with_oracle(tab, tab.irreducibles)
+        for _ in range(3):
+            for rows in mutations(tab, rng):
+                assert not certificate_agrees_with_oracle(tab, rows)
+
+
+def test_certificate_agrees_with_the_oracle_on_b3_f5():
+    tab = table_of(B3_F5, cap=8000)
+    assert tab.group.order == 8000 and tab.conj.k == 116
+    assert certificate_agrees_with_oracle(tab, tab.irreducibles)
+    for rows in mutations(tab, random.Random(5)):
+        assert not certificate_agrees_with_oracle(tab, rows)
+
+
+def test_certificate_on_rows_that_are_not_a_table(b3_f3):
+    # without the trivial row the others stay orthonormal and Galois closed
+    tab = char_table(unit_group(b3_f3))
+    m = tab.conductor
+    rows = [ch.vectors(m) for ch in tab.irreducibles[1:]]
+    assert rows_orthonormal(rows, tab.conj.sizes, tab.group.order, m)
+    assert _orthonormal_at_split_prime(rows, tab.conj.sizes, tab.group.order, m)
+    # Gram at one root only: x = z + z^2 in Z[zeta_5] has x(w) x(w^-1) = 8
+    # mod l = 41 at w = 10, but |x|^2 = 2 + z + z^4 is not 8. Galois closure
+    # refuses it: sigma_2 x = z^2 + z^4 is not a row.
+    x = ((1, 1), (2, 1))
+    assert 10 ** 5 % 41 == 1 and (10 + 10 ** 2) * (10 ** 4 + 10 ** 3) % 41 == 8
+    assert not rows_orthonormal([[x]], [1], 8, 5)
+    assert not _orthonormal_at_split_prime([[x]], [1], 8, 5)
+    # a Galois-fixed row that passes below the bound: 3 * 3 = 1 mod 2, but
+    # the prime is taken above 1 * (3^2 + 1) = 10
+    assert not _orthonormal_at_split_prime([[((0, 3),)]], [1], 1, 1)
+    assert _orthonormal_at_split_prime([[((0, 1),)]], [1], 1, 1)
+    # coefficients must be ints: a Fraction, even an integral one, is refused
+    assert not _orthonormal_at_split_prime([[((0, Fraction(1)),)]], [1], 1, 1)
 
 
 def test_corrupted_multiplicity_fails_the_certificate_in_optimized_mode():
@@ -536,8 +674,8 @@ def test_class_matrix_against_pair_count(b2_f3, b2_f5, b3_f3, pattern3_f3):
             r_inv = conj.class_of[G.inv_id(conj.reps[r])]
             non_real += r_inv != r
             dense = [[0] * conj.k for _ in range(conj.k)]
-            for j, row in enumerate(_class_matrix(G, conj, r, r_inv)):
-                for k, c in row:
+            for k, col in enumerate(_class_matrix(G, conj, r, r_inv)):
+                for j, c in col:
                     assert c
                     dense[j][k] = c
             assert dense == brute_class_matrix(G, conj, r), (A, r)
@@ -590,10 +728,11 @@ def test_certificates_survive_optimized_mode():
     out = run_optimized("""
         from fractions import Fraction
         from brw.algebra import borel_algebra
-        from brw.chars import Character, char_table, constituents
+        from brw.chars import Character, char_table
         from brw.errors import CertificationFailure
         from brw.exact import Cyclotomic, _poly_divmod_int
         from brw.groups import conjugacy_classes, unit_group
+        from helpers import constituents
         G = unit_group(borel_algebra(3, 2))
         conj = conjugacy_classes(G)
         half = Character(G, conj, [Cyclotomic.from_rational(Fraction(1, 2))] * conj.k)
@@ -607,3 +746,21 @@ def test_certificates_survive_optimized_mode():
     """)
     assert out.split() == ["raised"] * 3
 
+
+def test_table_certificate_checks_survive_optimized_mode():
+    # each check of the certificate returns False with assert statements
+    # stripped: Galois closure, the bound, int coefficients and the Gram product
+    out = run_optimized("""
+        from fractions import Fraction
+        from brw.algebra import borel_algebra
+        from brw.chars import CharTable, _orthonormal_at_split_prime, char_table
+        from brw.groups import unit_group
+        tab = char_table(unit_group(borel_algebra(5, 2)))
+        rows = list(tab.irreducibles)
+        rows[1] = rows[0]
+        print(_orthonormal_at_split_prime([[((1, 1), (2, 1))]], [1], 8, 5),
+              _orthonormal_at_split_prime([[((0, 3),)]], [1], 1, 1),
+              _orthonormal_at_split_prime([[((0, Fraction(1)),)]], [1], 1, 1),
+              CharTable(tab.group, tab.conj, rows, tab.conductor).verify())
+    """)
+    assert out.split() == ["False"] * 4

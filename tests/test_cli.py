@@ -4,6 +4,8 @@ import json
 import os
 import random
 import signal
+import subprocess
+import sys
 import time
 
 import pytest
@@ -68,6 +70,32 @@ def test_chartable_cap_exceeded(tmp_path):
 
 def test_cap_order_flag(tmp_path):
     assert main(["chartable", "b2_f3", "--cap-order", "5"]) == 3
+
+
+@pytest.mark.parametrize("argv", [["chartable", "b2_f3"], ["corpus"], ["--help"]])
+@pytest.mark.parametrize("value", ["abc", "1e3", ""])
+def test_malformed_cap_order_variable_is_a_spec_error(monkeypatch, capsys, argv, value):
+    monkeypatch.setenv("BRW_CAP_ORDER", value)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"spec error: BRW_CAP_ORDER must be a positive integer, not {value!r}\n"
+
+
+@pytest.mark.parametrize("value", ["-5", "0"])
+def test_cap_order_variable_must_be_positive(monkeypatch, capsys, value):
+    monkeypatch.setenv("BRW_CAP_ORDER", value)
+    assert main(["chartable", "b2_f3"]) == 2
+    assert capsys.readouterr().err == "spec error: caps must be positive\n"
+
+
+def test_malformed_cap_order_variable_exits_2_without_traceback():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src, BRW_CAP_ORDER="abc")
+    out = subprocess.run([sys.executable, "-m", "brw.cli", "--help"], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr == "spec error: BRW_CAP_ORDER must be a positive integer, not 'abc'\n"
 
 
 def test_gutkin_single_spec(tmp_path):

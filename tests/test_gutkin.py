@@ -265,7 +265,7 @@ def test_lemma_ideal_fails_for_p2_nontrivial_sigma(b4_f2):
     assert js.contains(mixed) and not js.contains(A.basis_vector(4))
     assert ideal_intersection_test(lvl, lvl.radical, S) is False
     # here the maximal ideal contained in J_sigma is strictly smaller
-    from brw.algebra import largest_ideal_inside
+    from helpers import largest_ideal_inside
     assert largest_ideal_inside(A, js).dim < js.dim
 
 

@@ -163,12 +163,6 @@ class Subspace:
         res, _ = reduce_vector(vec, self.rows, self.pivots, self.owner.p)
         return vec_is_zero(res)
 
-    def coords_of(self, vec):
-        res, coeffs = reduce_vector(vec, self.rows, self.pivots, self.owner.p)
-        if not vec_is_zero(res):
-            raise ValueError("vector not in subspace")
-        return coeffs
-
     def closed_under(self, left, right):
         """Whether a*v and v*b lie in the subspace for every row v, every a in
         left and every b in right."""
@@ -180,9 +174,6 @@ class Subspace:
         """All vectors of the subspace (p^dim of them)."""
         for coeffs in all_vectors(self.owner.p, self.dim):
             yield self.owner.combine(coeffs, self.rows)
-
-    def sum_with(self, other):
-        return Subspace(self.owner, self.rows + other.rows)
 
     def intersect(self, other):
         p = self.owner.p
@@ -265,10 +256,6 @@ class BasicDecomposition:
             transposed = [[r[j] for r in rows] for j in range(A.dim)]
             self._torus_rows = mod_matrix_inverse(transposed, A.p)[:self.n]
         return mat_mul_vec(self._torus_rows, v, A.p)
-
-    def diagonal_part(self, v):
-        """The component of v in D."""
-        return self.algebra.combine(self.torus_coeffs(v), self.idempotents)
 
 
 # ---------------------------------------------------------------------------
@@ -567,31 +554,50 @@ def _coset_directions(A, rows, pivots):
             yield tuple(v)
 
 
-def enumerate_subalgebras(A: Algebra, max_dim=None, budget=None):
-    """All unital multiplicatively closed subspaces of A.
-
-    Lattice walk: start at span{1}, repeatedly extend a known subalgebra B by
-    one coset direction d and complete the multiplicative closure, with one
-    span -> closure map for the whole walk (_closure_rows); dedupe by echelon
-    normal form. Output sorted by dimension, then lexicographic echelon basis.
-    """
+def check_scan_bound(A: Algebra, max_dim=None):
+    """TooLarge unless dim A <= max_dim (default: DEFAULT_DIM_BOUND[p])."""
     bound = max_dim if max_dim is not None else DEFAULT_DIM_BOUND[A.p]
     if A.dim > bound:
         raise TooLarge(f"dim {A.dim} exceeds subalgebra scan bound {bound} for p={A.p}")
+
+
+def enumerate_subalgebras(A: Algebra, max_dim=None, budget=None, seeds=None):
+    """All unital multiplicatively closed subspaces of A containing a seed.
+
+    seeds is an iterable of vector lists, read after the scan bound is
+    checked; None means the one empty seed, so the whole lattice. Lattice
+    walk: start at the closures of span{1} + span(seed), repeatedly extend a
+    known subalgebra B by one coset direction d and complete the
+    multiplicative closure, with one span -> closure map for the whole walk
+    (_closure_rows); dedupe by echelon normal form. The budget counts the
+    closures. Output sorted by dimension, then lexicographic echelon basis.
+    """
+    check_scan_bound(A, max_dim)
     budget = budget if budget is not None else DEFAULT_SCAN_BUDGET
     start, _ = rref([A.one], A.p)
     known = {start: start}
-    found = {start}
-    queue = [start]
-    spent = 0
+    found, queue, spent = set(), [], 0
+
+    def close(rows, d, pivots=None):
+        nonlocal spent
+        spent += 1
+        if spent > budget:
+            raise TooLarge(f"subalgebra scan budget {budget} exhausted")
+        pivots = pivots or tuple(next(c for c, x in enumerate(r) if x) for r in rows)
+        return _closure_rows(A, rows, pivots, d, known)
+
+    for seed in seeds if seeds is not None else [()]:
+        rows = start
+        for w in seed:
+            rows = close(rows, w)
+        if rows not in found:
+            found.add(rows)
+            queue.append(rows)
     while queue:
         rows = queue.pop()
         pivots = tuple(next(c for c, x in enumerate(r) if x) for r in rows)
         for d in _coset_directions(A, rows, pivots):
-            spent += 1
-            if spent > budget:
-                raise TooLarge(f"subalgebra scan budget {budget} exhausted")
-            closed = _closure_rows(A, rows, pivots, d, known)
+            closed = close(rows, d, pivots)
             if closed not in found:
                 found.add(closed)
                 if len(closed) < A.dim:
@@ -684,11 +690,6 @@ def pattern_algebra(p, n, closed_pairs) -> Algebra:
 def borel_algebra(p, n) -> Algebra:
     """Upper-triangular n x n matrices over F_p."""
     return pattern_algebra(p, n, [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)])
-
-
-def diagonal_algebra(p, n) -> Algebra:
-    """Diagonal n x n matrices over F_p (semisimple split)."""
-    return pattern_algebra(p, n, [])
 
 
 def _check_int_array(value, shape, field):

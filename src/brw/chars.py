@@ -21,7 +21,8 @@ complex embedding, and an exact check that Gal(Q(zeta_m)/Q) permutes the
 rows. Tables are kept on their group (FiniteGroup._table) next to its classes.
 
 A linear character is induced by counting its exponents per class of G
-(see induce), with no classes of the subgroup.
+(see induced_linear), with no classes of the subgroup; induced from G
+itself it is read at the class representatives.
 
 The Clifford correspondent of chi over a linear theta of a normal Q is the
 projection of Res chi to its theta-part on the stabilizer S = G_theta
@@ -42,6 +43,7 @@ resulting scalar; the certificate evaluates integer vectors mod l.
 """
 
 from fractions import Fraction
+from functools import cache
 from math import gcd, isqrt, lcm
 from operator import mul
 
@@ -504,38 +506,59 @@ def _check_subgroup(G: FiniteGroup, H: FiniteGroup):
         raise NotSubgroup("H is not a subgroup of G")
 
 
+def induced_linear(G: FiniteGroup, H: FiniteGroup, lams):
+    """Ind_H^G lam for each linear lam of H, as a function k -> its value at
+    class k of G, built on first call and kept: lam's exponents counted per
+    class of G, Ind lam(g_k) = |G| / (|C_k| |H|) sum_{h in H ∩ C_k} lam(h)
+    (Isaacs, Character Theory of Finite Groups, (5.2)); for H = G, lam(g_k)
+    at the class representative, k lookups in all, as lam is constant on
+    classes. H and the domains of the lams are checked once per call."""
+    _check_subgroup(G, H)
+    if any(lam.domain is not H and lam.domain.elements != H.elements for lam in lams):
+        raise GroupMismatch("lambda is not a character of H")
+    conj = conjugacy_classes(G)
+    return [_induced_values(G, H, lam, conj) for lam in lams]
+
+
+def _induced_values(G, H, lam, conj):
+    if H is G:
+        return lambda k: lam.value(conj.reps[k])
+    m, sums = lam.m, {}
+    for h, e in zip(H.elements, lam.exps):
+        sums.setdefault(conj.class_of[G.index[h]], [0] * m)[e] += 1
+
+    @cache
+    def value(k):
+        return (Cyclotomic(m, sums[k]) * Fraction(G.order, conj.sizes[k] * H.order)
+                if k in sums else Cyclotomic.zero())
+    return value
+
+
 def induce(G: FiniteGroup, H: FiniteGroup, chi) -> Character:
     """Frobenius induction of a class function from H up to G.
 
-    chi is a Character of H, or a LinearChar lam of H. A linear lam is
-    induced by counting its exponents per class of G,
-    Ind lam(g_k) = |G| / (|C_k| |H|) * sum_{h in H ∩ C_k} lam(h)
-    (Isaacs, Character Theory of Finite Groups, (5.2)): one class lookup per
-    element of H, values at conductor lam.m, and no classes of H. A Character
-    is summed over the elements of H in each class of G.
+    chi is a Character of H, or a LinearChar lam of H, which is induced by
+    counting its exponents per class of G (induced_linear), with no classes
+    of H. A Character is summed over the elements of H in each class of G.
     """
-    _check_subgroup(G, H)
     conj = conjugacy_classes(G)
-    sums = {}
     if isinstance(chi, LinearChar):
-        if chi.domain.elements != H.elements:
-            raise GroupMismatch("lambda is not a character of H")
-        m = chi.m
-        for h, e in zip(H.elements, chi.exps):
-            sums.setdefault(conj.class_of[G.index[h]], [0] * m)[e] += 1
-    else:
-        if chi.group is not H:
-            chi = chi.transfer(H)
-        m = chi.conductor
-        rows = chi.vectors(m)
-        for k, cls in enumerate(conj.classes):
-            # sum of chi over the class's elements in H, as one vector in Q[C_m]
-            for xid in cls:
-                i = H.index.get(G.elements[xid])
-                if i is not None:
-                    acc = sums.setdefault(k, [0] * m)
-                    for e, x in rows[chi.conj.class_of[i]]:
-                        acc[e] += x
+        value, = induced_linear(G, H, [chi])
+        return Character(G, conj, [value(k) for k in range(conj.k)])
+    _check_subgroup(G, H)
+    if chi.group is not H:
+        chi = chi.transfer(H)
+    m = chi.conductor
+    rows = chi.vectors(m)
+    sums = {}
+    for k, cls in enumerate(conj.classes):
+        # sum of chi over the class's elements in H, as one vector in Q[C_m]
+        for xid in cls:
+            i = H.index.get(G.elements[xid])
+            if i is not None:
+                acc = sums.setdefault(k, [0] * m)
+                for e, x in rows[chi.conj.class_of[i]]:
+                    acc[e] += x
     values = []
     for k, size in enumerate(conj.sizes):
         if k in sums:

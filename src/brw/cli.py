@@ -5,9 +5,10 @@ All reports are deterministic for a fixed (spec, seed): no timestamps, sorted
 JSON keys, and the run configuration embedded in every file.
 
 `gutkin` runs its specs in up to one process per CPU of its affinity mask
-(the calling process and forked children) and merges their blocks in spec
-order, so its reports are identical to a run in one process. Run it under
-`taskset -c 0` for one process when profiling or tracing.
+(the calling process and forked children, pulling the specs longest first
+from one queue) and merges their blocks in spec order, so its reports are
+identical to a run in one process. Run it under `taskset -c 0` for one
+process when profiling or tracing.
 
 Exit codes: 0 success, 2 spec error, 3 cap exceeded, 4 verification failure.
 """
@@ -16,6 +17,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -55,21 +57,18 @@ def _config_block(args, mode=None):
     return block
 
 
-def _emit(args, name, payload, fmt="json"):
-    if fmt == "json":
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-        ext = "json"
-    else:
-        text = payload
-        ext = fmt
+def _emit(args, name, payload, ext="json"):
+    """Write a report: payload is its text, or a JSON object to encode."""
+    if not isinstance(payload, str):
+        payload = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, f"{name}.{ext}")
         with open(path, "w", encoding="utf-8") as f:
-            f.write(text)
+            f.write(payload)
         print(path)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(payload)
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +121,7 @@ def cmd_chartable(args):
     writer.writerow(["degree"] + [f"class{k}_size{s}" for k, s in enumerate(table.conj.sizes)])
     for chi in table.irreducibles:
         writer.writerow([int(chi.degree)] + [v.render() for v in chi.values])
-    _emit(args, f"chartable_{name}", buf.getvalue(), fmt="csv")
+    _emit(args, f"chartable_{name}", buf.getvalue(), ext="csv")
     return EXIT_OK if table.verify() else EXIT_VERIFY
 
 
@@ -193,62 +192,91 @@ def _cpu_count():
         return os.cpu_count() or 1
 
 
-def _gutkin_share(items, indices, args):
-    """[(i, block or exception)] for the specs at `indices`, in order, up to
-    and including the first that raises."""
-    out = []
-    for i in indices:
+def _spec_cost(item):
+    """log p^dim, dim = len(sc) or n + |closed_pairs| read off the spec; inf
+    for a spec that cannot be read, so it fails first. Never raises."""
+    try:
+        spec = load_spec(item)[1]
+        pat = spec.get("pattern")
+        dim = len(spec["sc"]) if pat is None else pat["n"] + len(pat["closed_pairs"])
+        return dim * math.log(spec["p"])
+    except Exception:   # the worker that runs the spec reports the failure
+        return math.inf
+
+
+def _gutkin_share(items, pull, args):
+    """[(i, (spec name, block text, failed) or exception)] for the specs this
+    worker pulls, each block encoded as indented in the report. After a
+    failure at spec f only specs before f run: the rest cannot change which
+    failure is raised."""
+    out, failed = [], None
+    while (i := pull()) is not None:
+        if failed is not None and i > failed:
+            continue
         try:
-            out.append((i, _gutkin_one(*load_spec(items[i]), args)))
+            block = _gutkin_one(*load_spec(items[i]), args)
         except Exception as exc:  # re-raised by _gutkin_blocks in spec order
             out.append((i, exc))
-            break
+            failed = i
+            continue
+        text = json.dumps(block, sort_keys=True, indent=2).replace("\n", "\n    ")
+        bad = False in (block["constructive_ok"], block["brute_ok"], block.get("modes_agree"))
+        out.append((i, (block["spec_name"], "    " + text, bad)))
     return out
 
 
 def _gutkin_blocks(items, args):
-    """The block of every spec, in spec order; the first failure in spec
+    """The result of every spec, in spec order; the first failure in spec
     order is raised as the serial loop would raise it.
 
-    No block reads another, so spec i runs in worker i mod W, with W the
-    number of CPUs this process may use, at most one per spec. Worker 0 is
-    this process; workers 1..W-1 are forked children that pickle their
-    [(i, block or exception)] to a pipe. The CLI starts no thread, so the
-    fork is safe, and the children start with the parent's imports. The
-    shares of workers that could not be forked run in this process.
+    No block reads another, so the specs go to W workers, W the number of
+    CPUs this process may use, at most one per spec: this process and W - 1
+    forked children (the CLI starts no thread, so the fork is safe), which
+    pickle their [(i, result or exception)] to a pipe. The workers pull the
+    specs longest first (by _spec_cost, ties in spec order) from one queue
+    whose position is the one record on a pipe, taken by one read and put
+    back advanced by one write; the workers that exist take all of it.
     """
     n = len(items)
+    order = sorted(range(n), key=lambda i: -_spec_cost(items[i]))
     W = min(n, _cpu_count()) if hasattr(os, "fork") else 1
+    queue = os.pipe()
+    os.write(queue[1], bytes(8))
+
+    def pull():
+        pos = int.from_bytes(os.read(queue[0], 8), "little")
+        os.write(queue[1], min(pos + 1, n).to_bytes(8, "little"))
+        return order[pos] if pos < n else None
+
+    if W > 1:
+        import pickle
+        import signal
     children = []    # (worker, pid, read end) of every child not yet reaped
     lost = {}        # worker -> exit code of a child that sent no result
     done = {}
     try:
-        if W > 1:
-            import pickle
-            import signal
-            for w in range(1, W):
-                r, wfd = os.pipe()
-                try:
-                    pid = os.fork()
-                except OSError:  # no process to spare: this one runs the rest
-                    os.close(r)
-                    os.close(wfd)
-                    break
-                if pid == 0:
-                    status = 1
-                    try:
-                        os.close(r)
-                        for _, _, f in children:
-                            f.close()
-                        with os.fdopen(wfd, "wb") as f:
-                            pickle.dump(_gutkin_share(items, range(w, n, W), args), f)
-                        status = 0
-                    finally:
-                        os._exit(status)
+        for w in range(1, W):
+            r, wfd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare
+                os.close(r)
                 os.close(wfd)
-                children.append((w, pid, os.fdopen(r, "rb")))
-        own = [i for i in range(n) if i % W == 0 or i % W > len(children)]
-        done.update(_gutkin_share(items, own, args))
+                break
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(r)
+                    for _, _, f in children:
+                        f.close()
+                    with os.fdopen(wfd, "wb") as f:
+                        pickle.dump(_gutkin_share(items, pull, args), f)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(wfd)
+            children.append((w, pid, os.fdopen(r, "rb")))
+        done.update(_gutkin_share(items, pull, args))
         while children:
             w, pid, f = children[0]
             with f:
@@ -260,14 +288,17 @@ def _gutkin_blocks(items, args):
             except Exception:  # the child died before or while writing
                 lost[w] = os.waitstatus_to_exitcode(status)
     finally:
+        os.close(queue[0])
+        os.close(queue[1])
         for _, pid, f in children:
             f.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
     for i in range(n):
-        if i not in done:
-            raise VerificationFailure(f"gutkin worker {i % W} ended without a result "
-                                      f"(exit code {lost[i % W]})")
+        if i not in done:   # pulled by a child that sent no result
+            w = min(lost)
+            raise VerificationFailure(f"gutkin worker {w} ended without a result "
+                                      f"(exit code {lost[w]})")
         if isinstance(done[i], Exception):
             raise done[i]
     return [done[i] for i in range(n)]
@@ -276,16 +307,16 @@ def _gutkin_blocks(items, args):
 def cmd_gutkin(args):
     names = list(args.spec) if args.spec else list(DEFAULT_CORPUS)
     results = _gutkin_blocks(names, args)
-    failed = any(b.get("constructive_ok") is False or b.get("brute_ok") is False
-                 or (args.mode == "both" and not b.get("modes_agree", True))
-                 for b in results)
+    failed = any(bad for _, _, bad in results)
     report = {
         "schema": "brw.gutkin/1",
         "config": _config_block(args, mode=args.mode),
-        "results": results,
+        "results": [],
         "all_ok": not failed,
     }
-    _emit(args, "gutkin" if len(names) > 1 else f"gutkin_{results[0]['spec_name']}", report)
+    text = json.dumps(report, sort_keys=True, indent=2).replace(   # splice the blocks in
+        '"results": []', '"results": [\n' + ",\n".join(t for _, t, _ in results) + "\n  ]", 1)
+    _emit(args, "gutkin" if len(names) > 1 else f"gutkin_{results[0][0]}", text + "\n")
     return EXIT_VERIFY if failed else EXIT_OK
 
 
@@ -529,7 +560,8 @@ def build_parser(cap_order=DEFAULT_ORDER_CAP):
 def main(argv=None):
     try:
         args = build_parser(_env_cap_order()).parse_args(argv)
-        if getattr(args, "cap_order", 1) <= 0 or (getattr(args, "cap_scan", None) or 1) <= 0:
+        cap_scan = getattr(args, "cap_scan", None)
+        if getattr(args, "cap_order", 1) <= 0 or (cap_scan is not None and cap_scan <= 0):
             raise SpecError("caps must be positive")
         return args.fn(args)
     except (SpecError, NotSplitBasic) as exc:

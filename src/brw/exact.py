@@ -140,17 +140,6 @@ def _prime_factors(n):
     return out + [n] if n > 1 else out
 
 
-def euler_phi(m):
-    for q in _prime_factors(m):
-        m -= m // q
-    return m
-
-
-def moebius(m):
-    qs = _prime_factors(m)
-    return 0 if any(m % (q * q) == 0 for q in qs) else (-1) ** len(qs)
-
-
 def _poly_divmod_int(num, den):
     """Exact division of integer polynomials (little-endian coeff lists)."""
     num = list(num)
@@ -315,14 +304,6 @@ class Cyclotomic:
             return self * (1 / Fraction(other))
         raise TypeError("only rational division is supported")
 
-    def conjugate(self):
-        """Complex conjugation zeta -> zeta^(-1)."""
-        m = self.m
-        c = [0] * m
-        for k, x in enumerate(self.coeffs):
-            c[(m - k) % m] += x
-        return Cyclotomic(m, c)
-
     # predicates and views ----------------------------------------------------
     def is_zero(self):
         return not any(self.coeffs)
@@ -334,16 +315,6 @@ class Cyclotomic:
         if not self.is_rational():
             raise ValueError(f"{self!r} is not rational")
         return Fraction(self.coeffs[0])
-
-    def trace(self):
-        """Field trace to Q: Tr(zeta_m^k) = mu(d) phi(m)/phi(d), d = m/gcd(m,k)."""
-        m = self.m
-        tot = Fraction(0)
-        for k, x in enumerate(self.coeffs):
-            if x:
-                d = m // gcd(m, k)
-                tot += x * moebius(d) * (euler_phi(m) // euler_phi(d))
-        return tot
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -13,10 +13,11 @@ each generator) and the spanning tree of the Cayley graph on them (_tree,
 the edge that first reached each element); the inverses and the conjugation
 permutations of the generators, read off that tree with no product
 (_inverse, _conj_perms); conjugacy classes (_conj), its exponent (_exp),
-its character table (_table, set by chars.char_table), the conjugation
-action of its generators on each normal subgroup (_conj_action, set by
-check_normal) and the right multiplication of its ids by the generators of
-each subgroup (_right_action, set by right_action).
+its character table (_table, set by chars.char_table), its linear
+characters (_linear), the conjugation action of its generators on each
+normal subgroup (_conj_action, set by check_normal) and the right
+multiplication of its ids by the generators of each subgroup
+(_right_action, set by right_action).
 """
 
 from itertools import product
@@ -58,6 +59,7 @@ class FiniteGroup:
         self._conj = None
         self._exp = None
         self._table = None
+        self._linear = None
         self._conj_action = {}
         self._right_action = {}
 
@@ -542,9 +544,14 @@ class LinearChar:
 
 
 def linear_characters(G: FiniteGroup, cap=None):
-    """All |G/[G,G]| linear characters, ordered by exponent table."""
-    divisors, proj = abelianization(G, cap=cap)
-    return dual_characters(G, divisors, proj)
+    """All |G/[G,G]| linear characters, ordered by exponent table; computed
+    once per group and kept on it. Like conjugacy_classes, checks the order
+    cap only when one is given."""
+    if cap is not None and G.order > cap:
+        raise TooLarge(f"group order {G.order} exceeds cap {cap}")
+    if G._linear is None:
+        G._linear = tuple(dual_characters(G, *abelianization(G)))
+    return G._linear
 
 
 def dual_characters(domain, divisors, coords):

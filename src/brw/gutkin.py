@@ -5,8 +5,9 @@ the induction of a linear character of the unit group of a subalgebra:
 diagonal centralisers, the commutator-kernel subalgebra of the radical with
 its dual-valued homomorphism, character extension along one-dimensional ideal
 steps, stabilizer-subalgebra certification, and the recursion tying it all
-together. An exhaustive brute-force verifier over the subalgebra lattice
-provides an independent check of the same statement.
+together. An exhaustive brute-force verifier over the subalgebras whose
+unit group has a degree as its index provides an independent check of the
+same statement.
 
 Cache owners: the ambient algebra keeps one Level per subalgebra basis
 (get_level, in algebra._levels); a Level's local algebra keeps its own
@@ -15,14 +16,15 @@ coordinates; a Level keeps its one-dimensional ideal steps per n (_steps, set
 by _one_dim_ideal_steps); a SigmaData keeps its J_sigma.
 """
 
+from itertools import combinations, product
 from math import lcm
 
 from .algebra import (Algebra, EmbeddedAlgebra, Subalgebra, Subspace,
                       bimodule_complement, bimodule_decompose,
-                      cached_decomposition, enumerate_subalgebras, vec_add,
-                      vec_sub)
+                      cached_decomposition, check_scan_bound,
+                      enumerate_subalgebras, vec_add, vec_sub)
 from .chars import (Character, char_table, clifford_correspondent, induce,
-                    inner_product, restrict)
+                    induced_linear, inner_product, restrict)
 from .errors import (CertificationFailure, DecompositionFailure, NoExtension,
                      NotInvariant, PreconditionFailure, VerificationFailure)
 from .exact import Cyclotomic, rref
@@ -99,13 +101,6 @@ def linear_char_from_character(chi: Character) -> LinearChar:
 # diagonal centraliser  D_theta
 # ---------------------------------------------------------------------------
 
-def _ideal_rows_of_subgroup(A: Algebra, Q: FiniteGroup):
-    """Recover I from the ideal subgroup Q = 1 + I."""
-    rows = [vec_sub(q, A.one, A.p) for q in Q.elements]
-    red, _ = rref(rows, A.p)
-    return red
-
-
 def diag_centraliser_level(level: Level, I: Subspace, theta: LinearChar) -> Subalgebra:
     """D_theta = {d in D : theta(1+ad) = theta(1+da) for all a in I}, certified.
 
@@ -140,12 +135,6 @@ def diag_centraliser_level(level: Level, I: Subspace, theta: LinearChar) -> Suba
     if units != t_stab:
         raise CertificationFailure("unit group of D_theta differs from T_theta")
     return sub
-
-
-def diag_centraliser(A: Algebra, Q: FiniteGroup, theta: LinearChar) -> Subalgebra:
-    level = top_level(A)
-    I = Subspace(A, _ideal_rows_of_subgroup(A, Q))
-    return diag_centraliser_level(level, I, theta)
 
 
 # ---------------------------------------------------------------------------
@@ -511,38 +500,78 @@ class BruteReport:
         }
 
 
+def _radical_seeds(J: Subspace, c):
+    """Rows of each W <= J of codimension c: the kernel, along J's rows, of
+    each c x dim J echelon matrix M of rank c, one row J_f - sum_i M[i][f]
+    J_(q_i) per free column f, for M's pivot columns q_i."""
+    A, d = J.owner, J.dim
+    for piv in combinations(range(d), c):
+        free = [f for f in range(d) if f not in piv]
+        slots = [(i, f) for i, q in enumerate(piv) for f in free if f > q]
+        for vals in product(range(A.p), repeat=len(slots)):
+            M = dict(zip(slots, vals))
+            yield [A.combine([1] + [-M.get((i, f), 0) for i in range(c)],
+                             [J.rows[f]] + [J.rows[q] for q in piv]) for f in free]
+
+
+def brute_candidates(A: Algebra, G: FiniteGroup, degrees, max_dim=None, budget=None):
+    """[(B, [G:B^x])] for the subalgebras B of A with [G:B^x] in degrees, in
+    enumerate_subalgebras order, from the walk upward from span{1} + W for
+    every W <= J of codimension c (see verify_gutkin_brute)."""
+    J = top_level(A).radical
+    c = 0
+    while c < J.dim and A.p ** (c + 1) <= max(degrees):
+        c += 1
+    subs = enumerate_subalgebras(A, max_dim=max_dim, budget=budget, seeds=_radical_seeds(J, c))
+    return [(B, index) for B in subs if (index := G.order // unit_order(A, B.rows)) in degrees]
+
+
+def _decisions(G: FiniteGroup, H: FiniteGroup, targets, cap):
+    """[(lam, i)] for the linear lam of H, in order, that induce a target:
+    i is the first target (i, chi) with Ind_H^G lam = chi. A comparison
+    builds the values of Ind lam (induced_linear) up to its first mismatch."""
+    lams = linear_characters(H, cap=cap)
+    found = ((lam, next((i for i, chi in targets
+                         if all(value(k) == v for k, v in enumerate(chi.values))), None))
+             for lam, value in zip(lams, induced_linear(G, H, lams)))
+    return [(lam, i) for lam, i in found if i is not None]
+
+
 def verify_gutkin_brute(A: Algebra, max_dim=None, budget=None,
                         cap=DEFAULT_ORDER_CAP) -> BruteReport:
-    """Exhaustive search: for every irreducible of A^x, find all pairs
-    (subalgebra B, linear lambda of B^x) with Ind lambda equal to it."""
-    level = top_level(A)
-    G = level.units
+    """Exhaustive search: for every irreducible chi of G = A^x, every pair
+    (subalgebra B, linear lambda of B^x) with Ind lambda = chi.
+
+    The scan bound on dim A is checked first (TooLarge). Such a B has
+    [G:B^x] = chi(1), and [G:B^x] = (p-1)^(n-m) p^(dim J - dim(B ∩ J)) for
+    n and m the blocks of A/J and of B's image in it (unit_order). So B
+    contains span{1} + W for some W <= J of codimension c, the largest
+    c <= dim J with p^c <= max chi(1), and only the brute_candidates above
+    these seeds are searched. The B with one unit group H share one
+    decision per lambda (_decisions).
+    """
+    check_scan_bound(A, max_dim)
+    G = top_level(A).units
     table = char_table(G, cap=cap)
-    subs = enumerate_subalgebras(A, max_dim=max_dim, budget=budget)
     per_irr = [{"degree": int(irr.degree), "witness_count": 0, "first": None}
                for irr in table.irreducibles]
-    for B in subs:
-        index = G.order // unit_order(A, B.rows)
-        targets = [(i, irr) for i, irr in enumerate(table.irreducibles)
-                   if int(irr.degree) == index]
-        if not targets:
-            continue
+    decided = {}
+    for B, index in brute_candidates(A, G, table.degrees, max_dim, budget):
         H = units_of_subspace(A, B.rows)
-        for lam in linear_characters(H, cap=cap):
-            ind = induce(G, H, lam)
-            for i, irr in targets:
-                if ind == irr:
-                    entry = per_irr[i]
-                    entry["witness_count"] += 1
-                    if entry["first"] is None:
-                        entry["first"] = {
-                            "subalgebra_basis": [list(r) for r in B.rows],
-                            "subalgebra_dim": B.dim,
-                            "H_order": H.order,
-                            "lambda_conductor": lam.m,
-                            "lambda_exps": list(lam.exps),
-                        }
-                    break
+        if H not in decided:
+            decided[H] = _decisions(G, H, [(i, irr) for i, irr in enumerate(table.irreducibles)
+                                           if int(irr.degree) == index], cap)
+        for lam, i in decided[H]:
+            entry = per_irr[i]
+            entry["witness_count"] += 1
+            if entry["first"] is None:
+                entry["first"] = {
+                    "subalgebra_basis": [list(r) for r in B.rows],
+                    "subalgebra_dim": B.dim,
+                    "H_order": H.order,
+                    "lambda_conductor": lam.m,
+                    "lambda_exps": list(lam.exps),
+                }
     report = BruteReport(A, G, table, per_irr)
     if not report.all_witnessed:
         missing = [i for i, e in enumerate(per_irr) if e["witness_count"] == 0]

@@ -160,10 +160,6 @@ class LocalCharGroup:
         }
 
 
-def smooth_char_group(p, k) -> LocalCharGroup:
-    return LocalCharGroup(p, k)
-
-
 class InductionDatum:
     """Shape data of an induced-character witness: does B contain the diagonal?"""
 

@@ -1,6 +1,7 @@
 import pytest
 
-from brw.algebra import borel_algebra, diagonal_algebra, pattern_algebra
+from brw.algebra import borel_algebra, pattern_algebra
+from helpers import diagonal_algebra
 
 
 @pytest.fixture(scope="session")

@@ -8,20 +8,24 @@ import subprocess
 import sys
 import textwrap
 from itertools import combinations, product
-from math import lcm
+from fractions import Fraction
+from math import gcd, lcm
 
 from brw.algebra import (Algebra, Subspace, algebra_from_spec, borel_algebra,
-                         cached_decomposition, vec_add, vec_scale)
+                         cached_decomposition, pattern_algebra, vec_add, vec_is_zero,
+                         vec_scale, vec_sub)
 from brw.chars import (Character, _hermitian_sum, char_from_linear, char_table, induce,
                        inner_product, restrict)
 from brw.corpus import corpus_spec
 from brw.errors import CertificationFailure, NotNormal
-from brw.exact import Cyclotomic, kernel_basis, mod_matrix_inverse, reduce_vector, rref
+from brw.exact import (Cyclotomic, _prime_factors, kernel_basis, mod_matrix_inverse,
+                       reduce_vector, rref)
 from brw.groups import (abelian_invariants, center, char_orbit, char_orbits,
                         check_normal, conjugacy_classes, commutator_subgroup, intern_group,
                         linear_characters, radical_subgroup, right_action,
                         unit_group, unit_order, units_of_subspace)
-from brw.gutkin import SigmaData, _one_dim_ideal_steps
+from brw.gutkin import SigmaData, _one_dim_ideal_steps, diag_centraliser_level, top_level
+from brw.localfield import LocalCharGroup
 
 
 def echelon_subspaces(p, n, k):
@@ -64,8 +68,6 @@ def subspaces_containing_one(A):
 
 def is_closed_unital(A, rows):
     red, piv = rref(rows, A.p)
-    from brw.exact import reduce_vector
-    from brw.algebra import vec_is_zero
     res, _ = reduce_vector(A.one, red, piv, A.p)
     if not vec_is_zero(res):
         return False
@@ -101,7 +103,8 @@ def mul_ids(G, i, j):
 
 def torus_factorization(A, v):
     """Unique factorization v = t * x with t in T, x in P = 1 + J."""
-    t = cached_decomposition(A).diagonal_part(v)
+    dec = cached_decomposition(A)
+    t = A.combine(dec.torus_coeffs(v), dec.idempotents)   # the component of v in D
     # t lies in the torus, where t^(p-1) = 1
     tinv = A.power(t, A.p - 2) if A.p > 2 else t
     return t, A.mul(tinv, v)
@@ -564,3 +567,64 @@ def run_optimized(code):
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     return out.stdout
+
+
+# -- small conveniences used only by tests -----------------------------------
+
+def diagonal_algebra(p, n):
+    """Diagonal n x n matrices over F_p (semisimple split)."""
+    return pattern_algebra(p, n, [])
+
+
+def coords_of(S, vec):
+    """Coefficients of vec along the echelon rows of the subspace S."""
+    res, coeffs = reduce_vector(vec, S.rows, S.pivots, S.owner.p)
+    if not vec_is_zero(res):
+        raise ValueError("vector not in subspace")
+    return coeffs
+
+
+def sum_with(S, T):
+    return Subspace(S.owner, S.rows + T.rows)
+
+
+def conjugate(z):
+    """Complex conjugation zeta -> zeta^(-1) of a Cyclotomic."""
+    m = z.m
+    c = [0] * m
+    for k, x in enumerate(z.coeffs):
+        c[(m - k) % m] += x
+    return Cyclotomic(m, c)
+
+
+def euler_phi(m):
+    for q in _prime_factors(m):
+        m -= m // q
+    return m
+
+
+def moebius(m):
+    qs = _prime_factors(m)
+    return 0 if any(m % (q * q) == 0 for q in qs) else (-1) ** len(qs)
+
+
+def trace(z):
+    """Field trace to Q of a Cyclotomic: Tr(zeta_m^k) = mu(d) phi(m)/phi(d),
+    d = m/gcd(m,k)."""
+    m, tot = z.m, Fraction(0)
+    for k, x in enumerate(z.coeffs):
+        if x:
+            d = m // gcd(m, k)
+            tot += x * moebius(d) * (euler_phi(m) // euler_phi(d))
+    return tot
+
+
+def smooth_char_group(p, k):
+    return LocalCharGroup(p, k)
+
+
+def diag_centraliser(A, Q, theta):
+    """diag_centraliser_level at the top level of A, for Q = 1 + I: I is
+    recovered as the span of q - 1 over the elements q of Q."""
+    rows, _ = rref([vec_sub(q, A.one, A.p) for q in Q.elements], A.p)
+    return diag_centraliser_level(top_level(A), Subspace(A, rows), theta)

@@ -7,16 +7,16 @@ from brw import algebra
 from brw.algebra import (DEFAULT_DIM_BOUND, Algebra, EmbeddedAlgebra, Ideal,
                          Subalgebra, Subspace, algebra_from_spec,
                          basic_decomposition, bimodule_complement,
-                         bimodule_decompose, borel_algebra, diagonal_algebra,
+                         bimodule_decompose, borel_algebra,
                          enumerate_subalgebras, is_split_basic,
                          pattern_algebra, radical, radical_power)
 from brw.corpus import DEFAULT_CORPUS, corpus_algebra
 from brw.errors import NotBimodule, NotSplitBasic, SpecError, TooLarge
 from brw.exact import rref
 from brw.gutkin import top_level
-from helpers import (closure_oracle, ideal_oracle, is_nilpotent,
-                     matrix_algebra_2x2, polynomial_quotient, product_algebra,
-                     rebased, recount_subalgebras, split_basic_oracle)
+from helpers import (closure_oracle, coords_of, diagonal_algebra, ideal_oracle,
+                     is_nilpotent, matrix_algebra_2x2, polynomial_quotient, product_algebra,
+                     rebased, recount_subalgebras, split_basic_oracle, sum_with)
 
 
 def test_construction_validates():
@@ -405,8 +405,8 @@ def test_subspace_operations(b3_f2):
     U = Subspace(A, [A.basis_vector(3), A.basis_vector(4)])
     W = Subspace(A, [A.basis_vector(4), A.basis_vector(5)])
     assert U.intersect(W).rows == (A.basis_vector(4),)
-    assert U.sum_with(W).dim == 3
-    assert U.coords_of(A.basis_vector(3)) == (1, 0)
+    assert sum_with(U, W).dim == 3
+    assert coords_of(U, A.basis_vector(3)) == (1, 0)
 
 
 def test_pattern_spec_errors():

@@ -15,11 +15,12 @@ from brw.corpus import DEFAULT_CORPUS, corpus_algebra
 from brw.errors import (CertificationFailure, GroupMismatch, NotOverTheta,
                         NotSubgroup, TooLarge)
 from brw.exact import Cyclotomic, is_prime, kernel_basis
-from brw.groups import (DEFAULT_ORDER_CAP, FiniteGroup, center,
+from brw.groups import (DEFAULT_ORDER_CAP, FiniteGroup, LinearChar, center,
                         conjugacy_classes, ideal_subgroup, linear_characters,
                         radical_subgroup, set_product, torus_subgroup,
                         unit_group)
-from helpers import (constituents, lift_oracle, rebased, regular_character,
+from brw.gutkin import linear_char_from_character, top_level
+from helpers import (conjugate, constituents, lift_oracle, rebased, regular_character,
                      rows_orthonormal, run_optimized, trivial_character,
                      verify_oracle)
 
@@ -387,6 +388,36 @@ def test_induction_transitivity(b3_f3, b4_f2):
             assert via == direct
 
 
+def test_induce_from_the_whole_group_against_counting():
+    # Ind_G^G lam read at the class representatives equals lam's exponents
+    # counted per class, conductors included; a copy of G that is not the
+    # interned group takes the counting path
+    for name in DEFAULT_CORPUS:
+        G = unit_group(corpus_algebra(name))
+        copy = FiniteGroup(G.algebra, G.elements)
+        for lam in linear_characters(G):
+            fast = induce(G, G, lam)
+            counted = induce(G, copy, LinearChar(copy, lam.m, lam.exps))
+            assert [(v.m, v.coeffs) for v in fast.values] == \
+                [(v.m, v.coeffs) for v in counted.values], name
+
+
+def test_linear_characters_are_constant_on_classes():
+    # induced_linear reads Ind_G^G lam at class representatives: every linear
+    # character built from a group or from a degree-one table row must be a
+    # class function
+    for name in DEFAULT_CORPUS:
+        A = corpus_algebra(name)
+        G = unit_group(A)
+        lams = [(X, lam) for X in (G, top_level(A).P) for lam in linear_characters(X)]
+        lams += [(G, linear_char_from_character(chi))
+                 for chi in char_table(G).irreducibles if chi.degree == 1]
+        for X, lam in lams:
+            assert lam.domain is X
+            for cls in conjugacy_classes(X).classes:
+                assert len({lam.exps[x] for x in cls}) == 1, name
+
+
 def test_clifford_examples(b2_f3, b3_f2):
     A = b2_f3
     G = unit_group(A)
@@ -510,7 +541,7 @@ def reference_inner_product(chi, psi):
     plain Cyclotomic arithmetic on the values (no group-ring vectors)."""
     total = Cyclotomic.zero()
     for size, a, b in zip(chi.conj.sizes, chi.values, psi.values):
-        total = total + a * b.conjugate() * size
+        total = total + a * conjugate(b) * size
     return (total / chi.group.order).rational()
 
 

@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import json
+import math
 import os
 import random
 import signal
@@ -87,6 +88,14 @@ def test_cap_order_variable_must_be_positive(monkeypatch, capsys, value):
     monkeypatch.setenv("BRW_CAP_ORDER", value)
     assert main(["chartable", "b2_f3"]) == 2
     assert capsys.readouterr().err == "spec error: caps must be positive\n"
+
+
+@pytest.mark.parametrize("flag,value", [("--cap-scan", "0"), ("--cap-scan", "-1"),
+                                        ("--cap-order", "0")])
+def test_caps_must_be_positive(capsys, flag, value):
+    assert main(["gutkin", "b2_f2", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "spec error: caps must be positive\n"
 
 
 def test_malformed_cap_order_variable_exits_2_without_traceback():
@@ -326,18 +335,117 @@ def test_gutkin_first_failure_in_spec_order_wins(tmp_path, capsys, cpus, f9_firs
 
 
 def test_gutkin_worker_without_a_result(tmp_path, capsys, cpus, monkeypatch):
+    # the parent's spec waits until the child has taken the other one, so the
+    # child surely pulls a spec from the queue before it dies
     parent, one = os.getpid(), brw.cli._gutkin_one
+    r, w = os.pipe()
 
     def dies_in_a_child(name, spec, args):
         if os.getpid() != parent:
+            os.write(w, b"x")
             os._exit(9)
+        os.read(r, 1)
         return one(name, spec, args)
     monkeypatch.setattr(brw.cli, "_gutkin_one", dies_in_a_child)
     cpus(2)
-    assert main(["gutkin", "b2_f2", "b2_f3", "--out", str(tmp_path)]) == 4
+    try:
+        assert main(["gutkin", "b2_f2", "b2_f3", "--out", str(tmp_path)]) == 4
+    finally:
+        os.close(r)
+        os.close(w)
     assert capsys.readouterr().err == (
         "verification failure: gutkin worker 1 ended without a result (exit code 9)\n")
     assert_no_child_left()
+
+
+def test_spec_cost_reads_dim_off_the_spec_and_never_raises(tmp_path):
+    cost = brw.cli._spec_cost
+    for name in DEFAULT_CORPUS:    # pattern specs: dim = n + |closed_pairs|
+        A = corpus_algebra(name)
+        assert cost(name) == pytest.approx(A.dim * math.log(A.p)), name
+    sc = tmp_path / "sc.json"
+    sc.write_text(json.dumps({"p": 3, "dim": 1, "one": [1], "sc": [[[1]]]}))
+    assert cost(str(sc)) == pytest.approx(math.log(3))
+    bad = [{"p": "3", "pattern": {"n": 2, "closed_pairs": []}}, {"p": 3, "sc": 5},
+           {"p": 3, "pattern": {"n": 10 ** 400, "closed_pairs": []}}, {"p": -3, "sc": []}, [1]]
+    for k, spec in enumerate(bad):
+        path = tmp_path / f"bad{k}.json"
+        path.write_text(json.dumps(spec))
+        assert cost(str(path)) == math.inf, spec
+    assert cost(str(tmp_path / "missing.json")) == math.inf
+    assert cost("no_such_corpus_name") == math.inf
+
+
+def test_gutkin_unreadable_spec_fails_before_later_specs_run(tmp_path, capsys, cpus,
+                                                            monkeypatch):
+    # one worker: the unreadable spec is pulled first, so the spec after it
+    # never runs, as in a serial loop
+    ran, one = [], brw.cli._gutkin_one
+
+    def recorded(name, spec, args):
+        ran.append(name)
+        return one(name, spec, args)
+    monkeypatch.setattr(brw.cli, "_gutkin_one", recorded)
+    cpus(1)
+    assert main(["gutkin", str(tmp_path / "missing.json"), "b2_f3", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("spec error: cannot read spec")
+    assert ran == []
+
+
+def test_gutkin_queue_runs_every_spec_once_under_more_workers_than_cpus(tmp_path, cpus,
+                                                                        monkeypatch):
+    # 40 specs for three workers on a machine with fewer CPUs: every spec is
+    # pulled by exactly one worker, as a log appended by each run shows
+    log, one = tmp_path / "runs.log", brw.cli._gutkin_one
+
+    def logged(name, spec, args):
+        fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+        try:
+            os.write(fd, f"{os.getpid()}\n".encode())
+        finally:
+            os.close(fd)
+        return one(name, spec, args)
+    monkeypatch.setattr(brw.cli, "_gutkin_one", logged)
+    specs = ["diag1_f5", "b2_f2", "diag2_f2", "pattern3_f2"] * 10
+    start = time.perf_counter()
+    for k in (1, 3):
+        cpus(k)
+        assert main(["gutkin", *specs, "--mode", "both", "--out", str(tmp_path / f"w{k}")]) == 0
+        assert_no_child_left()
+    assert time.perf_counter() - start < 60
+    assert len(log.read_text().split()) == 2 * len(specs)
+    assert (tmp_path / "w1" / "gutkin.json").read_bytes() == \
+        (tmp_path / "w3" / "gutkin.json").read_bytes()
+
+
+def test_gutkin_reports_identical_with_specs_in_reverse_cost_order(tmp_path, cpus,
+                                                                   monkeypatch):
+    # cheapest first, so every worker count reorders all of them (one worker
+    # runs them longest first); the blocks still come out in the order given
+    specs = ["diag2_f2", "b2_f2", "b2_f3", "pattern3_f2", "b3_f2"]
+    costs = [brw.cli._spec_cost(s) for s in specs]
+    assert costs == sorted(costs) and len(set(costs)) == len(costs)
+    ran, one = [], brw.cli._gutkin_one
+
+    def recorded(name, spec, args):
+        ran.append(name)
+        return one(name, spec, args)
+    monkeypatch.setattr(brw.cli, "_gutkin_one", recorded)
+    reports = []
+    for k in (1, 2, 3):
+        cpus(k)
+        out = tmp_path / f"w{k}"
+        assert main(["gutkin", *specs, "--mode", "both", "--out", str(out)]) == 0
+        assert_no_child_left()
+        reports.append((out / "gutkin.json").read_bytes())
+        if k == 1:
+            assert ran == specs[::-1]
+    assert reports[0] == reports[1] == reports[2]
+    assert [b["spec_name"] for b in json.loads(reports[0])["results"]] == specs
+    # and each block is the one a run of its spec alone writes
+    for name, block in zip(specs, json.loads(reports[0])["results"]):
+        assert main(["gutkin", name, "--mode", "both", "--out", str(tmp_path / name)]) == 0
+        assert load(tmp_path / name, f"gutkin_{name}.json")["results"] == [block]
 
 
 def test_gutkin_interrupt_reaps_every_child(tmp_path, cpus, monkeypatch):

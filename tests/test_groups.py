@@ -5,7 +5,7 @@ import pytest
 import brw.gutkin
 from brw.algebra import (DEFAULT_DIM_BOUND, BasicDecomposition, EmbeddedAlgebra,
                          Subspace, borel_algebra, cached_decomposition,
-                         diagonal_algebra, enumerate_subalgebras, radical,
+                         enumerate_subalgebras, radical,
                          radical_power)
 from brw.corpus import DEFAULT_CORPUS, corpus_algebra
 from brw.errors import (CertificationFailure, NotInsideRadical, NotNormal,
@@ -20,7 +20,7 @@ from brw.gutkin import diag_centraliser_level, top_level, verify_gutkin_brute
 from helpers import (abelianization_oracle, assert_orbits_match_oracle,
                      assert_schreier_tree, assert_tables_against_mul,
                      assert_units_match_oracle, brute_char_orbit,
-                     brute_conj_partition, commutator_subgroup_oracle,
+                     brute_conj_partition, commutator_subgroup_oracle, diagonal_algebra,
                      fresh_corpus_algebra, mul_ids, orbit_count_P_dual,
                      rebased, run_optimized, torus_factorization)
 
@@ -165,6 +165,13 @@ def test_linear_characters_examples(b2_f3, b3_f2):
     assert len(linear_characters(P)) == 3
     assert len(linear_characters(unit_group(b3_f2))) == 4
     assert len(linear_characters(unit_group(diagonal_algebra(2, 2)))) == 1
+
+
+def test_linear_characters_are_kept_on_the_group_and_capped(b3_f2):
+    G = unit_group(b3_f2)
+    assert linear_characters(G) is linear_characters(G, cap=G.order)
+    with pytest.raises(TooLarge):
+        linear_characters(G, cap=G.order - 1)
 
 
 def test_linear_characters_are_homomorphisms(b2_f3, b3_f2):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 import brw.gutkin
-from brw.algebra import (EmbeddedAlgebra, Subalgebra, Subspace,
+from brw.algebra import (DEFAULT_DIM_BOUND, EmbeddedAlgebra, Subalgebra, Subspace,
                          basic_decomposition, bimodule_complement,
                          bimodule_decompose, borel_algebra,
                          enumerate_subalgebras, pattern_algebra, radical_power)
@@ -12,17 +12,17 @@ from brw.chars import (Character, char_from_linear, char_table, induce,
 from brw.corpus import DEFAULT_CORPUS, corpus_algebra
 from brw.errors import (CertificationFailure, DecompositionFailure, NotInvariant,
                         PreconditionFailure)
-from brw.groups import (LinearChar, char_orbit, ideal_subgroup, intern_group,
+from brw.groups import (char_orbit, ideal_subgroup, intern_group,
                         linear_characters, radical_subgroup, unit_group,
-                        units_of_subspace)
+                        unit_order, units_of_subspace)
 from brw.gutkin import (SigmaData, _kills_commutators, _one_dim_ideal_steps,
-                        certify_stabilizer_subalgebra, diag_centraliser,
+                        _radical_seeds, brute_candidates, certify_stabilizer_subalgebra,
                         extend_character, get_level, gutkin_decompose,
                         ideal_intersection_test, j_sigma, phi_sigma, top_level,
                         verify_gutkin_brute)
 from helpers import (assert_orbits_match_oracle, assert_schreier_tree,
-                     assert_units_match_oracle, clifford_oracle,
-                     fresh_corpus_algebra, group_exponent, j_sigma_oracle,
+                     assert_units_match_oracle, clifford_oracle, diag_centraliser,
+                     echelon_subspaces, fresh_corpus_algebra, group_exponent, j_sigma_oracle,
                      nondegenerate_step_oracle, radical_power_oracle, rebased,
                      run_optimized)
 
@@ -532,33 +532,89 @@ def test_brute_diagonal(diag2_f3):
 
 
 def test_brute_linear_induction_against_class_functions(monkeypatch):
-    # every (B, lambda) the brute search visits: inducing lambda by exponent
-    # counts gives the same values, conductors included, as inducing it as a
-    # class function of H; and H is built only when [G:H] is a degree
-    visits, built = [], []
-    real_induce, real_units = brw.gutkin.induce, brw.gutkin.units_of_subspace
+    # every (H, lambda) the brute search decides, once per unit group H: the
+    # decision is the first target of degree [G:H] equal to Ind lambda, with
+    # lambda induced as a class function of H; inducing it by exponent counts
+    # gives the same values, conductors included; and H is built only when
+    # [G:H] is a degree
+    decided, built = [], []
+    real_decisions, real_units = brw.gutkin._decisions, brw.gutkin.units_of_subspace
 
-    def recording_induce(G, H, lam):
-        ind = real_induce(G, H, lam)
-        visits.append((G, H, lam, ind))
-        return ind
+    def recording_decisions(G, H, targets, cap):
+        out = real_decisions(G, H, targets, cap)
+        decided.append((G, H, out))
+        return out
 
     def recording_units(A, rows):
         H = real_units(A, rows)
         built.append(H)
         return H
 
-    monkeypatch.setattr(brw.gutkin, "induce", recording_induce)
+    monkeypatch.setattr(brw.gutkin, "_decisions", recording_decisions)
     monkeypatch.setattr(brw.gutkin, "units_of_subspace", recording_units)
+    count = 0
     for name in ("b2_f5", "b3_f2", "pattern3_f3", "pattern4_f2"):
         built.clear()
+        decided.clear()
         rep = verify_gutkin_brute(corpus_algebra(name))
         assert built and all(rep.group.order // H.order in rep.table.degrees for H in built)
-    for G, H, lam, ind in visits:
-        assert isinstance(lam, LinearChar)
-        want = induce(G, H, char_from_linear(lam))
-        assert [(v.m, v.coeffs) for v in ind.values] == [(v.m, v.coeffs) for v in want.values]
-    assert len(visits) == 238
+        assert len({id(H) for _, H, _ in decided}) == len(decided) == len({id(H) for H in built})
+        for G, H, out in decided:
+            targets = [(i, chi) for i, chi in enumerate(rep.table.irreducibles)
+                       if chi.degree == G.order // H.order]
+            expected = []
+            for lam in linear_characters(H):
+                want = induce(G, H, char_from_linear(lam))
+                i = next((j for j, chi in targets if want == chi), None)
+                if i is not None:
+                    expected.append((lam.exps, i))
+                got = induce(G, H, lam)
+                assert [(v.m, v.coeffs) for v in got.values] == \
+                    [(v.m, v.coeffs) for v in want.values]
+            assert [(lam.exps, i) for lam, i in out] == expected
+            count += len(linear_characters(H))
+    assert count == 110   # one decision per (H, lambda), not one per (B, lambda)
+
+
+def _scanned_corpus():
+    return [corpus_algebra(n) for n in DEFAULT_CORPUS
+            if corpus_algebra(n).dim <= DEFAULT_DIM_BOUND[corpus_algebra(n).p]]
+
+
+def test_brute_candidates_equal_the_filtered_lattice(monkeypatch):
+    # the walk above the radical seeds finds, in the same order, exactly the
+    # subalgebras of the whole lattice whose index is a degree: on every
+    # scanned corpus spec, three dense bases, and b3_f3 at a raised bound
+    rng = random.Random(11)
+    cases = [(A, None) for A in _scanned_corpus()]
+    cases += [(rebased(corpus_algebra(n), rng), None) for n in ("b2_f5", "b3_f2", "pattern3_f3")]
+    cases.append((corpus_algebra("b3_f3"), 6))
+    walked = []
+    real_walk = brw.gutkin.enumerate_subalgebras
+
+    def recording_walk(A, **kwargs):
+        walked.append(real_walk(A, **kwargs))
+        return walked[-1]
+    monkeypatch.setattr(brw.gutkin, "enumerate_subalgebras", recording_walk)
+    for A, max_dim in cases:
+        G = unit_group(A)
+        degrees = char_table(G).degrees
+        got = [(B.rows, index) for B, index in brute_candidates(A, G, degrees, max_dim=max_dim)]
+        want = [(B.rows, G.order // unit_order(A, B.rows))
+                for B in enumerate_subalgebras(A, max_dim=max_dim)]
+        assert got == [(rows, index) for rows, index in want if index in degrees]
+    # the corpus walk: 88 subalgebras above the seeds, of 319 in the lattices
+    assert sum(len(w) for w in walked[:len(_scanned_corpus())]) == 88
+
+
+@pytest.mark.parametrize("c", [0, 1, 2, 3])
+def test_radical_seeds_are_the_subspaces_of_codimension_c(b4_f2, c):
+    # b4_f2: dim J = 6 over F_2; the seeds are the distinct subspaces of J of
+    # dimension 6 - c, as many as the echelon c x 6 matrices of rank c
+    J = top_level(b4_f2).radical
+    spans = [Subspace(b4_f2, W) for W in _radical_seeds(J, c)]
+    assert all(S.dim == J.dim - c and all(J.contains(v) for v in S.rows) for S in spans)
+    assert len({S.rows for S in spans}) == len(spans) == len(list(echelon_subspaces(2, 6, c)))
 
 
 def test_brute_and_constructive_agree(b2_f3, b3_f2):

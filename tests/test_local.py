@@ -9,9 +9,9 @@ from brw.groups import unit_group
 from brw.gutkin import gutkin_decompose
 from brw.localfield import (InductionDatum, ResidueUnits, SmoothCharLocal,
                             factor_unitary, is_admissible_shape,
-                            smooth_char_group, trivial_unit_part,
+                            trivial_unit_part,
                             unit_characters)
-from helpers import run_optimized
+from helpers import run_optimized, smooth_char_group
 
 
 def test_unit_character_counts():

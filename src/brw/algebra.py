@@ -3,10 +3,12 @@
 Everything here is exact over F_p: elements are coordinate tuples, subspaces
 are reduced-echelon row matrices, and all certificates (associativity,
 identity, ideal/subalgebra closure, idempotent orthogonality) are checked at
-construction time. The radical and the primitive idempotents are found and
-certified by linear algebra on the basis (an ideal closure, its chain of
-powers and Lagrange splitting), in polynomial time; only the subalgebra walk
-(enumerate_subalgebras) enumerates, and its closures stop at known spans.
+construction time; a subalgebra's closure certificate yields its structure
+constants in its own basis. The radical and the primitive idempotents are
+found and certified by linear algebra on the basis (an ideal closure, its
+chain of powers and Lagrange splitting), in polynomial time; only the
+subalgebra walk (enumerate_subalgebras) enumerates, and its closures stop at
+known spans.
 """
 
 from itertools import product
@@ -198,17 +200,45 @@ class Subspace:
 
 
 class Subalgebra(Subspace):
-    """Unital multiplicatively closed subspace; closure certified at construction."""
+    """Unital multiplicatively closed subspace B, certified at construction.
+
+    The certificate reduces the identity and the product of every ordered
+    pair of echelon rows along the rows; the coefficients it returns are the
+    identity and the structure constants of B in its own basis. alg is B as
+    an Algebra in that basis, built on first use (the owner itself when the
+    rows span it), and to_ambient maps its coordinates back to the owner's.
+    """
 
     def __init__(self, owner, rows):
         super().__init__(owner, rows)
-        self.contains_one = self.contains(owner.one)
-        self.mult_closed = self.closed_under(self.rows, ())
-        if not self.contains_one:
+        p = owner.p
+        res, self._one = reduce_vector(owner.one, self.rows, self.pivots, p)
+        if not vec_is_zero(res):
             raise SpecError("subalgebra must contain the identity")
-        if not self.mult_closed:
-            raise SpecError("subspace is not multiplicatively closed")
+        self._sc = []
+        for u in self.rows:
+            plane = []
+            for v in self.rows:
+                res, coeffs = reduce_vector(owner.mul(u, v), self.rows, self.pivots, p)
+                if not vec_is_zero(res):
+                    raise SpecError("subspace is not multiplicatively closed")
+                plane.append(coeffs)
+            self._sc.append(plane)
+        self.contains_one = self.mult_closed = True   # both certified above
+        self._alg = owner if self.dim == owner.dim else None
         self.idempotents = None  # set by basic_decomposition for the diagonal
+
+    @property
+    def alg(self) -> Algebra:
+        if self._alg is None:
+            self._alg = Algebra(self.owner.p, self._sc, self._one)
+        return self._alg
+
+    def to_ambient(self, local):
+        return self.owner.combine(local, self.rows)
+
+    def subspace_to_ambient(self, sub: Subspace) -> Subspace:
+        return Subspace(self.owner, [self.to_ambient(r) for r in sub.rows])
 
 
 class Ideal(Subspace):
@@ -384,7 +414,7 @@ def radical(A: Algebra) -> Ideal:
 def is_split_basic(A) -> tuple[bool, str]:
     """(verdict, reason). Accepts an Algebra or a certified Subalgebra."""
     if isinstance(A, Subalgebra):
-        A = EmbeddedAlgebra(A.owner, A.rows).alg
+        A = A.alg
     try:
         cached_decomposition(A)
     except NotSplitBasic as exc:
@@ -489,14 +519,13 @@ def bimodule_complement(D: Subalgebra, V: Subspace, V1: Subspace) -> Subspace:
     for v in V1.rows:
         if not V.contains(v):
             raise NotBimodule("V1 is not contained in V")
-    rows = list(V1.rows)
+    rows, pivots = V1.rows, V1.pivots
     comp_rows = []
     for _, _, comp in bimodule_decompose(D, V):
         for v in comp.rows:
-            cur, _ = rref(rows, A.p)
-            cur_s = Subspace(A, cur)
-            if not cur_s.contains(v):
-                rows.append(v)
+            grown = _insert_row(rows, pivots, v, A.p)
+            if grown is not None:
+                rows, pivots = grown
                 comp_rows.append(v)
     V2 = Subspace(A, comp_rows)
     if V1.dim + V2.dim != V.dim or V1.intersect(V2).dim != 0:
@@ -605,45 +634,6 @@ def enumerate_subalgebras(A: Algebra, max_dim=None, budget=None, seeds=None):
     out = [Subalgebra(A, rows) for rows in found]
     out.sort(key=lambda s: (s.dim, s.rows))
     return out
-
-
-# ---------------------------------------------------------------------------
-# subalgebras as standalone algebras
-# ---------------------------------------------------------------------------
-
-class EmbeddedAlgebra:
-    """A unital closed subspace of an ambient algebra, rebased on its own basis.
-
-    Provides the standalone Algebra (for radical/idempotent work) together
-    with the map from its coordinates to ambient ones.
-    """
-
-    def __init__(self, ambient: Algebra, rows):
-        self.ambient = ambient
-        red, pivots = rref(rows, ambient.p)
-        self.rows = red
-        k = len(red)
-        sc = []
-        for u in red:
-            plane = []
-            for v in red:
-                w = ambient.mul(u, v)
-                res, coeffs = reduce_vector(w, red, pivots, ambient.p)
-                if not vec_is_zero(res):
-                    raise SpecError("subspace is not multiplicatively closed")
-                plane.append(list(coeffs))
-            sc.append(plane)
-        res, one_coeffs = reduce_vector(ambient.one, red, pivots, ambient.p)
-        if not vec_is_zero(res):
-            raise SpecError("subspace does not contain the identity")
-        self.alg = Algebra(ambient.p, sc, one_coeffs)
-        self.dim = k
-
-    def to_ambient(self, local):
-        return self.ambient.combine(local, self.rows)
-
-    def subspace_to_ambient(self, sub: Subspace) -> Subspace:
-        return Subspace(self.ambient, [self.to_ambient(r) for r in sub.rows])
 
 
 # ---------------------------------------------------------------------------

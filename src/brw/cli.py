@@ -34,7 +34,7 @@ from .groups import (DEFAULT_ORDER_CAP, char_orbits, ideal_subgroup,
 from .gutkin import (certify_stabilizer_subalgebra, gutkin_decompose,
                      verify_gutkin_brute)
 from .localfield import (InductionDatum, LocalCharGroup, SmoothCharLocal,
-                         factor_unitary, is_admissible_shape, unit_characters)
+                         factor_unitary, unit_characters)
 
 EXIT_OK = 0
 EXIT_SPEC = 2
@@ -133,7 +133,6 @@ def _gutkin_one(name, spec, args):
     A = spec_algebra(spec)
     G = unit_group(A, cap=args.cap_order)
     table = char_table(G, cap=args.cap_order)
-    dec = cached_decomposition(A)
     block = {
         "spec_name": name,
         "group_order": G.order,
@@ -161,8 +160,7 @@ def _gutkin_one(name, spec, args):
         if args.mode in ("constructive", "both"):
             witness = gutkin_decompose(A, chi, cap=args.cap_order)
             summary = witness.summary()
-            B = Subalgebra(A, witness.subalgebra_rows)
-            summary["admissible_shape"] = is_admissible_shape(InductionDatum(A, B))
+            summary["admissible_shape"] = InductionDatum(A, witness.subalgebra).diag_contained
             entry["constructive"] = summary
             if not summary["induced_matches"]:
                 constructive_ok = False
@@ -454,7 +452,7 @@ def cmd_local(args):
             out.append({
                 "index": index,
                 "degree": degree,
-                "admissible_shape": is_admissible_shape(InductionDatum(A, B)),
+                "admissible_shape": InductionDatum(A, B).diag_contained,
             })
         report = {
             "schema": "brw.local.admissible/1",

@@ -10,7 +10,9 @@ unit group has a degree as its index provides an independent check of the
 same statement.
 
 Cache owners: the ambient algebra keeps one Level per subalgebra basis
-(get_level, in algebra._levels); a Level's local algebra keeps its own
+(get_level, in algebra._levels). A Level's local algebra and its map into
+ambient coordinates come from its certified Subalgebra; the top level's
+local algebra is the ambient algebra itself. The local algebra keeps its
 BasicDecomposition, which holds the J^n that radical_power maps into ambient
 coordinates; a Level keeps its one-dimensional ideal steps per n (_steps, set
 by _one_dim_ideal_steps); a SigmaData keeps its J_sigma.
@@ -19,14 +21,13 @@ by _one_dim_ideal_steps); a SigmaData keeps its J_sigma.
 from itertools import combinations, product
 from math import lcm
 
-from .algebra import (Algebra, EmbeddedAlgebra, Subalgebra, Subspace,
-                      bimodule_complement, bimodule_decompose,
-                      cached_decomposition, check_scan_bound,
+from .algebra import (Algebra, Subalgebra, Subspace, bimodule_complement,
+                      bimodule_decompose, cached_decomposition, check_scan_bound,
                       enumerate_subalgebras, vec_add, vec_sub)
 from .chars import (Character, char_table, clifford_correspondent, induce,
                     induced_linear, inner_product, restrict)
-from .errors import (CertificationFailure, DecompositionFailure, NoExtension,
-                     NotInvariant, PreconditionFailure, VerificationFailure)
+from .errors import (CertificationFailure, DecompositionFailure, NoExtension, NotInvariant,
+                     PreconditionFailure, SpecError, VerificationFailure)
 from .exact import Cyclotomic, rref
 from .groups import (DEFAULT_ORDER_CAP, FiniteGroup, LinearChar, char_orbit,
                      linear_characters, one_plus, torus_elements, unit_order,
@@ -34,31 +35,31 @@ from .groups import (DEFAULT_ORDER_CAP, FiniteGroup, LinearChar, char_orbit,
 
 
 class Level:
-    """A unital closed subspace of the ambient algebra with its group context.
+    """A certified Subalgebra of the ambient algebra with its group context.
 
     All groups live in ambient coordinates so characters can be moved between
     recursion levels; structural data (radical, idempotents, J^n) is computed
-    on the rebased local algebra and mapped back.
+    on the subalgebra's local algebra (sub.alg, the ambient algebra itself at
+    the top level) and mapped back by sub.to_ambient.
     """
 
-    def __init__(self, ambient: Algebra, rows):
-        self.ambient = ambient
-        emb = EmbeddedAlgebra(ambient, rows)
-        self.emb = emb
-        self.alg = emb.alg
-        self.rows = emb.rows
-        self.dim = emb.dim
+    def __init__(self, sub: Subalgebra):
+        self.sub = sub
+        self.ambient = ambient = sub.owner
+        self.alg = sub.alg
+        self.rows = sub.rows
+        self.dim = sub.dim
         self.dec = dec = cached_decomposition(self.alg)
-        self.idempotents = tuple(emb.to_ambient(e) for e in dec.idempotents)
-        self.diagonal = emb.subspace_to_ambient(dec.diagonal)
-        self.radical = emb.subspace_to_ambient(dec.radical)
+        self.idempotents = tuple(sub.to_ambient(e) for e in dec.idempotents)
+        self.diagonal = sub.subspace_to_ambient(dec.diagonal)
+        self.radical = sub.subspace_to_ambient(dec.radical)
         self.units = units_of_subspace(ambient, self.rows)
         self.P = one_plus(ambient, self.radical)
         self._steps = {}
 
     def radical_power(self, n):
         """Ambient image of J^n for the level algebra."""
-        return self.emb.subspace_to_ambient(self.dec.radical_power(n))
+        return self.sub.subspace_to_ambient(self.dec.radical_power(n))
 
     def one_plus(self, subspace: Subspace) -> FiniteGroup:
         return one_plus(self.ambient, subspace)
@@ -67,15 +68,19 @@ class Level:
         return subspace.closed_under(self.rows, self.rows)
 
 
-def get_level(ambient: Algebra, rows) -> Level:
-    """The Level on these rows, built once and kept on the ambient algebra."""
-    if rows not in ambient._levels:
-        ambient._levels[rows] = Level(ambient, rows)
-    return ambient._levels[rows]
+def get_level(sub: Subalgebra) -> Level:
+    """The Level on sub, built once and kept on its owner by its rows."""
+    levels = sub.owner._levels
+    if sub.rows not in levels:
+        levels[sub.rows] = Level(sub)
+    return levels[sub.rows]
 
 
 def top_level(A: Algebra) -> Level:
-    return get_level(A, tuple(A.basis_vector(i) for i in range(A.dim)))
+    """The Level on all of A, whose local algebra is A itself."""
+    rows = tuple(A.basis_vector(i) for i in range(A.dim))
+    level = A._levels.get(rows)
+    return level if level is not None else get_level(Subalgebra(A, rows))
 
 
 def _root_exps(values, m):
@@ -126,7 +131,7 @@ def diag_centraliser_level(level: Level, I: Subspace, theta: LinearChar) -> Suba
         raise CertificationFailure("diagonal centraliser set is not a subspace")
     try:
         sub = Subalgebra(A, rows)
-    except Exception as exc:
+    except SpecError as exc:
         raise CertificationFailure(f"diagonal centraliser not a subalgebra: {exc}")
     # unit group must be the stabilizer of theta in T
     stab = char_orbit(level.units, Q, theta).stabilizer.index
@@ -342,12 +347,12 @@ class GutkinWitness:
     """Chain of subalgebra descents ending in a linear character whose
     induction recovers the target irreducible."""
 
-    def __init__(self, algebra, group, target, steps, subalgebra_rows, H, lam):
+    def __init__(self, algebra, group, target, steps, subalgebra, H, lam):
         self.algebra = algebra
         self.group = group
         self.target = target
         self.steps = steps
-        self.subalgebra_rows = subalgebra_rows
+        self.subalgebra = subalgebra
         self.H = H
         self.lam = lam
         self.induced_matches = None
@@ -356,6 +361,10 @@ class GutkinWitness:
         ind = induce(self.group, self.H, self.lam)
         self.induced_matches = (ind == self.target)
         return self.induced_matches
+
+    @property
+    def subalgebra_rows(self):
+        return self.subalgebra.rows
 
     @property
     def chain_dims(self):
@@ -390,7 +399,7 @@ def _one_dim_ideal_steps(level: Level, n):
         Jn_loc = dec.radical_power(n)
         comp = bimodule_complement(dec.diagonal, dec.radical_power(n - 1), Jn_loc)
         level._steps[n] = tuple(
-            level.emb.subspace_to_ambient(Subspace(level.alg, Jn_loc.rows + (v,)))
+            level.sub.subspace_to_ambient(Subspace(level.alg, Jn_loc.rows + (v,)))
             for _, _, comp_ij in bimodule_decompose(dec.diagonal, comp) for v in comp_ij.rows)
     return level._steps[n]
 
@@ -452,8 +461,7 @@ def _decompose(level: Level, chi: Character, steps, cap):
         raise DecompositionFailure("stabilizer did not decrease at a nonlinear step")
     # a linear psi needs p odd (at p = 2, H = P and psi = chi); then
     # G_theta = T_theta P spans D_theta + J
-    sub = certify_stabilizer_subalgebra(level.ambient, G_theta)
-    new_level = get_level(level.ambient, sub.rows)
+    new_level = get_level(certify_stabilizer_subalgebra(level.ambient, G_theta))
     eta, _ = clifford_correspondent(H, Q, theta, chi, orbit=orbit)
     step.update(stabilizer_order=G_theta.order, next_dim=new_level.dim)
     steps.append(step)
@@ -470,7 +478,7 @@ def gutkin_decompose(A: Algebra, chi: Character, cap=DEFAULT_ORDER_CAP) -> Gutki
         raise PreconditionFailure("gutkin_decompose requires an irreducible character")
     steps = []
     leaf, lam = _decompose(level, chi0, steps, cap)
-    witness = GutkinWitness(A, G, chi0, steps, leaf.rows, leaf.units, lam)
+    witness = GutkinWitness(A, G, chi0, steps, leaf.sub, leaf.units, lam)
     if not witness.verify():
         raise DecompositionFailure("induced character does not match the target")
     return witness

@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 from brw import algebra
-from brw.algebra import (DEFAULT_DIM_BOUND, Algebra, EmbeddedAlgebra, Ideal,
+from brw.algebra import (DEFAULT_DIM_BOUND, Algebra, Ideal,
                          Subalgebra, Subspace, algebra_from_spec,
                          basic_decomposition, bimodule_complement,
                          bimodule_decompose, borel_algebra,
@@ -214,7 +214,7 @@ def test_every_walk_closure_against_all_pairs_fixpoint(monkeypatch):
         algebras += [rebased(A, rng) for A in _scanned_corpus()]
     for name in ("b2_f5", "b3_f2", "pattern3_f3", "pattern4_f2"):
         A = corpus_algebra(name)
-        algebras += [EmbeddedAlgebra(A, B.rows).alg for B in enumerate_subalgebras(A)]
+        algebras += [Subalgebra(A, B.rows).alg for B in enumerate_subalgebras(A)]
     assert len(algebras) == 40 + 266
     tally = Counter()
     real = algebra._closure_rows
@@ -307,7 +307,7 @@ def test_split_basic_analysis_on_the_subalgebra_corpus():
     for name in ("b2_f5", "b3_f2", "pattern3_f3", "pattern4_f2"):
         A = corpus_algebra(name)
         for B in enumerate_subalgebras(A):
-            assert analysis_matches_oracle(EmbeddedAlgebra(A, B.rows).alg)
+            assert analysis_matches_oracle(Subalgebra(A, B.rows).alg)
             count += 1
     assert count == 266
 
@@ -332,7 +332,7 @@ def test_radical_contains_random_nilpotents(b3_f3):
 def test_quotient_by_radical_is_semisimple(b3_f3):
     # A/J has zero radical: no nonzero nilpotents in the diagonal section
     dec = basic_decomposition(b3_f3)
-    sub = EmbeddedAlgebra(b3_f3, dec.diagonal.rows)
+    sub = Subalgebra(b3_f3, dec.diagonal.rows)
     assert radical(sub.alg).dim == 0
 
 
@@ -365,6 +365,37 @@ def test_subalgebra_certificates(b2_f3):
         Subalgebra(b2_f3, [b2_f3.basis_vector(2)])  # no identity
     s = Subalgebra(b2_f3, [b2_f3.one, b2_f3.basis_vector(2)])
     assert s.contains_one and s.mult_closed
+
+
+def test_to_ambient_is_a_unital_homomorphism_on_the_subalgebra_corpus():
+    # B.alg is built from the closure certificate's coefficients; the oracle
+    # reads only the owner's mul and combine
+    subs = []
+    for name in ("b2_f5", "b3_f2", "pattern3_f3", "pattern4_f2"):
+        subs += enumerate_subalgebras(corpus_algebra(name))
+    assert len(subs) == 266
+    for seed in (1, 2):
+        subs += enumerate_subalgebras(rebased(corpus_algebra("b3_f2"), random.Random(seed)))
+    for B in subs:
+        A, L = B.owner, B.alg
+        basis = [L.basis_vector(i) for i in range(L.dim)]
+        assert L.dim == B.dim
+        assert [B.to_ambient(x) for x in basis] == [A.combine(x, B.rows) for x in basis]
+        assert B.to_ambient(L.one) == A.one
+        for x in basis:
+            for y in basis:
+                assert A.mul(B.to_ambient(x), B.to_ambient(y)) == B.to_ambient(L.mul(x, y))
+        assert (L is A) == (B.dim == A.dim)
+
+
+def test_subalgebra_certificate_messages(b3_f2):
+    A = b3_f2   # basis e11, e22, e33, e12, e13, e23
+    with pytest.raises(SpecError, match="subalgebra must contain the identity"):
+        Subalgebra(A, [A.basis_vector(0), A.basis_vector(3)])
+    # span{1, e12, e23} holds 1 but not e12 e23 = e13
+    with pytest.raises(SpecError, match="subspace is not multiplicatively closed"):
+        Subalgebra(A, [A.one, A.basis_vector(3), A.basis_vector(5)])
+    assert Subalgebra(A, [A.one, A.basis_vector(3), A.basis_vector(4), A.basis_vector(5)]).dim == 4
 
 
 def test_largest_ideal_inside(b3_f2, b4_f2):

@@ -11,9 +11,13 @@ import time
 
 import pytest
 
+import brw.algebra
 import brw.cli
+import brw.corpus
+from brw.algebra import Subalgebra
 from brw.cli import main
 from brw.corpus import DEFAULT_CORPUS, corpus_algebra, corpus_spec
+from brw.localfield import InductionDatum, is_admissible_shape
 from helpers import matrix_algebra_2x2, polynomial_quotient
 
 
@@ -312,6 +316,43 @@ def test_gutkin_default_corpus_report_matches_the_pin(tmp_path, cpus, monkeypatc
     assert_no_child_left()
     digest = hashlib.sha256((tmp_path / "gutkin.json").read_bytes()).hexdigest()
     assert digest == DEFAULT_CORPUS_BOTH_SHA256
+
+
+def test_gutkin_decomposes_each_algebra_once(tmp_path, monkeypatch):
+    # fresh corpus algebras, in this process: the top level's local algebra is
+    # A itself, so within a spec no decomposition repeats on equal structure
+    # constants (two specs may have sublevels with equal ones: each ambient
+    # algebra owns its levels)
+    monkeypatch.setattr(brw.corpus, "_algebras", {})
+    seen, real = [], brw.algebra.basic_decomposition
+
+    def counted(A):
+        seen[-1].append((A.p, A.sc, A.one))
+        return real(A)
+    monkeypatch.setattr(brw.algebra, "basic_decomposition", counted)
+    for name in DEFAULT_CORPUS:
+        seen.append([])
+        assert main(["gutkin", name, "--mode", "both", "--out", str(tmp_path)]) == 0
+        assert len(set(seen[-1])) == len(seen[-1]), name
+    # each spec algebra and each of 13 proper sublevels, once
+    assert sum(map(len, seen)) == len(DEFAULT_CORPUS) + 13
+
+
+def test_gutkin_admissible_shape_against_the_recertified_subalgebra(tmp_path, cpus):
+    # the flag read off the witness's own Subalgebra equals the flag of the
+    # subalgebra certified again from the report's basis
+    cpus(1)
+    code, out = run(tmp_path, "gutkin", "--mode", "constructive")
+    assert code == 0
+    count = 0
+    for block in load(out, "gutkin.json")["results"]:
+        A = corpus_algebra(block["spec_name"])
+        for entry in block["witnesses"]:
+            w = entry["constructive"]
+            B = Subalgebra(A, [tuple(r) for r in w["subalgebra_basis"]])
+            assert w["admissible_shape"] == is_admissible_shape(InductionDatum(A, B))
+            count += 1
+    assert count == sum(b["num_irreducibles"] for b in load(out, "gutkin.json")["results"])
 
 
 @pytest.mark.parametrize("f9_first", [True, False])

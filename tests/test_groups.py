@@ -3,7 +3,7 @@ import random
 import pytest
 
 import brw.gutkin
-from brw.algebra import (DEFAULT_DIM_BOUND, BasicDecomposition, EmbeddedAlgebra,
+from brw.algebra import (DEFAULT_DIM_BOUND, BasicDecomposition, Subalgebra,
                          Subspace, borel_algebra, cached_decomposition,
                          enumerate_subalgebras, radical,
                          radical_power)
@@ -429,7 +429,7 @@ def test_tree_tables_against_mul_on_the_subalgebra_corpus():
     count = 0
     for name in ("b2_f5", "b3_f2", "pattern3_f3", "pattern4_f2"):
         for B in enumerate_subalgebras(corpus_algebra(name)):
-            A = EmbeddedAlgebra(corpus_algebra(name), B.rows).alg
+            A = Subalgebra(corpus_algebra(name), B.rows).alg
             G, P = unit_group(A), radical_subgroup(A)
             assert_tables_against_mul(G, (P, torus_subgroup(A)))
             assert_tables_against_mul(P)

@@ -3,15 +3,15 @@ import random
 import pytest
 
 import brw.gutkin
-from brw.algebra import (DEFAULT_DIM_BOUND, EmbeddedAlgebra, Subalgebra, Subspace,
+from brw.algebra import (DEFAULT_DIM_BOUND, Subalgebra, Subspace,
                          basic_decomposition, bimodule_complement,
-                         bimodule_decompose, borel_algebra,
+                         bimodule_decompose, borel_algebra, cached_decomposition,
                          enumerate_subalgebras, pattern_algebra, radical_power)
 from brw.chars import (Character, char_from_linear, char_table, induce,
                        inner_product, restrict)
 from brw.corpus import DEFAULT_CORPUS, corpus_algebra
 from brw.errors import (CertificationFailure, DecompositionFailure, NotInvariant,
-                        PreconditionFailure)
+                        PreconditionFailure, SpecError)
 from brw.groups import (char_orbit, ideal_subgroup, intern_group,
                         linear_characters, radical_subgroup, unit_group,
                         unit_order, units_of_subspace)
@@ -86,6 +86,32 @@ def test_diag_centraliser_certified(b3_f3, pattern3_f3):
         for theta in linear_characters(P):
             sub = diag_centraliser(A, P, theta)  # raises on any failure
             assert sub.contains_one and sub.mult_closed
+
+
+@pytest.mark.parametrize("error, raised", [(TypeError, TypeError),
+                                           (SpecError, CertificationFailure)])
+def test_diag_centraliser_reports_only_a_failed_certificate(b2_f3, monkeypatch, error, raised):
+    # a failed subalgebra certificate raises SpecError and is reported as a
+    # certification failure; a programming error propagates as it is
+    lvl = top_level(b2_f3)
+    theta = linear_characters(lvl.P)[0]
+
+    def broken(A, rows):
+        raise error("broken")
+    monkeypatch.setattr(brw.gutkin, "Subalgebra", broken)
+    with pytest.raises(raised, match="broken"):
+        brw.gutkin.diag_centraliser_level(lvl, lvl.radical, theta)
+
+
+def test_top_level_is_the_algebra_itself():
+    # the top level rebases nothing: its local algebra and decomposition are
+    # the ones cached on A, and a second call returns the same Level
+    for name in DEFAULT_CORPUS:
+        A = fresh_corpus_algebra(name)
+        lvl = top_level(A)
+        assert lvl.alg is A and lvl.dec is cached_decomposition(A)
+        assert lvl.sub.owner is A and lvl.rows == tuple(A.basis_vector(i) for i in range(A.dim))
+        assert top_level(A) is lvl
 
 
 # -- J_sigma and phi_sigma -----------------------------------------------------
@@ -744,7 +770,7 @@ def test_gutkin_on_the_subalgebra_corpus(monkeypatch):
     for name in ("b2_f5", "b3_f2", "pattern3_f3", "pattern4_f2"):
         A = corpus_algebra(name)
         for B in enumerate_subalgebras(A):
-            witness_degrees(EmbeddedAlgebra(A, B.rows).alg, steps)
+            witness_degrees(Subalgebra(A, B.rows).alg, steps)
             count += 1
     assert count == 266
     assert all(steps.counts)
@@ -768,7 +794,7 @@ def test_radical_powers_against_all_products():
             continue   # above the subalgebra scan bound for p = 3
         for B in enumerate_subalgebras(A):
             if A.dim - 2 <= B.dim < A.dim:
-                level = get_level(A, B.rows)
+                level = get_level(B)
                 for n in range(1, 4):
                     assert level.radical_power(n).rows == radical_power_oracle(A, B.rows, n)
                 levels += 1

@@ -48,11 +48,10 @@ from math import gcd, isqrt, lcm
 from operator import mul
 
 from .errors import (CertificationFailure, GroupMismatch, LiftFailure,
-                     NotOverTheta, NotSubgroup, TooLarge)
+                     NotOverTheta, NotSubgroup)
 from .exact import Cyclotomic, _prime_factors, is_prime, kernel_basis, mod_inv
-from .groups import (DEFAULT_ORDER_CAP, ConjData, FiniteGroup, LinearChar,
-                     _cyclic_powers, char_orbit, conjugacy_classes,
-                     right_action)
+from .groups import (ConjData, FiniteGroup, LinearChar, _cyclic_powers,
+                     char_orbit, conjugacy_classes, right_action)
 
 
 class Character:
@@ -489,9 +488,7 @@ def _char_table(G: FiniteGroup) -> CharTable:
     return table
 
 
-def char_table(G: FiniteGroup, cap=DEFAULT_ORDER_CAP) -> CharTable:
-    if G.order > cap:
-        raise TooLarge(f"group order {G.order} exceeds cap {cap}")
+def char_table(G: FiniteGroup) -> CharTable:
     if G._table is None:
         G._table = _char_table(G)
     return G._table

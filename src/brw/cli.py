@@ -112,7 +112,7 @@ def cmd_chartable(args):
     name, spec = load_spec(args.spec)
     A = spec_algebra(spec)
     G = unit_group(A, cap=args.cap_order)
-    table = char_table(G, cap=args.cap_order)
+    table = char_table(G)
     buf = io.StringIO()
     buf.write(f"# brw.chartable/{REPORT_VERSION} spec={name} group_order={G.order} "
               f"classes={table.conj.k} conductor={table.conductor} "
@@ -132,7 +132,7 @@ def cmd_chartable(args):
 def _gutkin_one(name, spec, args):
     A = spec_algebra(spec)
     G = unit_group(A, cap=args.cap_order)
-    table = char_table(G, cap=args.cap_order)
+    table = char_table(G)
     block = {
         "spec_name": name,
         "group_order": G.order,
@@ -145,10 +145,11 @@ def _gutkin_one(name, spec, args):
     brute_report = None
     if args.mode in ("brute", "both"):
         try:
-            brute_report = verify_gutkin_brute(A, max_dim=args.cap_scan, cap=args.cap_order)
+            brute_report = verify_gutkin_brute(A, max_dim=args.cap_scan)
             brute_ok = True
         except TooLarge as exc:
-            brute_report = None
+            if args.mode == "brute":   # the one search asked for did not run
+                raise
             block["brute_skipped"] = str(exc)
         except VerificationFailure as exc:
             brute_ok = False
@@ -158,7 +159,7 @@ def _gutkin_one(name, spec, args):
     for i, chi in enumerate(table.irreducibles):
         entry = {"index": i, "degree": int(chi.degree)}
         if args.mode in ("constructive", "both"):
-            witness = gutkin_decompose(A, chi, cap=args.cap_order)
+            witness = gutkin_decompose(A, chi)
             summary = witness.summary()
             summary["admissible_shape"] = InductionDatum(A, witness.subalgebra).diag_contained
             entry["constructive"] = summary
@@ -348,7 +349,7 @@ def cmd_orbits(args):
     except NotInsideRadical as exc:
         raise SpecError(f"--ideal: {exc}")
     orbits = []
-    for orb in char_orbits(G, Q, cap=args.cap_order):
+    for orb in char_orbits(G, Q):
         sub = certify_stabilizer_subalgebra(A, orb.stabilizer)
         orbits.append({
             "base_exps": list(orb.base.exps),

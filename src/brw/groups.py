@@ -18,6 +18,9 @@ characters (_linear), the conjugation action of its generators on each
 normal subgroup (_conj_action, set by check_normal) and the right
 multiplication of its ids by the generators of each subgroup
 (_right_action, set by right_action).
+
+The order cap is checked once, in unit_group: every other group here is a
+subgroup of A^x, so no other function takes a cap.
 """
 
 from itertools import product
@@ -211,8 +214,8 @@ def one_plus(A: Algebra, U: Subspace) -> FiniteGroup:
 def unit_group(A: Algebra, cap=None) -> FiniteGroup:
     """The full unit group G = A^x; order (p-1)^n * p^dim(J).
 
-    The order is compared with the cap, when given, before any element is
-    built."""
+    The one order-cap check: the order is compared with the cap, when given,
+    before any element is built; every other group is a subgroup of A^x."""
     dec = cached_decomposition(A)  # raises NotSplitBasic when appropriate
     basis = [A.basis_vector(i) for i in range(A.dim)]
     order = unit_order(A, basis)
@@ -317,15 +320,8 @@ class ConjData:
         return len(self.reps)
 
 
-def conjugacy_classes(G: FiniteGroup, cap=None) -> ConjData:
-    """Conjugacy classes of G, computed once per group and kept on it.
-
-    The cap is checked only when given. Inner calls (building, inducing and
-    restricting characters) pass none: the entry that took the caller's order
-    cap, such as char_table, has checked it already.
-    """
-    if cap is not None and G.order > cap:
-        raise TooLarge(f"group order {G.order} exceeds cap {cap}")
+def conjugacy_classes(G: FiniteGroup) -> ConjData:
+    """Conjugacy classes of G, computed once per group and kept on it."""
     if G._conj is not None:
         return G._conj
     perms = G.conjugations()
@@ -442,13 +438,8 @@ def commutator_subgroup(G: FiniteGroup) -> FiniteGroup:
     return intern_group(G.algebra, [G.elements[x] for x in reached])
 
 
-def abelianization(G: FiniteGroup, cap=None):
-    """(elementary divisors, projection id -> exponent tuple) of G/[G,G].
-
-    Like conjugacy_classes, checks the order cap only when one is given.
-    """
-    if cap is not None and G.order > cap:
-        raise TooLarge(f"group order {G.order} exceeds cap {cap}")
+def abelianization(G: FiniteGroup):
+    """(elementary divisors, projection id -> exponent tuple) of G/[G,G]."""
     K = commutator_subgroup(G)
     A = G.algebra
     coset_rep = {}
@@ -543,12 +534,9 @@ class LinearChar:
         return f"LinearChar(m={self.m}, exps={self.exps})"
 
 
-def linear_characters(G: FiniteGroup, cap=None):
+def linear_characters(G: FiniteGroup):
     """All |G/[G,G]| linear characters, ordered by exponent table; computed
-    once per group and kept on it. Like conjugacy_classes, checks the order
-    cap only when one is given."""
-    if cap is not None and G.order > cap:
-        raise TooLarge(f"group order {G.order} exceeds cap {cap}")
+    once per group and kept on it."""
     if G._linear is None:
         G._linear = tuple(dual_characters(G, *abelianization(G)))
     return G._linear
@@ -651,12 +639,11 @@ def char_orbit(G: FiniteGroup, Q: FiniteGroup, theta: LinearChar) -> CharOrbit:
     return CharOrbit(theta, G, orbit, intern_group(G.algebra, stab))
 
 
-def char_orbits(G: FiniteGroup, Q: FiniteGroup, cap=None):
+def char_orbits(G: FiniteGroup, Q: FiniteGroup):
     """The orbits of G on the linear characters of Q (char_orbit), each based
-    at its least exponent table, in increasing order of their bases. The cap
-    is passed to linear_characters."""
+    at its least exponent table, in increasing order of their bases."""
     seen, orbits = set(), []
-    for ch in linear_characters(Q, cap=cap):
+    for ch in linear_characters(Q):
         if ch.exps not in seen:
             orbits.append(char_orbit(G, Q, ch))
             seen.update(member.exps for member in orbits[-1].orbit)

@@ -29,9 +29,8 @@ from .chars import (Character, char_table, clifford_correspondent, induce,
 from .errors import (CertificationFailure, DecompositionFailure, NoExtension, NotInvariant,
                      PreconditionFailure, SpecError, VerificationFailure)
 from .exact import Cyclotomic, rref
-from .groups import (DEFAULT_ORDER_CAP, FiniteGroup, LinearChar, char_orbit,
-                     linear_characters, one_plus, torus_elements, unit_order,
-                     units_of_subspace)
+from .groups import (FiniteGroup, LinearChar, char_orbit, linear_characters,
+                     one_plus, torus_elements, unit_order, units_of_subspace)
 
 
 class Level:
@@ -331,12 +330,14 @@ def certify_stabilizer_subalgebra(A: Algebra, G_theta: FiniteGroup) -> Subalgebr
     equal orders (unit_order, with no element built) make the two equal.
     Nothing else can succeed where this fails: if G_theta = C^x for a
     subalgebra C, then W ⊆ C and W ∩ A^x ⊆ C^x = G_theta. Failure is
-    reportable: it would contradict the finite-field theorem.
+    reportable: it would contradict the finite-field theorem. A span that
+    already has a Level (get_level) keeps its certified Subalgebra.
     """
     rows, _ = rref(list(G_theta.elements), A.p)
     if unit_order(A, rows) != G_theta.order:
         raise CertificationFailure("stabilizer is not the unit group of its span")
-    return Subalgebra(A, rows)
+    level = A._levels.get(rows)
+    return level.sub if level is not None else Subalgebra(A, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +405,7 @@ def _one_dim_ideal_steps(level: Level, n):
     return level._steps[n]
 
 
-def _decompose(level: Level, chi: Character, steps, cap):
+def _decompose(level: Level, chi: Character, steps):
     H = level.units
     if chi.group is not H:
         chi = chi.transfer(H)
@@ -413,7 +414,7 @@ def _decompose(level: Level, chi: Character, steps, cap):
         steps.append({"branch": "leaf", "algebra_dim": level.dim, "group_order": H.order})
         return level, lam
     P = level.P
-    tabP = char_table(P, cap=cap)
+    tabP = char_table(P)
     resP = restrict(H, P, chi)
     psi = None
     for irr in tabP.irreducibles:
@@ -465,10 +466,10 @@ def _decompose(level: Level, chi: Character, steps, cap):
     eta, _ = clifford_correspondent(H, Q, theta, chi, orbit=orbit)
     step.update(stabilizer_order=G_theta.order, next_dim=new_level.dim)
     steps.append(step)
-    return _decompose(new_level, eta, steps, cap)
+    return _decompose(new_level, eta, steps)
 
 
-def gutkin_decompose(A: Algebra, chi: Character, cap=DEFAULT_ORDER_CAP) -> GutkinWitness:
+def gutkin_decompose(A: Algebra, chi: Character) -> GutkinWitness:
     """Write the irreducible chi as Ind_H^G(lambda) for H the unit group of a
     subalgebra and lambda linear; the witness is verified by exact induction."""
     level = top_level(A)
@@ -477,7 +478,7 @@ def gutkin_decompose(A: Algebra, chi: Character, cap=DEFAULT_ORDER_CAP) -> Gutki
     if inner_product(chi0, chi0) != 1:
         raise PreconditionFailure("gutkin_decompose requires an irreducible character")
     steps = []
-    leaf, lam = _decompose(level, chi0, steps, cap)
+    leaf, lam = _decompose(level, chi0, steps)
     witness = GutkinWitness(A, G, chi0, steps, leaf.sub, leaf.units, lam)
     if not witness.verify():
         raise DecompositionFailure("induced character does not match the target")
@@ -489,8 +490,7 @@ def gutkin_decompose(A: Algebra, chi: Character, cap=DEFAULT_ORDER_CAP) -> Gutki
 # ---------------------------------------------------------------------------
 
 class BruteReport:
-    def __init__(self, algebra, group, table, per_irr):
-        self.algebra = algebra
+    def __init__(self, group, table, per_irr):
         self.group = group
         self.table = table
         self.per_irr = per_irr
@@ -498,14 +498,6 @@ class BruteReport:
     @property
     def all_witnessed(self):
         return all(entry["witness_count"] > 0 for entry in self.per_irr)
-
-    def summary(self):
-        return {
-            "group_order": self.group.order,
-            "degrees": self.table.degrees,
-            "per_irreducible": self.per_irr,
-            "all_witnessed": self.all_witnessed,
-        }
 
 
 def _radical_seeds(J: Subspace, c):
@@ -522,35 +514,35 @@ def _radical_seeds(J: Subspace, c):
                              [J.rows[f]] + [J.rows[q] for q in piv]) for f in free]
 
 
-def brute_candidates(A: Algebra, G: FiniteGroup, degrees, max_dim=None, budget=None):
+def brute_candidates(A: Algebra, G: FiniteGroup, degrees, max_dim=None):
     """[(B, [G:B^x])] for the subalgebras B of A with [G:B^x] in degrees, in
-    enumerate_subalgebras order, from the walk upward from span{1} + W for
-    every W <= J of codimension c (see verify_gutkin_brute)."""
+    enumerate_subalgebras order, from its walk (default scan budget) upward
+    from span{1} + W for every W <= J of codimension c (verify_gutkin_brute)."""
     J = top_level(A).radical
     c = 0
     while c < J.dim and A.p ** (c + 1) <= max(degrees):
         c += 1
-    subs = enumerate_subalgebras(A, max_dim=max_dim, budget=budget, seeds=_radical_seeds(J, c))
+    subs = enumerate_subalgebras(A, max_dim=max_dim, seeds=_radical_seeds(J, c))
     return [(B, index) for B in subs if (index := G.order // unit_order(A, B.rows)) in degrees]
 
 
-def _decisions(G: FiniteGroup, H: FiniteGroup, targets, cap):
+def _decisions(G: FiniteGroup, H: FiniteGroup, targets):
     """[(lam, i)] for the linear lam of H, in order, that induce a target:
     i is the first target (i, chi) with Ind_H^G lam = chi. A comparison
     builds the values of Ind lam (induced_linear) up to its first mismatch."""
-    lams = linear_characters(H, cap=cap)
+    lams = linear_characters(H)
     found = ((lam, next((i for i, chi in targets
                          if all(value(k) == v for k, v in enumerate(chi.values))), None))
              for lam, value in zip(lams, induced_linear(G, H, lams)))
     return [(lam, i) for lam, i in found if i is not None]
 
 
-def verify_gutkin_brute(A: Algebra, max_dim=None, budget=None,
-                        cap=DEFAULT_ORDER_CAP) -> BruteReport:
+def verify_gutkin_brute(A: Algebra, max_dim=None) -> BruteReport:
     """Exhaustive search: for every irreducible chi of G = A^x, every pair
     (subalgebra B, linear lambda of B^x) with Ind lambda = chi.
 
-    The scan bound on dim A is checked first (TooLarge). Such a B has
+    The scan bound on dim A is checked first (TooLarge); the order cap is
+    the caller's, checked by unit_group as the CLI does. Such a B has
     [G:B^x] = chi(1), and [G:B^x] = (p-1)^(n-m) p^(dim J - dim(B ∩ J)) for
     n and m the blocks of A/J and of B's image in it (unit_order). So B
     contains span{1} + W for some W <= J of codimension c, the largest
@@ -560,15 +552,15 @@ def verify_gutkin_brute(A: Algebra, max_dim=None, budget=None,
     """
     check_scan_bound(A, max_dim)
     G = top_level(A).units
-    table = char_table(G, cap=cap)
+    table = char_table(G)
     per_irr = [{"degree": int(irr.degree), "witness_count": 0, "first": None}
                for irr in table.irreducibles]
     decided = {}
-    for B, index in brute_candidates(A, G, table.degrees, max_dim, budget):
+    for B, index in brute_candidates(A, G, table.degrees, max_dim):
         H = units_of_subspace(A, B.rows)
         if H not in decided:
             decided[H] = _decisions(G, H, [(i, irr) for i, irr in enumerate(table.irreducibles)
-                                           if int(irr.degree) == index], cap)
+                                           if int(irr.degree) == index])
         for lam, i in decided[H]:
             entry = per_irr[i]
             entry["witness_count"] += 1
@@ -580,7 +572,7 @@ def verify_gutkin_brute(A: Algebra, max_dim=None, budget=None,
                     "lambda_conductor": lam.m,
                     "lambda_exps": list(lam.exps),
                 }
-    report = BruteReport(A, G, table, per_irr)
+    report = BruteReport(G, table, per_irr)
     if not report.all_witnessed:
         missing = [i for i, e in enumerate(per_irr) if e["witness_count"] == 0]
         raise VerificationFailure(f"irreducibles without witness: {missing}")

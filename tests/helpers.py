@@ -284,7 +284,7 @@ def clifford_oracle(G, Q, theta, chi):
     _, stab = brute_char_orbit(G, theta)
     S = intern_group(G.algebra, stab)
     theta_char = char_from_linear(theta)
-    matches = [eta for eta in char_table(S, cap=S.order).irreducibles
+    matches = [eta for eta in char_table(S).irreducibles
                if inner_product(restrict(S, Q, eta), theta_char) != 0
                and induce(G, S, eta) == chi]
     assert len(matches) == 1, len(matches)

@@ -109,7 +109,7 @@ def test_verify_sums_no_pair_over_the_group_ring(monkeypatch):
 
 
 def table_of(spec, cap=DEFAULT_ORDER_CAP):
-    return char_table(unit_group(algebra_from_spec(spec)), cap=cap)
+    return char_table(unit_group(algebra_from_spec(spec), cap=cap))
 
 
 B2_F7 = {"p": 7, "pattern": {"n": 2, "closed_pairs": [[1, 2]]}}
@@ -262,9 +262,12 @@ def test_corrupted_multiplicity_fails_the_certificate_in_optimized_mode():
     assert out.strip() == "1 lifted table failed its orthonormality certificate"
 
 
-def test_char_table_cap(b2_f3):
-    with pytest.raises(TooLarge):
-        char_table(unit_group(b2_f3), cap=5)
+def test_char_table_cap():
+    # the cap is checked by unit_group, before any element of A^x is built
+    A = borel_algebra(3, 2)
+    with pytest.raises(TooLarge, match="group order 12 exceeds cap 5"):
+        unit_group(A, cap=5)
+    assert A._groups == {}
 
 
 def test_inner_product_examples(b2_f3):
@@ -588,15 +591,13 @@ def test_inner_product_against_reference(b2_f3, b3_f2):
 
 
 def test_order_cap_checked_once_at_entry():
-    # |G| = 8000 lies above the default cap; the entry applies it, but inner
-    # calls under a larger caller cap must not add a second, default one
+    # |G| = 8000 lies above the default cap; the entry applies it, and no
+    # inner call takes a cap, so none can add a second, default one
     A = corpus_algebra("b3_f5")
+    with pytest.raises(TooLarge):
+        unit_group(A, cap=DEFAULT_ORDER_CAP)
     G = unit_group(A)
     assert G.order > DEFAULT_ORDER_CAP
-    with pytest.raises(TooLarge):
-        char_table(G)
-    with pytest.raises(TooLarge):
-        conjugacy_classes(G, cap=DEFAULT_ORDER_CAP)
     one = trivial_character(G)
     P = radical_subgroup(A)
     assert restrict(G, P, one) == trivial_character(P)
@@ -607,7 +608,7 @@ def test_order_cap_checked_once_at_entry():
     assert ind.degree == G.order // P.order
     assert inner_product(ind, one) == 0
     assert inner_product(regular_character(G), one) == 1
-    assert conjugacy_classes(G, cap=8000) is one.conj
+    assert conjugacy_classes(G) is one.conj
 
 
 # -- Dixon-Schneider internals against oracles that share no code with them --

@@ -14,6 +14,7 @@ import pytest
 import brw.algebra
 import brw.cli
 import brw.corpus
+import brw.gutkin
 from brw.algebra import Subalgebra
 from brw.cli import main
 from brw.corpus import DEFAULT_CORPUS, corpus_algebra, corpus_spec
@@ -77,6 +78,16 @@ def test_cap_order_flag(tmp_path):
     assert main(["chartable", "b2_f3", "--cap-order", "5"]) == 3
 
 
+@pytest.mark.parametrize("argv", [["chartable", "b3_f5"], ["orbits", "b3_f5", "--ideal", "2"]])
+def test_raised_cap_order_needs_no_inner_cap(tmp_path, capsys, argv):
+    # |G| = 8000: unit_group is the one check, so a raised cap reaches the
+    # table and linear_characters with nothing passed along
+    assert main(argv + ["--cap-order", "8000", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert main(argv + ["--cap-order", "7999", "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == "cap exceeded: group order 8000 exceeds cap 7999\n"
+
+
 @pytest.mark.parametrize("argv", [["chartable", "b2_f3"], ["corpus"], ["--help"]])
 @pytest.mark.parametrize("value", ["abc", "1e3", ""])
 def test_malformed_cap_order_variable_is_a_spec_error(monkeypatch, capsys, argv, value):
@@ -138,6 +149,21 @@ def test_gutkin_brute_skip_over_cap(tmp_path):
     block = load(out, "gutkin_b4_f2.json")["results"][0]
     assert "brute_skipped" in block
     assert all("skipped" in w["brute"] for w in block["witnesses"])
+
+
+@pytest.mark.parametrize("mode", ["brute", "constructive"])
+def test_gutkin_over_the_scan_bound_by_mode(tmp_path, capsys, mode):
+    # dim b4_f2 = 10 exceeds the scan bound 6 for p = 2: with no search left
+    # to run, brute mode is a cap hit; constructive mode runs no brute search
+    code, out = run(tmp_path, "gutkin", "b4_f2", "--mode", mode)
+    err = capsys.readouterr().err
+    if mode == "brute":
+        assert code == 3 and not out.exists()
+        assert err == "cap exceeded: dim 10 exceeds subalgebra scan bound 6 for p=2\n"
+    else:
+        block = load(out, "gutkin_b4_f2.json")["results"][0]
+        assert code == 0 and err == "" and block["constructive_ok"]
+        assert "brute_skipped" not in block and block["brute_ok"] is None
 
 
 def test_orbits_two_orbit_structure(tmp_path):
@@ -336,6 +362,23 @@ def test_gutkin_decomposes_each_algebra_once(tmp_path, monkeypatch):
         assert len(set(seen[-1])) == len(seen[-1]), name
     # each spec algebra and each of 13 proper sublevels, once
     assert sum(map(len, seen)) == len(DEFAULT_CORPUS) + 13
+
+
+def test_gutkin_certifies_each_stabilizer_span_once(tmp_path, monkeypatch, cpus):
+    # fresh corpus algebras, in this process: a stabilizer span whose Level
+    # is cached keeps that Level's Subalgebra, so no span is closure-certified
+    # twice for one owner (the top levels are certified here too, once each)
+    monkeypatch.setattr(brw.corpus, "_algebras", {})
+    certified, real = [], brw.gutkin.Subalgebra
+
+    def counted(A, rows):
+        sub = real(A, rows)
+        certified.append((id(A), sub.rows))
+        return sub
+    monkeypatch.setattr(brw.gutkin, "Subalgebra", counted)
+    cpus(1)
+    assert main(["gutkin", "--mode", "both", "--out", str(tmp_path)]) == 0
+    assert len(set(certified)) == len(certified) > len(DEFAULT_CORPUS)
 
 
 def test_gutkin_admissible_shape_against_the_recertified_subalgebra(tmp_path, cpus):

@@ -566,8 +566,8 @@ def test_brute_linear_induction_against_class_functions(monkeypatch):
     decided, built = [], []
     real_decisions, real_units = brw.gutkin._decisions, brw.gutkin.units_of_subspace
 
-    def recording_decisions(G, H, targets, cap):
-        out = real_decisions(G, H, targets, cap)
+    def recording_decisions(G, H, targets):
+        out = real_decisions(G, H, targets)
         decided.append((G, H, out))
         return out
 

@@ -6,9 +6,10 @@ identity, ideal/subalgebra closure, idempotent orthogonality) are checked at
 construction time; a subalgebra's closure certificate yields its structure
 constants in its own basis. The radical and the primitive idempotents are
 found and certified by linear algebra on the basis (an ideal closure, its
-chain of powers and Lagrange splitting), in polynomial time; only the
-subalgebra walk (enumerate_subalgebras) enumerates, and its closures stop at
-known spans.
+chain of powers and Lagrange splitting of A/J), in polynomial time; A/J is
+split on its reduced representatives in A, and no quotient algebra is built.
+Only the subalgebra walk (enumerate_subalgebras) enumerates, and its closures
+stop at known spans.
 """
 
 from itertools import product
@@ -322,53 +323,31 @@ def _ideal_closure(A, gens):
     return rows, pivots
 
 
-def _quotient_algebra(A, ideal_rows, ideal_pivots):
-    """Quotient A / I on the section spanned by the non-pivot coordinates.
+def _split_idempotents(A, rows, pivots):
+    """Primitive idempotents of A/J = F_p^n, J the ideal with RREF rows and
+    pivots, as reduced representatives in A (zero at J's pivot columns),
+    sorted descending: the reduced identity split, for each basis vector b
+    off the pivots, by the Lagrange idempotents 1 - (b - c)^(p-1), c in F_p
+    (the indicator of the coordinates where b equals c). Products are taken
+    in A and reduced along rows: as J is a two-sided ideal, that is the
+    product of A/J."""
+    p = A.p
 
-    Returns (Q, section) where section maps Q-coordinates back to canonical
-    representatives in A (zero at the pivot coordinates of I).
-    """
-    free = [c for c in range(A.dim) if c not in set(ideal_pivots)]
-    qdim = len(free)
+    def mod_j(v):
+        return reduce_vector(v, rows, pivots, p)[0]
 
-    def project(vec):
-        res, _ = reduce_vector(vec, ideal_rows, ideal_pivots, A.p)
-        return tuple(res[c] for c in free)
-
-    def section(qvec):
-        out = [0] * A.dim
-        for c, x in zip(free, qvec):
-            out[c] = x % A.p
-        return tuple(out)
-
-    sc = []
-    for i in range(qdim):
-        plane = []
-        bi = section(tuple(1 if t == i else 0 for t in range(qdim)))
-        for j in range(qdim):
-            bj = section(tuple(1 if t == j else 0 for t in range(qdim)))
-            plane.append(list(project(A.mul(bi, bj))))
-        sc.append(plane)
-    return Algebra(A.p, sc, project(A.one)), section
-
-
-def _split_idempotents(Q):
-    """Primitive idempotents of Q = F_p^n given in any basis: {1} split, for
-    each basis vector b, by the Lagrange idempotents 1 - (b - c)^(p-1), c in
-    F_p (the indicator of the coordinates where b equals c)."""
-    p = Q.p
-    idems = [Q.one]
-    for i in range(Q.dim):
-        b = Q.basis_vector(i)
-        lagrange = [vec_sub(Q.one, Q.power(vec_sub(b, vec_scale(c, Q.one, p), p), p - 1), p)
+    one = mod_j(A.one)
+    idems = [one]
+    for b in (A.basis_vector(i) for i in range(A.dim) if i not in pivots):
+        lagrange = [vec_sub(one, mod_j(A.power(vec_sub(b, vec_scale(c, one, p), p), p - 1)), p)
                     for c in range(p)]
-        idems = [f for e in idems for f in (Q.mul(e, l) for l in lagrange) if not vec_is_zero(f)]
+        idems = [f for e in idems for f in (mod_j(A.mul(e, l)) for l in lagrange) if not vec_is_zero(f)]
     return sorted(idems, reverse=True)
 
 
 def _split_basic_analysis(A):
-    """(chain J > J^2 > ... > 0 as RREF rows, section of A/J -> A, primitive
-    idempotents of A/J), or raise NotSplitBasic.
+    """(chain J > J^2 > ... > 0 as RREF rows, primitive idempotents of A/J as
+    the reduced representatives of _split_idempotents), or raise NotSplitBasic.
 
     Let I be the two-sided ideal generated by the commutators b_i b_j - b_j b_i
     and the b_i^p - b_i of the basis. A/I is commutative, so Frobenius is
@@ -377,6 +356,8 @@ def _split_basic_analysis(A):
     is nilpotent, and then J = I. Nilpotency is certified by the chain
     I > I^2 > ... > 0 (I^(k+1) spanned by the products of the rows of I^k
     and I); a step that keeps a nonzero dimension means I^k = I^(k+1) != 0.
+    The idempotents are certified dim A - dim J in number, orthogonal and
+    summing to 1 modulo J.
     """
     basis = [A.basis_vector(i) for i in range(A.dim)]
     gens = [vec_sub(A.mul(u, v), A.mul(v, u), A.p) for i, u in enumerate(basis) for v in basis[i + 1:]]
@@ -388,19 +369,16 @@ def _split_basic_analysis(A):
         if len(nxt) == len(chain[-1]):
             raise NotSplitBasic("the ideal generated by commutators and b^p - b is not nilpotent")
         chain.append(nxt)
-    Q, section = _quotient_algebra(A, rows, pivots)
-    prims = _split_idempotents(Q)
-    if len(prims) != Q.dim:
+    prims = _split_idempotents(A, rows, pivots)
+    if len(prims) != A.dim - len(rows):
         raise NotSplitBasic("semisimple quotient is not split (wrong idempotent count)")
-    total = tuple(0 for _ in range(Q.dim))
     for e in prims:
         for f in prims:
-            if e != f and not vec_is_zero(Q.mul(e, f)):
+            if e != f and not vec_is_zero(reduce_vector(A.mul(e, f), rows, pivots, A.p)[0]):
                 raise NotSplitBasic("quotient idempotents not orthogonal")
-        total = vec_add(total, e, Q.p)
-    if total != Q.one:
+    if A.combine([1] * len(prims), prims) != reduce_vector(A.one, rows, pivots, A.p)[0]:
         raise NotSplitBasic("quotient idempotents do not sum to 1")
-    return chain, section, prims
+    return chain, prims
 
 
 def radical(A: Algebra) -> Ideal:
@@ -438,12 +416,11 @@ def _lift_idempotent(A, a, steps):
 
 def basic_decomposition(A: Algebra) -> BasicDecomposition:
     """Orthogonal idempotents summing to 1, the diagonal D and radical J, certified."""
-    chain, section, prims = _split_basic_analysis(A)
+    chain, prims = _split_basic_analysis(A)
     steps = (A.dim - 1).bit_length() + 2
     idems = []
     s = tuple(0 for _ in range(A.dim))
-    for ebar in prims:
-        a = section(ebar)
+    for a in prims:
         one_minus_s = vec_sub(A.one, s, A.p)
         a = A.mul(A.mul(one_minus_s, a), one_minus_s)
         e = _lift_idempotent(A, a, steps)

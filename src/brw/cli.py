@@ -58,14 +58,18 @@ def _config_block(args, mode=None):
 
 
 def _emit(args, name, payload, ext="json"):
-    """Write a report: payload is its text, or a JSON object to encode."""
+    """Write a report: payload is its text, or a JSON object to encode. A
+    report that cannot be written is a SpecError, naming the path."""
     if not isinstance(payload, str):
         payload = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, f"{name}.{ext}")
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(payload)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+            with open(path, "w", encoding="utf-8") as f:
+                f.write(payload)
+        except OSError as exc:
+            raise SpecError(f"cannot write report '{path}': {exc}") from None
         print(path)
     else:
         sys.stdout.write(payload)

@@ -150,7 +150,9 @@ class FiniteGroup:
         return self._exp
 
     def contains_group(self, other):
-        return all(v in self.index for v in other.elements)
+        """Whether every element of other lies in this group; True at once
+        when other is this group, with no element scanned."""
+        return other is self or all(v in self.index for v in other.elements)
 
     def __repr__(self):
         return f"FiniteGroup(order={self.order})"

@@ -204,8 +204,9 @@ def split_basic_oracle(A):
     J is the set of nilpotent elements (x^dim = 0); A is split basic when J
     is a subspace and an ideal, A/J is commutative and A/J has dim(A/J)
     primitive idempotents. Those are found by a scan of the classes mod J
-    and written on the non-pivot coordinates of J, as the quotient's
-    coordinates. Rows and idempotents are None when the verdict is False.
+    and written as their reduced representatives mod_j(e), zero at the
+    pivot coordinates of J. Rows and idempotents are None when the verdict
+    is False.
     No ideal generators, Frobenius or Lagrange splitting are used.
     """
     p = A.p
@@ -226,10 +227,9 @@ def split_basic_oracle(A):
     idems = [e for e in sorted({mod_j(v) for v in elems}) if mod_j(A.mul(e, e)) == e]
     prims = [e for e in idems if any(e)
              and sum(mod_j(A.mul(e, f)) == f for f in idems) == 2]  # only 0 and e below e
-    free = [c for c in range(A.dim) if c not in pivots]
-    if len(prims) != len(free):
+    if len(prims) != A.dim - len(rows):
         return False, None, None
-    return True, rows, sorted((tuple(e[c] for c in free) for e in prims), reverse=True)
+    return True, rows, sorted(prims, reverse=True)
 
 
 def ideal_oracle(A, gens):

@@ -279,7 +279,7 @@ def analysis_matches_oracle(A):
     rows and the quotient idempotents against split_basic_oracle."""
     verdict, rows, quotient = split_basic_oracle(A)
     try:
-        chain, _, prims = algebra._split_basic_analysis(A)
+        chain, prims = algebra._split_basic_analysis(A)
     except NotSplitBasic:
         assert not verdict
         return False

@@ -122,6 +122,22 @@ def test_malformed_cap_order_variable_exits_2_without_traceback():
     assert out.stderr == "spec error: BRW_CAP_ORDER must be a positive integer, not 'abc'\n"
 
 
+@pytest.mark.parametrize("argv", [["info", "b2_f2"], ["chartable", "b2_f2"],
+                                  ["gutkin", "b2_f2"], ["orbits", "b2_f2"],
+                                  ["local", "chargroup", "--p", "2", "--k", "1"], ["corpus"]])
+@pytest.mark.parametrize("below", [False, True])
+def test_unwritable_out_is_a_spec_error(tmp_path, capsys, argv, below):
+    # --out naming a regular file, or a directory below one
+    blocker = tmp_path / "report"
+    blocker.write_text("")
+    out = blocker / "x" if below else blocker
+    assert main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("spec error: cannot write")
+
+
 def test_gutkin_single_spec(tmp_path):
     code, out = run(tmp_path, "gutkin", "b3_f2", "--mode", "both")
     assert code == 0
@@ -351,17 +367,24 @@ def test_gutkin_decomposes_each_algebra_once(tmp_path, monkeypatch):
     # algebra owns its levels)
     monkeypatch.setattr(brw.corpus, "_algebras", {})
     seen, real = [], brw.algebra.basic_decomposition
+    built, real_init = [], brw.algebra.Algebra.__init__
 
     def counted(A):
         seen[-1].append((A.p, A.sc, A.one))
         return real(A)
+
+    def counted_init(A, *args, **kwargs):
+        built.append(args)
+        real_init(A, *args, **kwargs)
     monkeypatch.setattr(brw.algebra, "basic_decomposition", counted)
+    monkeypatch.setattr(brw.algebra.Algebra, "__init__", counted_init)
     for name in DEFAULT_CORPUS:
         seen.append([])
         assert main(["gutkin", name, "--mode", "both", "--out", str(tmp_path)]) == 0
         assert len(set(seen[-1])) == len(seen[-1]), name
-    # each spec algebra and each of 13 proper sublevels, once
-    assert sum(map(len, seen)) == len(DEFAULT_CORPUS) + 13
+    # each spec algebra and each of 13 proper sublevels, once; no other
+    # Algebra is built (A/J is split on its representatives in A)
+    assert sum(map(len, seen)) == len(built) == len(DEFAULT_CORPUS) + 13
 
 
 def test_gutkin_certifies_each_stabilizer_span_once(tmp_path, monkeypatch, cpus):

@@ -145,6 +145,14 @@ def test_commutator_subgroup(b2_f3, b3_f2):
     assert set(K3.elements) == set(center(G3).elements)  # Heisenberg: [G,G] = Z
 
 
+def test_contains_group(b2_f3, monkeypatch):
+    G, P = unit_group(b2_f3), radical_subgroup(b2_f3)
+    assert G.contains_group(P) and not P.contains_group(G)
+    assert G.contains_group(FiniteGroup(b2_f3, G.elements))    # equal, not the same object
+    monkeypatch.setattr(G, "index", {})   # G itself is contained with no membership test
+    assert G.contains_group(G)
+
+
 def test_abelian_invariants_divisor_chain():
     rng = random.Random(3)
     for p, k in [(2, 3), (3, 2), (5, 1), (7, 1)]:

@@ -3,11 +3,14 @@
 Everything here is exact over F_p: elements are coordinate tuples, subspaces
 are reduced-echelon row matrices, and all certificates (associativity,
 identity, ideal/subalgebra closure, idempotent orthogonality) are checked at
-construction time; a subalgebra's closure certificate yields its structure
-constants in its own basis. The radical and the primitive idempotents are
-found and certified by linear algebra on the basis (an ideal closure, its
-chain of powers and Lagrange splitting of A/J), in polynomial time; A/J is
-split on its reduced representatives in A, and no quotient algebra is built.
+construction time. There is one coordinate system, the algebra's: a
+subalgebra B is its echelon rows, and B is decomposed on them. A vector of B
+has its coordinates along the rows at their pivot columns, so echelon forms,
+reductions and the lexicographic order of B's vectors agree with those in a
+basis of B. The radical and the primitive idempotents are found and
+certified by linear algebra on a basis (an ideal closure, its chain of
+powers and Lagrange splitting of A/J), in polynomial time; A/J is split on
+its reduced representatives in A, and no quotient algebra is built.
 Only the subalgebra walk (enumerate_subalgebras) enumerates, and its closures
 stop at known spans.
 """
@@ -72,7 +75,7 @@ class Algebra:
         self.one = tuple(int(c) % p for c in one)
         if len(self.one) != dim:
             raise SpecError("identity vector has wrong length")
-        self.labels = tuple(labels) if labels else tuple(f"b{i}" for i in range(dim))
+        self.labels = tuple(labels) if labels is not None else tuple(f"b{i}" for i in range(dim))
         if len(self.labels) != dim:
             raise SpecError("labels length mismatch")
         # for each i, the j with b_i * b_j != 0 and the nonzero terms (k, c) of that product
@@ -138,6 +141,9 @@ class Algebra:
     def basis_vector(self, i):
         return tuple(1 if k == i else 0 for k in range(self.dim))
 
+    def basis(self):
+        return tuple(self.basis_vector(i) for i in range(self.dim))
+
     def elements(self):
         return all_vectors(self.p, self.dim)
 
@@ -201,53 +207,27 @@ class Subspace:
 
 
 class Subalgebra(Subspace):
-    """Unital multiplicatively closed subspace B, certified at construction.
-
-    The certificate reduces the identity and the product of every ordered
-    pair of echelon rows along the rows; the coefficients it returns are the
-    identity and the structure constants of B in its own basis. alg is B as
-    an Algebra in that basis, built on first use (the owner itself when the
-    rows span it), and to_ambient maps its coordinates back to the owner's.
-    """
+    """Unital multiplicatively closed subspace B, certified at construction
+    (the identity and every product of two echelon rows lie in B). B has no
+    basis of its own: basic_decomposition works on its rows in the owner."""
 
     def __init__(self, owner, rows):
         super().__init__(owner, rows)
-        p = owner.p
-        res, self._one = reduce_vector(owner.one, self.rows, self.pivots, p)
-        if not vec_is_zero(res):
+        if not self.contains(owner.one):
             raise SpecError("subalgebra must contain the identity")
-        self._sc = []
-        for u in self.rows:
-            plane = []
-            for v in self.rows:
-                res, coeffs = reduce_vector(owner.mul(u, v), self.rows, self.pivots, p)
-                if not vec_is_zero(res):
-                    raise SpecError("subspace is not multiplicatively closed")
-                plane.append(coeffs)
-            self._sc.append(plane)
+        if not self.closed_under(self.rows, ()):
+            raise SpecError("subspace is not multiplicatively closed")
         self.contains_one = self.mult_closed = True   # both certified above
-        self._alg = owner if self.dim == owner.dim else None
         self.idempotents = None  # set by basic_decomposition for the diagonal
-
-    @property
-    def alg(self) -> Algebra:
-        if self._alg is None:
-            self._alg = Algebra(self.owner.p, self._sc, self._one)
-        return self._alg
-
-    def to_ambient(self, local):
-        return self.owner.combine(local, self.rows)
-
-    def subspace_to_ambient(self, sub: Subspace) -> Subspace:
-        return Subspace(self.owner, [self.to_ambient(r) for r in sub.rows])
 
 
 class Ideal(Subspace):
-    """Two-sided ideal; closure under ambient multiplication certified."""
+    """Two-sided ideal of the subalgebra with echelon rows basis (default:
+    the whole owner); closure under its multiplication certified."""
 
-    def __init__(self, owner, rows):
+    def __init__(self, owner, rows, basis=None):
         super().__init__(owner, rows)
-        basis = [owner.basis_vector(i) for i in range(owner.dim)]
+        basis = owner.basis() if basis is None else basis
         if not self.closed_under(basis, basis):
             raise SpecError("subspace is not a two-sided ideal")
 
@@ -306,11 +286,11 @@ def _insert_row(rows, pivots, vec, p):
     return rows[:k] + (new,) + rows[k:], pivots[:k] + (c,) + pivots[k:]
 
 
-def _ideal_closure(A, gens):
-    """RREF (rows, pivots) of the two-sided ideal generated by gens: each new
-    independent vector is multiplied by every basis vector on both sides."""
+def _ideal_closure(A, basis, gens):
+    """RREF (rows, pivots) of the two-sided ideal generated by gens in the
+    subalgebra with echelon rows basis: each new independent vector is
+    multiplied by every row of basis on both sides."""
     rows, pivots = (), ()
-    basis = [A.basis_vector(i) for i in range(A.dim)]
     todo = list(gens)
     while todo:
         w = todo.pop()
@@ -323,14 +303,14 @@ def _ideal_closure(A, gens):
     return rows, pivots
 
 
-def _split_idempotents(A, rows, pivots):
-    """Primitive idempotents of A/J = F_p^n, J the ideal with RREF rows and
-    pivots, as reduced representatives in A (zero at J's pivot columns),
-    sorted descending: the reduced identity split, for each basis vector b
-    off the pivots, by the Lagrange idempotents 1 - (b - c)^(p-1), c in F_p
-    (the indicator of the coordinates where b equals c). Products are taken
-    in A and reduced along rows: as J is a two-sided ideal, that is the
-    product of A/J."""
+def _split_idempotents(A, basis, rows, pivots):
+    """Primitive idempotents of B/J = F_p^n, B with echelon rows basis and J
+    its ideal with RREF rows and pivots, as reduced representatives (zero at
+    J's pivot columns), sorted descending: the reduced identity split, for
+    each row b of basis whose pivot is not J's, by the Lagrange idempotents
+    1 - (b - c)^(p-1), c in F_p (the indicator of the coordinates where b
+    equals c). Products are taken in A and reduced along rows: as J is a
+    two-sided ideal of B, that is the product of B/J."""
     p = A.p
 
     def mod_j(v):
@@ -338,39 +318,39 @@ def _split_idempotents(A, rows, pivots):
 
     one = mod_j(A.one)
     idems = [one]
-    for b in (A.basis_vector(i) for i in range(A.dim) if i not in pivots):
+    for b in (b for b in basis if next(c for c, x in enumerate(b) if x) not in pivots):
         lagrange = [vec_sub(one, mod_j(A.power(vec_sub(b, vec_scale(c, one, p), p), p - 1)), p)
                     for c in range(p)]
         idems = [f for e in idems for f in (mod_j(A.mul(e, l)) for l in lagrange) if not vec_is_zero(f)]
     return sorted(idems, reverse=True)
 
 
-def _split_basic_analysis(A):
-    """(chain J > J^2 > ... > 0 as RREF rows, primitive idempotents of A/J as
-    the reduced representatives of _split_idempotents), or raise NotSplitBasic.
+def _split_basic_analysis(A, basis):
+    """(chain J > J^2 > ... > 0 as RREF rows, primitive idempotents of B/J as
+    the reduced representatives of _split_idempotents), or raise NotSplitBasic,
+    for B the subalgebra of A with echelon rows basis (A.basis() for A).
 
-    Let I be the two-sided ideal generated by the commutators b_i b_j - b_j b_i
-    and the b_i^p - b_i of the basis. A/I is commutative, so Frobenius is
-    additive there and x^p = x on all of A/I: A/I is a product of copies of
-    F_p, hence I contains the radical J. So A is split basic exactly when I
-    is nilpotent, and then J = I. Nilpotency is certified by the chain
-    I > I^2 > ... > 0 (I^(k+1) spanned by the products of the rows of I^k
-    and I); a step that keeps a nonzero dimension means I^k = I^(k+1) != 0.
-    The idempotents are certified dim A - dim J in number, orthogonal and
-    summing to 1 modulo J.
+    Let I be the two-sided ideal of B generated by the commutators
+    b_i b_j - b_j b_i and the b_i^p - b_i of the basis. B/I is commutative,
+    so Frobenius is additive there and x^p = x on all of B/I: B/I is a
+    product of copies of F_p, hence I contains the radical J. So B is split
+    basic exactly when I is nilpotent, and then J = I. Nilpotency is
+    certified by the chain I > I^2 > ... > 0 (I^(k+1) spanned by the
+    products of the rows of I^k and I); a step that keeps a nonzero
+    dimension means I^k = I^(k+1) != 0. The idempotents are certified
+    dim B - dim J in number, orthogonal and summing to 1 modulo J.
     """
-    basis = [A.basis_vector(i) for i in range(A.dim)]
     gens = [vec_sub(A.mul(u, v), A.mul(v, u), A.p) for i, u in enumerate(basis) for v in basis[i + 1:]]
     gens += [vec_sub(A.power(b, A.p), b, A.p) for b in basis]
-    rows, pivots = _ideal_closure(A, gens)
+    rows, pivots = _ideal_closure(A, basis, gens)
     chain = [rows]
     while chain[-1]:
         nxt, _ = rref([A.mul(u, v) for u in chain[-1] for v in rows], A.p)
         if len(nxt) == len(chain[-1]):
             raise NotSplitBasic("the ideal generated by commutators and b^p - b is not nilpotent")
         chain.append(nxt)
-    prims = _split_idempotents(A, rows, pivots)
-    if len(prims) != A.dim - len(rows):
+    prims = _split_idempotents(A, basis, rows, pivots)
+    if len(prims) != len(basis) - len(rows):
         raise NotSplitBasic("semisimple quotient is not split (wrong idempotent count)")
     for e in prims:
         for f in prims:
@@ -391,10 +371,8 @@ def radical(A: Algebra) -> Ideal:
 
 def is_split_basic(A) -> tuple[bool, str]:
     """(verdict, reason). Accepts an Algebra or a certified Subalgebra."""
-    if isinstance(A, Subalgebra):
-        A = A.alg
     try:
-        cached_decomposition(A)
+        (basic_decomposition if isinstance(A, Subalgebra) else cached_decomposition)(A)
     except NotSplitBasic as exc:
         return False, str(exc)
     return True, "split basic"
@@ -414,10 +392,13 @@ def _lift_idempotent(A, a, steps):
     return e
 
 
-def basic_decomposition(A: Algebra) -> BasicDecomposition:
-    """Orthogonal idempotents summing to 1, the diagonal D and radical J, certified."""
-    chain, prims = _split_basic_analysis(A)
-    steps = (A.dim - 1).bit_length() + 2
+def basic_decomposition(B) -> BasicDecomposition:
+    """Orthogonal idempotents summing to 1, the diagonal D and radical J, certified,
+    of an Algebra, or of a certified Subalgebra B on its echelon rows in its
+    owner A (each J^n certified an ideal of B)."""
+    A, basis = (B.owner, B.rows) if isinstance(B, Subalgebra) else (B, B.basis())
+    chain, prims = _split_basic_analysis(A, basis)
+    steps = (len(basis) - 1).bit_length() + 2
     idems = []
     s = tuple(0 for _ in range(A.dim))
     for a in prims:
@@ -435,8 +416,8 @@ def basic_decomposition(A: Algebra) -> BasicDecomposition:
                 raise NotSplitBasic("lifted idempotents not orthogonal")
     diagonal = Subalgebra(A, idems)
     diagonal.idempotents = tuple(idems)
-    powers = tuple(Ideal(A, rows) for rows in chain)
-    if diagonal.dim + powers[0].dim != A.dim or diagonal.intersect(powers[0]).dim != 0:
+    powers = tuple(Ideal(A, rows, basis) for rows in chain)
+    if diagonal.dim + powers[0].dim != len(basis) or diagonal.intersect(powers[0]).dim != 0:
         raise NotSplitBasic("A is not the direct sum D + J")
     return BasicDecomposition(A, tuple(idems), diagonal, powers)
 

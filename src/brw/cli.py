@@ -504,10 +504,15 @@ def _add_common(sub, cap_order):
     sub.add_argument("--out", default=None, help="directory for report files")
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):   # one spec error line, exit 2; subparsers share the class
+        raise SpecError(message)
+
+
 def build_parser(cap_order=DEFAULT_ORDER_CAP):
-    ap = argparse.ArgumentParser(prog="brw",
-                                 description="unit groups of split basic algebras: "
-                                             "exact tables, orbits and induced-character witnesses")
+    ap = _Parser(prog="brw",
+                 description="unit groups of split basic algebras: "
+                             "exact tables, orbits and induced-character witnesses")
     ap.add_argument("--version", action="version", version=f"brw {__version__}")
     subs = ap.add_subparsers(dest="command", required=True)
 

@@ -9,21 +9,20 @@ together. An exhaustive brute-force verifier over the subalgebras whose
 unit group has a degree as its index provides an independent check of the
 same statement.
 
-Cache owners: the ambient algebra keeps one Level per subalgebra basis
-(get_level, in algebra._levels). A Level's local algebra and its map into
-ambient coordinates come from its certified Subalgebra; the top level's
-local algebra is the ambient algebra itself. The local algebra keeps its
-BasicDecomposition, which holds the J^n that radical_power maps into ambient
-coordinates; a Level keeps its one-dimensional ideal steps per n (_steps, set
+Everything is in the ambient algebra's coordinates. Cache owners: the
+ambient algebra keeps one Level per subalgebra basis (get_level, in
+algebra._levels) and its own BasicDecomposition, which the top level reads;
+any other Level keeps the BasicDecomposition made on its Subalgebra's rows,
+which holds its J^n, and its one-dimensional ideal steps per n (_steps, set
 by _one_dim_ideal_steps); a SigmaData keeps its J_sigma.
 """
 
 from itertools import combinations, product
 from math import lcm
 
-from .algebra import (Algebra, Subalgebra, Subspace, bimodule_complement,
-                      bimodule_decompose, cached_decomposition, check_scan_bound,
-                      enumerate_subalgebras, vec_add, vec_sub)
+from .algebra import (Algebra, Subalgebra, Subspace, basic_decomposition,
+                      bimodule_complement, bimodule_decompose, cached_decomposition,
+                      check_scan_bound, enumerate_subalgebras, vec_add, vec_sub)
 from .chars import (Character, char_table, clifford_correspondent, induce,
                     induced_linear, inner_product, restrict)
 from .errors import (CertificationFailure, DecompositionFailure, NoExtension, NotInvariant,
@@ -36,29 +35,26 @@ from .groups import (FiniteGroup, LinearChar, char_orbit, linear_characters,
 class Level:
     """A certified Subalgebra of the ambient algebra with its group context.
 
-    All groups live in ambient coordinates so characters can be moved between
-    recursion levels; structural data (radical, idempotents, J^n) is computed
-    on the subalgebra's local algebra (sub.alg, the ambient algebra itself at
-    the top level) and mapped back by sub.to_ambient.
+    Everything is in ambient coordinates, so characters move between
+    recursion levels as they are. dec is the subalgebra's decomposition on
+    its rows, or the ambient algebra's cached one at the top level.
     """
 
     def __init__(self, sub: Subalgebra):
         self.sub = sub
         self.ambient = ambient = sub.owner
-        self.alg = sub.alg
         self.rows = sub.rows
         self.dim = sub.dim
-        self.dec = dec = cached_decomposition(self.alg)
-        self.idempotents = tuple(sub.to_ambient(e) for e in dec.idempotents)
-        self.diagonal = sub.subspace_to_ambient(dec.diagonal)
-        self.radical = sub.subspace_to_ambient(dec.radical)
+        self.dec = (cached_decomposition(ambient) if sub.dim == ambient.dim
+                    else basic_decomposition(sub))
+        self.radical = self.dec.radical
         self.units = units_of_subspace(ambient, self.rows)
         self.P = one_plus(ambient, self.radical)
         self._steps = {}
 
     def radical_power(self, n):
-        """Ambient image of J^n for the level algebra."""
-        return self.sub.subspace_to_ambient(self.dec.radical_power(n))
+        """J^n for the level algebra."""
+        return self.dec.radical_power(n)
 
     def one_plus(self, subspace: Subspace) -> FiniteGroup:
         return one_plus(self.ambient, subspace)
@@ -76,10 +72,8 @@ def get_level(sub: Subalgebra) -> Level:
 
 
 def top_level(A: Algebra) -> Level:
-    """The Level on all of A, whose local algebra is A itself."""
-    rows = tuple(A.basis_vector(i) for i in range(A.dim))
-    level = A._levels.get(rows)
-    return level if level is not None else get_level(Subalgebra(A, rows))
+    """The Level on all of A, which reads A's cached decomposition."""
+    return A._levels.get(A.basis()) or get_level(Subalgebra(A, A.basis()))
 
 
 def _root_exps(values, m):
@@ -115,7 +109,7 @@ def diag_centraliser_level(level: Level, I: Subspace, theta: LinearChar) -> Suba
     Q = theta.domain
     members = []
     ivecs = list(I.vectors())
-    for d in level.diagonal.vectors():
+    for d in level.dec.diagonal.vectors():
         ok = True
         for a in ivecs:
             left = vec_add(A.one, A.mul(a, d), A.p)
@@ -134,7 +128,7 @@ def diag_centraliser_level(level: Level, I: Subspace, theta: LinearChar) -> Suba
         raise CertificationFailure(f"diagonal centraliser not a subalgebra: {exc}")
     # unit group must be the stabilizer of theta in T
     stab = char_orbit(level.units, Q, theta).stabilizer.index
-    t_stab = {t for t in torus_elements(A, level.idempotents) if t in stab}
+    t_stab = {t for t in torus_elements(A, level.dec.idempotents) if t in stab}
     units = set(units_of_subspace(A, rows).elements)
     if units != t_stab:
         raise CertificationFailure("unit group of D_theta differs from T_theta")
@@ -397,11 +391,11 @@ def _one_dim_ideal_steps(level: Level, n):
     induced by the homogeneous bimodule decomposition of a complement; kept per n."""
     if n not in level._steps:
         dec = level.dec
-        Jn_loc = dec.radical_power(n)
-        comp = bimodule_complement(dec.diagonal, dec.radical_power(n - 1), Jn_loc)
-        level._steps[n] = tuple(
-            level.sub.subspace_to_ambient(Subspace(level.alg, Jn_loc.rows + (v,)))
-            for _, _, comp_ij in bimodule_decompose(dec.diagonal, comp) for v in comp_ij.rows)
+        Jn = dec.radical_power(n)
+        comp = bimodule_complement(dec.diagonal, dec.radical_power(n - 1), Jn)
+        level._steps[n] = tuple(Subspace(level.ambient, Jn.rows + (v,))
+                                for _, _, comp_ij in bimodule_decompose(dec.diagonal, comp)
+                                for v in comp_ij.rows)
     return level._steps[n]
 
 

@@ -584,6 +584,15 @@ def coords_of(S, vec):
     return coeffs
 
 
+def subalgebra_algebra(B):
+    """The subalgebra B as an Algebra in the basis of its echelon rows: the
+    identity and the product of every ordered pair of rows, reduced along
+    the rows (the old level algebra, kept as an oracle)."""
+    A = B.owner
+    return Algebra(A.p, [[coords_of(B, A.mul(u, v)) for v in B.rows] for u in B.rows],
+                   coords_of(B, A.one))
+
+
 def sum_with(S, T):
     return Subspace(S.owner, S.rows + T.rows)
 

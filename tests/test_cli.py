@@ -361,30 +361,32 @@ def test_gutkin_default_corpus_report_matches_the_pin(tmp_path, cpus, monkeypatc
 
 
 def test_gutkin_decomposes_each_algebra_once(tmp_path, monkeypatch):
-    # fresh corpus algebras, in this process: the top level's local algebra is
-    # A itself, so within a spec no decomposition repeats on equal structure
-    # constants (two specs may have sublevels with equal ones: each ambient
-    # algebra owns its levels)
+    # fresh corpus algebras, in this process: the top level reads A's cached
+    # decomposition and each proper sublevel decomposes its Subalgebra's rows,
+    # so within a spec no decomposition repeats (brw.gutkin binds its own
+    # basic_decomposition, so both binding sites are counted)
     monkeypatch.setattr(brw.corpus, "_algebras", {})
     seen, real = [], brw.algebra.basic_decomposition
     built, real_init = [], brw.algebra.Algebra.__init__
 
-    def counted(A):
-        seen[-1].append((A.p, A.sc, A.one))
-        return real(A)
+    def counted(B):
+        seen[-1].append(B.rows if isinstance(B, Subalgebra) else "top")
+        return real(B)
 
     def counted_init(A, *args, **kwargs):
         built.append(args)
         real_init(A, *args, **kwargs)
     monkeypatch.setattr(brw.algebra, "basic_decomposition", counted)
+    monkeypatch.setattr(brw.gutkin, "basic_decomposition", counted)
     monkeypatch.setattr(brw.algebra.Algebra, "__init__", counted_init)
     for name in DEFAULT_CORPUS:
         seen.append([])
         assert main(["gutkin", name, "--mode", "both", "--out", str(tmp_path)]) == 0
         assert len(set(seen[-1])) == len(seen[-1]), name
-    # each spec algebra and each of 13 proper sublevels, once; no other
-    # Algebra is built (A/J is split on its representatives in A)
-    assert sum(map(len, seen)) == len(built) == len(DEFAULT_CORPUS) + 13
+    # each spec algebra and each of 13 proper sublevels, once; only spec
+    # ingestion builds an Algebra (no level algebra, no quotient by J)
+    assert sum(map(len, seen)) == len(DEFAULT_CORPUS) + 13
+    assert len(built) == len(DEFAULT_CORPUS)
 
 
 def test_gutkin_certifies_each_stabilizer_span_once(tmp_path, monkeypatch, cpus):
@@ -606,6 +608,18 @@ def test_local_malformed_arguments(capsys):
     assert len(err) == 3 and all(line.startswith("spec error: ") for line in err)
 
 
+@pytest.mark.parametrize("argv", [
+    ["gutkin", "--mode", "nope"], ["chartable"], ["info", "b2_f2", "--cap-order", "abc"],
+    ["gutkin", "--bogus"], ["nosuchcommand"], ["local"], ["local", "factor", "--k", "1"],
+], ids=["bad_choice", "missing_spec", "bad_int", "unknown_flag", "unknown_command",
+        "missing_subcommand", "missing_required"])
+def test_malformed_arguments_are_one_line_spec_errors(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == "" and len(err) == 1 and err[0].startswith("spec error: ")
+
+
 def test_local_level_is_capped(capsys):
     # |(Z/2^8)^x| = 128 > 10; 2^39 residues must be refused before enumeration
     assert main(["local", "chargroup", "--p", "2", "--k", "8", "--cap-order", "10"]) == 3
@@ -622,8 +636,10 @@ def test_local_level_is_capped(capsys):
     {"p": 3, "pattern": {"n": 2, "closed_pairs": 5}},
     {"p": 3.0, "pattern": {"n": 2, "closed_pairs": [[1, 2]]}},
     {"p": 3, "dim": 1.0, "one": [1], "sc": [[[1]]]},
+    {"p": 3, "dim": 1, "one": [1], "sc": [[[1]]], "labels": []},
 ], ids=["sc_plane_not_a_list", "sc_entry_not_an_integer", "one_not_a_list",
-        "closed_pairs_not_a_list", "p_not_an_integer", "dim_not_an_integer"])
+        "closed_pairs_not_a_list", "p_not_an_integer", "dim_not_an_integer",
+        "labels_empty"])
 def test_malformed_spec_is_a_spec_error(tmp_path, capsys, spec):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(spec))

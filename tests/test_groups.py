@@ -3,8 +3,7 @@ import random
 import pytest
 
 import brw.gutkin
-from brw.algebra import (DEFAULT_DIM_BOUND, BasicDecomposition, Subalgebra,
-                         Subspace, borel_algebra, cached_decomposition,
+from brw.algebra import (DEFAULT_DIM_BOUND, BasicDecomposition, Subspace, borel_algebra, cached_decomposition,
                          enumerate_subalgebras, radical,
                          radical_power)
 from brw.corpus import DEFAULT_CORPUS, corpus_algebra
@@ -22,7 +21,7 @@ from helpers import (abelianization_oracle, assert_orbits_match_oracle,
                      assert_units_match_oracle, brute_char_orbit,
                      brute_conj_partition, commutator_subgroup_oracle, diagonal_algebra,
                      fresh_corpus_algebra, mul_ids, orbit_count_P_dual,
-                     rebased, run_optimized, torus_factorization)
+                     rebased, run_optimized, subalgebra_algebra, torus_factorization)
 
 
 def test_unit_group_orders(b2_f3, b3_f2):
@@ -440,7 +439,7 @@ def test_tree_tables_against_mul_on_the_subalgebra_corpus():
     count = 0
     for name in ("b2_f5", "b3_f2", "pattern3_f3", "pattern4_f2"):
         for B in enumerate_subalgebras(corpus_algebra(name)):
-            A = Subalgebra(corpus_algebra(name), B.rows).alg
+            A = subalgebra_algebra(B)
             G, P = unit_group(A), radical_subgroup(A)
             assert_tables_against_mul(G, (P, torus_subgroup(A)))
             assert_tables_against_mul(P)

@@ -12,6 +12,7 @@ from brw.chars import (Character, char_from_linear, char_table, induce,
 from brw.corpus import DEFAULT_CORPUS, corpus_algebra
 from brw.errors import (CertificationFailure, DecompositionFailure, NotInvariant,
                         PreconditionFailure, SpecError)
+from brw.exact import rref
 from brw.groups import (char_orbit, ideal_subgroup, intern_group,
                         linear_characters, radical_subgroup, unit_group,
                         unit_order, units_of_subspace)
@@ -24,7 +25,7 @@ from helpers import (assert_orbits_match_oracle, assert_schreier_tree,
                      assert_units_match_oracle, clifford_oracle, diag_centraliser,
                      echelon_subspaces, fresh_corpus_algebra, group_exponent, j_sigma_oracle,
                      nondegenerate_step_oracle, radical_power_oracle, rebased,
-                     run_optimized)
+                     run_optimized, subalgebra_algebra)
 
 
 # -- fixtures for the worked sigma instances ---------------------------------
@@ -104,12 +105,12 @@ def test_diag_centraliser_reports_only_a_failed_certificate(b2_f3, monkeypatch, 
 
 
 def test_top_level_is_the_algebra_itself():
-    # the top level rebases nothing: its local algebra and decomposition are
-    # the ones cached on A, and a second call returns the same Level
+    # the top level rebases nothing: its decomposition is the one cached on
+    # A, and a second call returns the same Level
     for name in DEFAULT_CORPUS:
         A = fresh_corpus_algebra(name)
         lvl = top_level(A)
-        assert lvl.alg is A and lvl.dec is cached_decomposition(A)
+        assert lvl.dec is cached_decomposition(A)
         assert lvl.sub.owner is A and lvl.rows == tuple(A.basis_vector(i) for i in range(A.dim))
         assert top_level(A) is lvl
 
@@ -770,10 +771,40 @@ def test_gutkin_on_the_subalgebra_corpus(monkeypatch):
     for name in ("b2_f5", "b3_f2", "pattern3_f3", "pattern4_f2"):
         A = corpus_algebra(name)
         for B in enumerate_subalgebras(A):
-            witness_degrees(Subalgebra(A, B.rows).alg, steps)
+            witness_degrees(subalgebra_algebra(B), steps)
             count += 1
     assert count == 266
     assert all(steps.counts)
+
+
+def test_levels_on_their_rows_match_the_subalgebra_algebra():
+    # a level is decomposed on its subalgebra's rows in A; the oracle is the
+    # top level of the subalgebra as an Algebra in its own basis, each row
+    # mapped into A along B's rows and re-echeloned
+    subs = []
+    for name in ("b2_f5", "b3_f2", "pattern3_f3", "pattern4_f2"):
+        subs += enumerate_subalgebras(corpus_algebra(name))
+    assert len(subs) == 266
+    for seed in (1, 2):
+        subs += enumerate_subalgebras(rebased(corpus_algebra("b3_f2"), random.Random(seed)))
+    deep = 0
+    for B in subs:
+        A, lvl, ref = B.owner, get_level(B), top_level(subalgebra_algebra(B))
+
+        def image(rows):
+            return rref([A.combine(x, B.rows) for x in rows], A.p)[0]
+
+        assert lvl.dec.idempotents == tuple(A.combine(e, B.rows) for e in ref.dec.idempotents)
+        assert lvl.dec.diagonal.rows == image(ref.dec.diagonal.rows)
+        assert lvl.radical.rows == image(ref.radical.rows)
+        n = 2
+        while ref.radical_power(n - 1).dim:
+            assert lvl.radical_power(n).rows == image(ref.radical_power(n).rows)
+            assert ([L.rows for L in _one_dim_ideal_steps(lvl, n)]
+                    == [image(L.rows) for L in _one_dim_ideal_steps(ref, n)])
+            deep += n > 2
+            n += 1
+    assert deep
 
 
 def test_radical_powers_against_all_products():

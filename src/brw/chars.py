@@ -12,7 +12,7 @@ roots in F_l of the characteristic polynomial of the restricted matrix
 (Hessenberg form, valid for any dimension), with one kernel solve per root.
 The lift at a class of elements of order o is a length-o DFT of
 s -> chi(g^s); its weights, the DFT of each tuple of values met, and the
-Cyclotomic of each multiplicity vector are shared by all characters.
+normal form of each multiplicity vector are shared by all characters.
 
 Each table has one certificate, CharTable.verify, run once and kept: it is
 char_table's construction gate. It decides row orthonormality in Z[zeta_m]
@@ -31,77 +31,65 @@ Its sums run over s*q for q in Q, whose ids are read off Q's Schreier tree
 through the right action of Q's generators on G (groups.right_action), with
 no product once that action is built.
 
-Where values live: a Character keeps its values twice. `values` is a tuple of
-Cyclotomic numbers in normal form (reduced mod Phi_m), read by rendering and
-by callers. Arithmetic runs on group-ring vectors instead: per class a sparse
+Where values live: a Character keeps one store, (m, rows), per class a sparse
 ((exponent, coeff), ...) vector in Q[C_m] at one conductor m per character,
 not reduced mod Phi_m. For table characters these are the eigenvalue
-multiplicities of the lift (at most deg(chi) nonzeros per class); for every
-other character they are read off `values` on first use. Inner products and
-induction add up integer (or rational) vectors and reduce mod Phi_m once per
-resulting scalar; the certificate evaluates integer vectors mod l.
+multiplicities of the lift (at most deg(chi) nonzeros per class); induction
+and restriction add up such vectors, and a linear character's value is
+((exponent, 1),). exact.normal_form reduces a vector mod Phi only where a
+value is compared or read: the degree, equality, the table's sort key and
+rendering (one form per distinct vector, CharTable.forms), the rationality
+of an inner product, the root-of-unity lookups and induction decisions of
+brw.gutkin, and each Clifford sum before its exact division by |Q|. The
+certificate evaluates integer vectors mod l. No Cyclotomic is built here.
 """
 
 from fractions import Fraction
-from functools import cache
 from math import gcd, isqrt, lcm
 from operator import mul
 
 from .errors import (CertificationFailure, GroupMismatch, LiftFailure,
                      NotOverTheta, NotSubgroup)
-from .exact import Cyclotomic, _prime_factors, is_prime, kernel_basis, mod_inv
+from .exact import _coeff, _prime_factors, is_prime, kernel_basis, mod_inv, normal_form
 from .groups import (ConjData, FiniteGroup, LinearChar, _cyclic_powers,
                      char_orbit, conjugacy_classes, right_action)
 
 
 class Character:
-    """Exact class function on a finite group; values are cyclotomic numbers.
+    """Exact class function on a finite group. Its one store of values is
+    (m, rows): rows[k] is a sparse ((e, x), ...) vector in Q[C_m] whose image
+    in Q(zeta_m) is the value at class k, not reduced mod Phi_m."""
 
-    `vectors`, when given, is (m, rows) with rows[k] a sparse vector in Q[C_m]
-    whose image in Q(zeta_m) is values[k]; otherwise it is read off the values
-    on first use.
-    """
+    __slots__ = ("group", "conj", "m", "rows")
 
-    __slots__ = ("group", "conj", "values", "_vec")
-
-    def __init__(self, group: FiniteGroup, conj: ConjData, values, vectors=None):
+    def __init__(self, group: FiniteGroup, conj: ConjData, m, rows):
         self.group = group
         self.conj = conj
-        self.values = tuple(values)
-        self._vec = vectors
-        assert len(self.values) == conj.k
+        self.m = m
+        self.rows = tuple(rows)
+        assert len(self.rows) == conj.k
 
     @property
     def degree(self):
-        return self.values[0].rational()
-
-    @property
-    def conductor(self):
-        return self._vectors()[0]
-
-    def _vectors(self):
-        if self._vec is None:
-            m = lcm(*(v.m for v in self.values))
-            self._vec = (m, tuple(tuple((k * (m // v.m), x) for k, x in enumerate(v.coeffs) if x)
-                                  for v in self.values))
-        return self._vec
+        one = normal_form(self.rows[0], self.m)
+        if any(one[1:]):
+            raise ValueError("the value at the identity is not rational")
+        return Fraction(one[0])
 
     def vectors(self, m):
         """Per-class sparse vectors in Q[C_m]; the conductor must divide m."""
-        m0, rows = self._vectors()
-        if m == m0:
-            return rows
-        step = m // m0
-        return tuple(tuple((e * step, x) for e, x in row) for row in rows)
-
-    def value_of(self, coords) -> Cyclotomic:
-        return self.values[self.conj.class_of[self.group.index[coords]]]
+        if m == self.m:
+            return self.rows
+        step = m // self.m
+        return tuple(tuple((e * step, x) for e, x in row) for row in self.rows)
 
     def __eq__(self, other):
         if not isinstance(other, Character):
             return NotImplemented
+        L = lcm(self.m, other.m)
         return (self.group is other.group
-                and all(a == b for a, b in zip(self.values, other.values)))
+                and all(normal_form(x, self.m, L) == normal_form(y, other.m, L)
+                        for x, y in zip(self.rows, other.rows)))
 
     def __hash__(self):
         raise TypeError("characters are compared, not hashed")
@@ -115,14 +103,10 @@ class Character:
         return self._on(other_group)
 
     def _on(self, H: FiniteGroup):
-        """The values at the classes of H (a subset of the group), vectors included."""
-        conj = conjugacy_classes(H)
-        ks = [self.conj.class_of[self.group.index[H.elements[r]]] for r in conj.reps]
-        vec = None
-        if self._vec is not None:
-            m, rows = self._vec
-            vec = (m, tuple(rows[k] for k in ks))
-        return Character(H, conj, [self.values[k] for k in ks], vec)
+        """The vectors at the classes of H (a subset of the group)."""
+        conj, class_of, index = conjugacy_classes(H), self.conj.class_of, self.group.index
+        return Character(H, conj, self.m, [self.rows[class_of[index[H.elements[r]]]]
+                                           for r in conj.reps])
 
     def __repr__(self):
         return f"Character(deg={self.degree}, k={self.conj.k})"
@@ -132,7 +116,7 @@ def char_from_linear(theta: LinearChar) -> Character:
     """A linear character as a class function on its domain."""
     G = theta.domain
     conj = conjugacy_classes(G)
-    return Character(G, conj, [theta.value(r) for r in conj.reps])
+    return Character(G, conj, theta.m, [((theta.exps[r], 1),) for r in conj.reps])
 
 
 def _hermitian_sum(terms, m):
@@ -151,11 +135,12 @@ def inner_product(chi: Character, psi: Character) -> Fraction:
     """(1/|G|) sum chi(g) conj(psi(g)), computed class-wise; exact rational."""
     if chi.group is not psi.group:
         raise GroupMismatch("characters live on different groups")
-    m = lcm(chi.conductor, psi.conductor)
-    total = Cyclotomic(m, _hermitian_sum(zip(chi.conj.sizes, chi.vectors(m), psi.vectors(m)), m))
-    if not total.is_rational():
+    m = lcm(chi.m, psi.m)
+    acc = _hermitian_sum(zip(chi.conj.sizes, chi.vectors(m), psi.vectors(m)), m)
+    total = normal_form(enumerate(acc), m)
+    if any(total[1:]):
         raise LiftFailure("inner product is not rational")
-    return total.rational() / chi.group.order
+    return Fraction(total[0]) / chi.group.order
 
 
 def _orthonormal_at_split_prime(rows, sizes, order, m):
@@ -371,11 +356,12 @@ def _refine_spaces(G: FiniteGroup, conj: ConjData, inv_class, l):
 class CharTable:
     """Complete list of irreducible characters, certified once by verify()."""
 
-    def __init__(self, group, conj, irreducibles, conductor):
+    def __init__(self, group, conj, irreducibles, conductor, forms=None):
         self.group = group
         self.conj = conj
         self.irreducibles = tuple(irreducibles)
         self.conductor = conductor
+        self.forms = forms   # char_table's: each distinct class vector -> its normal form
         self._verified = None
 
     @property
@@ -400,7 +386,7 @@ class CharTable:
         X^-1 = |G|^-1 D X^H and X^H X = |G| D^-1."""
         if self._verified is None:
             G, chars = self.group, self.irreducibles
-            m = lcm(*(ch.conductor for ch in chars))
+            m = lcm(*(ch.m for ch in chars))
             self._verified = (len(chars) == self.conj.k
                               and sum(int(ch.degree) ** 2 for ch in chars) == G.order
                               and _orthonormal_at_split_prime(
@@ -453,7 +439,7 @@ def _char_table(G: FiniteGroup) -> CharTable:
     weights = [_dft_weights(pk, m, zinvpow, l) for pk in powers]
     size_inv = [mod_inv(s % l, l) for s in conj.sizes]
     bound = 2 * isqrt(order)
-    forms = {}   # multiplicities -> (value, sparse vector), shared by all rows
+    vecs = {}   # multiplicities -> sparse vector, shared by all rows
 
     rows = []
     for w in eigvecs:
@@ -472,17 +458,14 @@ def _char_table(G: FiniteGroup) -> CharTable:
                 raise LiftFailure("eigenvalue multiplicity out of range")
             if sum(mult) != deg:
                 raise LiftFailure("multiplicities do not sum to the degree")
-            if mult not in forms:
+            if mult not in vecs:
                 t = m // len(mult)
-                coeffs = [0] * m
-                coeffs[::t] = mult
-                forms[mult] = (Cyclotomic(m, coeffs),
-                               tuple((t * i, c) for i, c in enumerate(mult) if c))
-        values, vecs = zip(*(forms[mult] for mult in mults))
-        rows.append(Character(G, conj, values, (m, vecs)))
+                vecs[mult] = tuple((t * i, c) for i, c in enumerate(mult) if c)
+        rows.append(Character(G, conj, m, [vecs[mult] for mult in mults]))
 
-    chars = sorted(rows, key=lambda ch: (ch.degree, [v.key(m) for v in ch.values]))
-    table = CharTable(G, conj, chars, m)
+    forms = {x: normal_form(x, m) for x in vecs.values()}
+    chars = sorted(rows, key=lambda ch: (forms[ch.rows[0]][0], [forms[x] for x in ch.rows]))
+    table = CharTable(G, conj, chars, m, forms)
     if not table.verify():   # the construction gate, and the table's one certificate
         raise LiftFailure("lifted table failed its orthonormality certificate")
     return table
@@ -504,31 +487,41 @@ def _check_subgroup(G: FiniteGroup, H: FiniteGroup):
 
 
 def induced_linear(G: FiniteGroup, H: FiniteGroup, lams):
-    """Ind_H^G lam for each linear lam of H, as a function k -> its value at
-    class k of G, built on first call and kept: lam's exponents counted per
-    class of G, Ind lam(g_k) = |G| / (|C_k| |H|) sum_{h in H ∩ C_k} lam(h)
-    (Isaacs, Character Theory of Finite Groups, (5.2)); for H = G, lam(g_k)
-    at the class representative, k lookups in all, as lam is constant on
+    """For each linear lam of H, the class sums s_k of lam over H ∩ C_k, one
+    sparse vector in Z[C_(lam.m)] per class k of G, with Ind_H^G lam (g_k) =
+    |G| s_k / (|C_k| |H|) (Isaacs, Character Theory of Finite Groups, (5.2)):
+    lam's exponents counted per class of G, with no classes of H. For H = G,
+    s_k = |C_k| lam(g_k) at the class representative, as lam is constant on
     classes. H and the domains of the lams are checked once per call."""
     _check_subgroup(G, H)
     if any(lam.domain is not H and lam.domain.elements != H.elements for lam in lams):
         raise GroupMismatch("lambda is not a character of H")
     conj = conjugacy_classes(G)
-    return [_induced_values(G, H, lam, conj) for lam in lams]
-
-
-def _induced_values(G, H, lam, conj):
     if H is G:
-        return lambda k: lam.value(conj.reps[k])
-    m, sums = lam.m, {}
-    for h, e in zip(H.elements, lam.exps):
-        sums.setdefault(conj.class_of[G.index[h]], [0] * m)[e] += 1
+        return [[((lam.exps[r], size),) for r, size in zip(conj.reps, conj.sizes)]
+                for lam in lams]
+    ks = [conj.class_of[G.index[h]] for h in H.elements]
+    return [_class_sums(conj.k, lam.m, ((k, e, 1) for k, e in zip(ks, lam.exps)))
+            for lam in lams]
 
-    @cache
-    def value(k):
-        return (Cyclotomic(m, sums[k]) * Fraction(G.order, conj.sizes[k] * H.order)
-                if k in sums else Cyclotomic.zero())
-    return value
+
+def _class_sums(n, m, terms):
+    """Sparse per-class sums in Q[C_m], for n classes, of the terms (class, exponent, coeff)."""
+    sums = {}
+    for k, e, x in terms:
+        sums.setdefault(k, [0] * m)[e] += x
+    return [tuple((e, x) for e, x in enumerate(sums[k]) if x) if k in sums else ()
+            for k in range(n)]
+
+
+def _induced(G: FiniteGroup, H: FiniteGroup, conj: ConjData, m, sums):
+    """The Character of G with value |G| s_k / (|C_k| |H|) at class k, for
+    per-class sums s_k in Q[C_m]."""
+    rows = []
+    for s, size in zip(sums, conj.sizes):
+        q = Fraction(G.order, size * H.order)
+        rows.append(tuple((e, _coeff(x * q)) for e, x in s))
+    return Character(G, conj, m, rows)
 
 
 def induce(G: FiniteGroup, H: FiniteGroup, chi) -> Character:
@@ -540,29 +533,16 @@ def induce(G: FiniteGroup, H: FiniteGroup, chi) -> Character:
     """
     conj = conjugacy_classes(G)
     if isinstance(chi, LinearChar):
-        value, = induced_linear(G, H, [chi])
-        return Character(G, conj, [value(k) for k in range(conj.k)])
+        sums, = induced_linear(G, H, [chi])
+        return _induced(G, H, conj, chi.m, sums)
     _check_subgroup(G, H)
     if chi.group is not H:
         chi = chi.transfer(H)
-    m = chi.conductor
-    rows = chi.vectors(m)
-    sums = {}
-    for k, cls in enumerate(conj.classes):
-        # sum of chi over the class's elements in H, as one vector in Q[C_m]
-        for xid in cls:
-            i = H.index.get(G.elements[xid])
-            if i is not None:
-                acc = sums.setdefault(k, [0] * m)
-                for e, x in rows[chi.conj.class_of[i]]:
-                    acc[e] += x
-    values = []
-    for k, size in enumerate(conj.sizes):
-        if k in sums:
-            values.append(Cyclotomic(m, sums[k]) * Fraction(G.order, size * H.order))
-        else:
-            values.append(Cyclotomic.zero())
-    return Character(G, conj, values)
+    class_of = chi.conj.class_of
+    terms = ((k, e, x) for k, cls in enumerate(conj.classes) for xid in cls
+             if (i := H.index.get(G.elements[xid])) is not None
+             for e, x in chi.rows[class_of[i]])
+    return _induced(G, H, conj, chi.m, _class_sums(conj.k, chi.m, terms))
 
 
 def restrict(G: FiniteGroup, H: FiniteGroup, chi: Character) -> Character:
@@ -586,24 +566,29 @@ def clifford_correspondent(G: FiniteGroup, Q: FiniteGroup, theta: LinearChar,
     if orbit is None:
         orbit = char_orbit(G, Q, theta)
     S = orbit.stabilizer
-    M = lcm(chi.conductor, theta.m)
-    rows = chi.vectors(M)
+    M = lcm(chi.m, theta.m)
+    vecs = chi.vectors(M)
     step = M // theta.m
     perms = right_action(G, Q)
     conj = conjugacy_classes(S)
-    values = []
+    rows = []
     for r in conj.reps:
         acc = [0] * M
         # ids of s*q for every q of Q, along Q's Schreier tree
         ids = Q.walk(G.index[S.elements[r]], lambda x, t: perms[t][x])
         for g, e in zip(ids, theta.exps):
             shift = e * step
-            for f, x in rows[chi.conj.class_of[g]]:
+            for f, x in vecs[chi.conj.class_of[g]]:
                 acc[(f - shift) % M] += x
-        values.append(Cyclotomic(M, acc) / Q.order)
-    if values[0].is_zero():
+        # reduced before the division by |Q|, which is exact on the normal
+        # form of an algebraic integer: eta stays in Z[C_M]
+        rows.append(tuple((e, _coeff(Fraction(x, Q.order)))
+                          for e, x in enumerate(normal_form(enumerate(acc), M)) if x))
+    if not rows[0]:
         raise NotOverTheta("chi does not lie over theta")
-    eta = Character(S, conj, values)
-    if inner_product(eta, eta) != 1 or values[0] * (G.order // S.order) != chi.values[0]:
+    eta = Character(S, conj, M, rows)
+    index = G.order // S.order
+    degree = normal_form(((e, x * index) for e, x in rows[0]), M)
+    if inner_product(eta, eta) != 1 or degree != normal_form(chi.rows[0], chi.m, M):
         raise CertificationFailure("projection to theta is not the Clifford correspondent")
     return eta, S

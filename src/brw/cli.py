@@ -29,6 +29,7 @@ from .chars import char_table
 from .corpus import ALL_CORPUS, DEFAULT_CORPUS, load_spec, read_json, spec_algebra
 from .errors import (BrwError, NotInsideRadical, NotSplitBasic, SpecError,
                      TooLarge, VerificationFailure)
+from .exact import Cyclotomic
 from .groups import (DEFAULT_ORDER_CAP, char_orbits, ideal_subgroup,
                      radical_subgroup, torus_subgroup, unit_group)
 from .gutkin import (certify_stabilizer_subalgebra, gutkin_decompose,
@@ -123,8 +124,9 @@ def cmd_chartable(args):
               f"(z = primitive {table.conductor}-th root of unity)\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["degree"] + [f"class{k}_size{s}" for k, s in enumerate(table.conj.sizes)])
+    cells = {x: Cyclotomic(table.conductor, f).render() for x, f in table.forms.items()}
     for chi in table.irreducibles:
-        writer.writerow([int(chi.degree)] + [v.render() for v in chi.values])
+        writer.writerow([int(chi.degree)] + [cells[x] for x in chi.rows])
     _emit(args, f"chartable_{name}", buf.getvalue(), ext="csv")
     return EXIT_OK if table.verify() else EXIT_VERIFY
 

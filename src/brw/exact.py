@@ -5,17 +5,16 @@ residues, and cyclotomic numbers carry Fraction coefficients over the power basi
 z^0 .. z^(m-1), kept in the normal form obtained by reducing modulo the
 m-th cyclotomic polynomial.
 
-Every Cyclotomic is reduced mod Phi_m when it is constructed, so each
-arithmetic operation on Cyclotomic values pays one reduction, except scaling
-by a rational, which keeps the normal form. Character arithmetic (brw.chars)
-therefore sums unreduced group-ring vectors in Z[C_m] (Q[C_m] for rational
-class functions) and builds a Cyclotomic only for each final scalar: one
-reduction per inner product, orthogonality sum or induced value.
+Character values (brw.chars) are sparse group-ring vectors ((e, x), ...) in
+Z[C_m] (Q[C_m] for rational class functions), summed unreduced; normal_form
+is the one reduction mod Phi, run only where a value is compared, rendered or
+read as a rational. A Cyclotomic is that normal form as a value: rendering,
+hashable keys and the local-field phases use it, and it has no arithmetic.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import lcm
 
 from .errors import CertificationFailure, DivisionByZero, InvalidConductor
 
@@ -181,13 +180,35 @@ def _coeff(x):
     raise TypeError(f"exact coefficient required, got {type(x).__name__}")
 
 
-class Cyclotomic:
-    """Element of Q(zeta_m) on the power basis zeta^0 .. zeta^(m-1).
+def normal_form(vec, m, L=None):
+    """Normal form at conductor L (default m; m must divide L) of the sparse
+    vector vec = ((e, x), ...) in Q[C_m], exponents read mod m: the
+    coefficients on zeta_L^0 .. zeta_L^(L-1) of its image in Q(zeta_L),
+    reduced mod Phi_L, so that two vectors give one number exactly when their
+    normal forms at one L are equal. Ints stay ints and integral Fractions
+    collapse to int. This is the one place values are reduced."""
+    L = L or m
+    step = L // m
+    c = [0] * L
+    for e, x in vec:
+        c[e * step % L] += x
+    phi = cyclotomic_polynomial(L)
+    deg = len(phi) - 1
+    for k in range(L - 1, deg - 1, -1):
+        f = c[k]
+        if f:
+            c[k] = 0
+            for i in range(deg):
+                c[k - deg + i] -= f * phi[i]
+    return tuple(map(_coeff, c))
 
-    Stored in normal form: the representing polynomial is reduced modulo the
-    m-th cyclotomic polynomial, so equality (at a common conductor) is plain
+
+class Cyclotomic:
+    """Element of Q(zeta_m) as its normal form at m (normal_form) on the power
+    basis zeta^0 .. zeta^(m-1), so equality at a common conductor is plain
     coefficient equality. Coefficients are ints where possible, Fractions
-    otherwise; no floats are accepted.
+    otherwise; no floats are accepted. It renders and keys a value and
+    carries no arithmetic: brw computes on group-ring vectors.
     """
 
     __slots__ = ("m", "coeffs")
@@ -195,142 +216,35 @@ class Cyclotomic:
     def __init__(self, m, coeffs):
         if not isinstance(m, int) or m < 1:
             raise InvalidConductor(f"conductor must be a positive integer, got {m}")
-        c = [_coeff(x) for x in coeffs]
-        if len(c) > m:
-            # fold exponents >= m back via zeta^m = 1 before reducing
-            folded = [0] * m
-            for k, x in enumerate(c):
-                folded[k % m] += x
-            c = folded
-        else:
-            c += [0] * (m - len(c))
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "coeffs", tuple(_coeff(x) for x in self._reduce(c, m)))
+        object.__setattr__(self, "coeffs", normal_form(enumerate(map(_coeff, coeffs)), m))
 
     def __setattr__(self, *a):
         raise AttributeError("Cyclotomic is immutable")
 
-    @staticmethod
-    def _reduce(c, m):
-        """Reduce the coefficient list c (length m) mod Phi_m in place; returns c."""
-        phi = cyclotomic_polynomial(m)
-        deg = len(phi) - 1
-        for k in range(len(c) - 1, deg - 1, -1):
-            f = c[k]
-            if f:
-                c[k] = 0
-                for i in range(deg):
-                    c[k - deg + i] -= f * phi[i]
-        return c
-
-    # constructors -----------------------------------------------------------
-    @staticmethod
-    def zero(m=1):
-        return Cyclotomic(m, [])
-
-    @staticmethod
-    def one(m=1):
-        return Cyclotomic(m, [1])
-
-    @staticmethod
-    def root(m, k=1):
+    @classmethod
+    def root(cls, m, k=1):
         """zeta_m^k."""
         if not isinstance(m, int) or m < 1:
             raise InvalidConductor(f"conductor must be a positive integer, got {m}")
-        c = [0] * m
-        c[k % m] = 1
-        return Cyclotomic(m, c)
-
-    @staticmethod
-    def from_rational(q):
-        return Cyclotomic(1, [q])
-
-    # arithmetic -------------------------------------------------------------
-    def _common(self, other):
-        if not isinstance(other, Cyclotomic):
-            other = Cyclotomic.from_rational(other)
-        L = self.m * other.m // gcd(self.m, other.m)
-        return self.embed(L), other.embed(L)
-
-    def embed(self, m2):
-        """Rewrite at conductor m2 (m must divide m2)."""
-        if m2 == self.m:
-            return self
-        if m2 % self.m:
-            raise InvalidConductor(f"{self.m} does not divide {m2}")
-        step = m2 // self.m
-        c = [0] * m2
-        for k, x in enumerate(self.coeffs):
-            c[k * step] = x
-        return Cyclotomic(m2, c)
-
-    def __add__(self, other):
-        a, b = self._common(other)
-        return Cyclotomic(a.m, [x + y for x, y in zip(a.coeffs, b.coeffs)])
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        a, b = self._common(other)
-        return Cyclotomic(a.m, [x - y for x, y in zip(a.coeffs, b.coeffs)])
-
-    def __rsub__(self, other):
-        return Cyclotomic.from_rational(other) - self
-
-    def __neg__(self):
-        return Cyclotomic(self.m, [-x for x in self.coeffs])
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            out = object.__new__(Cyclotomic)   # a scaled normal form is one
-            object.__setattr__(out, "m", self.m)
-            object.__setattr__(out, "coeffs", tuple(_coeff(x * other) if x else 0
-                                                    for x in self.coeffs))
-            return out
-        a, b = self._common(other)
-        m = a.m
-        out = [0] * m
-        for i, x in enumerate(a.coeffs):
-            if x:
-                for j, y in enumerate(b.coeffs):
-                    if y:
-                        out[(i + j) % m] += x * y
-        return Cyclotomic(m, out)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * (1 / Fraction(other))
-        raise TypeError("only rational division is supported")
-
-    # predicates and views ----------------------------------------------------
-    def is_zero(self):
-        return not any(self.coeffs)
+        return cls(m, [0] * (k % m) + [1])
 
     def is_rational(self):
         return not any(self.coeffs[1:])
 
-    def rational(self):
-        if not self.is_rational():
-            raise ValueError(f"{self!r} is not rational")
-        return Fraction(self.coeffs[0])
+    def key(self, m2):
+        """The normal form at conductor m2 (m must divide m2), a hashable key."""
+        if m2 % self.m:
+            raise InvalidConductor(f"{self.m} does not divide {m2}")
+        return normal_form(enumerate(self.coeffs), self.m, m2)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.is_rational() and self.coeffs[0] == other
         if not isinstance(other, Cyclotomic):
             return NotImplemented
-        if self.is_rational():   # a normal form is rational exactly when its number is
-            return other == self.coeffs[0]
-        if other.is_rational():
-            return False
-        a, b = self._common(other)
-        return a.coeffs == b.coeffs
-
-    def key(self, m2):
-        """Hashable canonical key at conductor m2 (for dict/dedup use)."""
-        return self.embed(m2).coeffs
+        L = lcm(self.m, other.m)
+        return self.key(L) == other.key(L)
 
     def __hash__(self):
         raise TypeError("hash Cyclotomic via .key(conductor)")
@@ -360,4 +274,3 @@ class Cyclotomic:
 
     def __repr__(self):
         return f"Cyc({self.m}; {self.render()})"
-

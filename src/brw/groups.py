@@ -5,8 +5,10 @@ canonical); products are computed on demand through the owning algebra, which
 keeps memory flat for orders up to the configured cap.
 
 Cache owners: the algebra keeps one FiniteGroup per element set
-(intern_group, in algebra._groups) and its BasicDecomposition (J^n and the
-torus coordinates). Each FiniteGroup keeps what is computed from it alone:
+(intern_group, in algebra._groups), found there as well by the rows it was
+built from, ("1+", rows) for one_plus and ("units", rows) for
+units_of_subspace, and its BasicDecomposition (J^n and the torus
+coordinates). Each FiniteGroup keeps what is computed from it alone:
 generators, with what generators() records while it grows them (_grow, on
 ids): the one product table (_right, right multiplication of every id by
 each generator) and the spanning tree of the Cayley graph on them (_tree,
@@ -29,7 +31,7 @@ from math import lcm
 from .algebra import Algebra, Subspace, cached_decomposition, vec_add
 from .errors import (CertificationFailure, GroupMismatch, NotInsideRadical,
                      NotNormal, TooLarge)
-from .exact import Cyclotomic, rref
+from .exact import rref
 
 DEFAULT_ORDER_CAP = 5000
 
@@ -209,8 +211,12 @@ def torus_elements(A: Algebra, idempotents):
 
 
 def one_plus(A: Algebra, U: Subspace) -> FiniteGroup:
-    """The group 1 + U, for U inside the radical and closed under products."""
-    return intern_group(A, [vec_add(A.one, u, A.p) for u in U.vectors()])
+    """The group 1 + U, for U inside the radical and closed under products,
+    looked up by U's echelon rows before any vector is built."""
+    key = ("1+", U.rows)
+    if key not in A._groups:
+        A._groups[key] = intern_group(A, [vec_add(A.one, u, A.p) for u in U.vectors()])
+    return A._groups[key]
 
 
 def unit_group(A: Algebra, cap=None) -> FiniteGroup:
@@ -281,11 +287,15 @@ def units_of_subspace(A: Algebra, rows) -> FiniteGroup:
     and then its inverse lies in B. With the certified partition of
     _unit_factors, B^x = {sum_i c_i s_i + j : c_i in F_p^x, j in B ∩ J} for
     the s_i over the block indicators: unit_order(A, rows) elements, built
-    directly with no scan of the p^dim(B) vectors of B.
+    directly with no scan of the p^dim(B) vectors of B, once per rows.
     """
-    tops, kernel = _unit_factors(A, rows)
-    jvecs = list(Subspace(A, kernel).vectors())
-    return intern_group(A, [vec_add(t, j, A.p) for t in torus_elements(A, tops) for j in jvecs])
+    key = ("units", tuple(map(tuple, rows)))
+    if key not in A._groups:
+        tops, kernel = _unit_factors(A, rows)
+        jvecs = list(Subspace(A, kernel).vectors())
+        A._groups[key] = intern_group(A, [vec_add(t, j, A.p)
+                                          for t in torus_elements(A, tops) for j in jvecs])
+    return A._groups[key]
 
 
 def center(G: FiniteGroup) -> FiniteGroup:
@@ -462,10 +472,10 @@ def abelianization(G: FiniteGroup):
 class LinearChar:
     """Linear character of a finite group, stored as an exponent table.
 
-    value(g) = zeta_m ^ exps[g]; exps is a homomorphism to Z/m. The domain
-    is a FiniteGroup or any group with elements and index, such as the
-    residue units (Z/p^k)^x of localfield; conj_by, is_invariant and
-    restrict need a FiniteGroup.
+    Its value at element i is zeta_m ^ exps[i]; exps is a homomorphism to
+    Z/m. The domain is a FiniteGroup or any group with elements and index,
+    such as the residue units (Z/p^k)^x of localfield; conj_by, is_invariant
+    and restrict need a FiniteGroup.
     """
 
     __slots__ = ("domain", "m", "exps")
@@ -474,12 +484,6 @@ class LinearChar:
         self.domain = domain
         self.m = m
         self.exps = tuple(e % m for e in exps)
-
-    def value(self, i) -> Cyclotomic:
-        return Cyclotomic.root(self.m, self.exps[i])
-
-    def value_coords(self, v) -> Cyclotomic:
-        return self.value(self.domain.index[v])
 
     def is_trivial(self):
         return all(e == 0 for e in self.exps)

@@ -17,17 +17,18 @@ which holds its J^n, and its one-dimensional ideal steps per n (_steps, set
 by _one_dim_ideal_steps); a SigmaData keeps its J_sigma.
 """
 
+from functools import cache
 from itertools import combinations, product
 from math import lcm
 
-from .algebra import (Algebra, Subalgebra, Subspace, basic_decomposition,
+from .algebra import (Algebra, Subalgebra, Subspace, _closure_rows, basic_decomposition,
                       bimodule_complement, bimodule_decompose, cached_decomposition,
                       check_scan_bound, enumerate_subalgebras, vec_add, vec_sub)
 from .chars import (Character, char_table, clifford_correspondent, induce,
                     induced_linear, inner_product, restrict)
 from .errors import (CertificationFailure, DecompositionFailure, NoExtension, NotInvariant,
                      PreconditionFailure, SpecError, VerificationFailure)
-from .exact import Cyclotomic, rref
+from .exact import normal_form, rref
 from .groups import (FiniteGroup, LinearChar, char_orbit, linear_characters,
                      one_plus, torus_elements, unit_order, units_of_subspace)
 
@@ -76,11 +77,18 @@ def top_level(A: Algebra) -> Level:
     return A._levels.get(A.basis()) or get_level(Subalgebra(A, A.basis()))
 
 
-def _root_exps(values, m):
-    """e with v = zeta_m^e for each v in values, or None if some v is no such root."""
-    L = lcm(m, *(v.m for v in values))
-    roots = {Cyclotomic.root(m, e).key(L): e for e in range(m)}
-    exps = [roots.get(v.key(L)) for v in values]
+@cache
+def _root_table(m, L, d):
+    """The normal form at L of d zeta_m^e -> e, for e < m (m divides L)."""
+    return {normal_form(((e, d),), m, L): e for e in range(m)}
+
+
+def _root_exps(rows, mv, m, d=1):
+    """e with x = d zeta_m^e for each sparse vector x in Q[C_mv] of rows, or
+    None if some x / d is no such root."""
+    L = lcm(m, mv)
+    roots = _root_table(m, L, d)
+    exps = [roots.get(normal_form(x, mv, L)) for x in rows]
     return None if None in exps else exps
 
 
@@ -89,7 +97,7 @@ def linear_char_from_character(chi: Character) -> LinearChar:
     at the exponent m of its domain."""
     assert chi.degree == 1
     m = chi.group.exponent()
-    class_exp = _root_exps(chi.values, m)
+    class_exp = _root_exps(chi.rows, chi.m, m)
     if class_exp is None:
         raise DecompositionFailure("degree-one character value is not a root of unity")
     return LinearChar(chi.group, m, [class_exp[k] for k in chi.conj.class_of])
@@ -326,8 +334,15 @@ def certify_stabilizer_subalgebra(A: Algebra, G_theta: FiniteGroup) -> Subalgebr
     subalgebra C, then W ⊆ C and W ∩ A^x ⊆ C^x = G_theta. Failure is
     reportable: it would contradict the finite-field theorem. A span that
     already has a Level (get_level) keeps its certified Subalgebra.
+
+    W is closed under products, as G_theta is, so it is the closure of
+    span{1} under G_theta's generators (_closure_rows), whose products give
+    every element; echelon form is unique, so the rows are rref(G_theta).
     """
-    rows, _ = rref(list(G_theta.elements), A.p)
+    rows, pivots = rref([A.one], A.p)
+    for g in G_theta.generators():
+        rows = _closure_rows(A, rows, pivots, g, {})
+        pivots = tuple(next(c for c, x in enumerate(r) if x) for r in rows)
     if unit_order(A, rows) != G_theta.order:
         raise CertificationFailure("stabilizer is not the unit group of its span")
     level = A._levels.get(rows)
@@ -379,11 +394,18 @@ class GutkinWitness:
 
 
 def _scalar_restriction(level: Level, psi: Character, n):
-    """LinearChar sigma with Res_{1+J^n} psi = deg(psi) * sigma, or None."""
+    """LinearChar sigma with Res_{1+J^n} psi = deg(psi) * sigma, or None.
+    psi / psi(1) is decided a root of unity once per class of P that meets
+    N, and each element of N reads its exponent off its class."""
     N = level.one_plus(level.radical_power(n))
-    m = max(v.m for v in psi.values)
-    exps = _root_exps([psi.value_of(x) / psi.degree for x in N.elements], m)
-    return (None if exps is None else LinearChar(N, m, exps)), N
+    P, class_of = psi.group, psi.conj.class_of
+    ks = [class_of[P.index[x]] for x in N.elements]
+    met = sorted(set(ks))
+    exps = _root_exps([psi.rows[k] for k in met], psi.m, psi.m, int(psi.degree))
+    if exps is None:
+        return None, N
+    exp_of = dict(zip(met, exps))
+    return LinearChar(N, psi.m, [exp_of[k] for k in ks]), N
 
 
 def _one_dim_ideal_steps(level: Level, n):
@@ -522,12 +544,21 @@ def brute_candidates(A: Algebra, G: FiniteGroup, degrees, max_dim=None):
 
 def _decisions(G: FiniteGroup, H: FiniteGroup, targets):
     """[(lam, i)] for the linear lam of H, in order, that induce a target:
-    i is the first target (i, chi) with Ind_H^G lam = chi. A comparison
-    builds the values of Ind lam (induced_linear) up to its first mismatch."""
+    i is the first target (i, chi) with Ind_H^G lam = chi. With the class
+    sums s_k of lam (induced_linear), Ind lam (g_k) = chi(g_k) reads
+    |G| s_k = |C_k| |H| chi(g_k) on normal forms, compared in Z up to the
+    first mismatching class; each vector is reduced once per conductor."""
     lams = linear_characters(H)
-    found = ((lam, next((i for i, chi in targets
-                         if all(value(k) == v for k, v in enumerate(chi.values))), None))
-             for lam, value in zip(lams, induced_linear(G, H, lams)))
+    form = cache(normal_form)   # one reduction per (vector, m, L) in this call
+
+    def induces(sums, lam, chi):
+        L = lcm(lam.m, chi.m)
+        return all(all(a * G.order == b * size * H.order
+                       for a, b in zip(form(s, lam.m, L), form(x, chi.m, L)))
+                   for s, x, size in zip(sums, chi.rows, chi.conj.sizes))
+
+    found = ((lam, next((i for i, chi in targets if induces(sums, lam, chi)), None))
+             for lam, sums in zip(lams, induced_linear(G, H, lams)))
     return [(lam, i) for lam, i in found if i is not None]
 
 

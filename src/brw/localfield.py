@@ -7,7 +7,7 @@ phase. The unitary/twist factorization splits the modulus from the rest.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .algebra import Subalgebra, cached_decomposition
 from .errors import SpecError, TooLarge
@@ -84,14 +84,17 @@ class SmoothCharLocal:
         return self.r == 1
 
     def value(self, residue, val):
-        """Value at u * pi^val: (modulus part, root-of-unity part)."""
-        rad = self.r ** val
-        phase = self.unit_part.value_coords(residue) * Cyclotomic.root(self.phase_m, (self.phase_e * val) % self.phase_m)
-        return rad, phase
+        """Value at u * pi^val: (modulus part, root-of-unity part), the phase
+        a root of unity at L = lcm(unit conductor, phase conductor)."""
+        unit = self.unit_part
+        L = lcm(unit.m, self.phase_m)
+        e = (unit.exps[unit.domain.index[residue]] * (L // unit.m)
+             + self.phase_e * val * (L // self.phase_m))
+        return self.r ** val, Cyclotomic.root(L, e)
 
     def mul(self, other):
         assert (self.p, self.k) == (other.p, other.k)
-        m = self.phase_m * other.phase_m // gcd(self.phase_m, other.phase_m)
+        m = lcm(self.phase_m, other.phase_m)
         e = self.phase_e * (m // self.phase_m) + other.phase_e * (m // other.phase_m)
         return SmoothCharLocal(self.p, self.k, self.unit_part.mul(other.unit_part),
                                self.r * other.r, m, e)
@@ -103,8 +106,9 @@ class SmoothCharLocal:
             return False
         if self.unit_part != other.unit_part:
             return False
-        return Cyclotomic.root(self.phase_m, self.phase_e) == \
-            Cyclotomic.root(other.phase_m, other.phase_e)
+        # the phases as root exponents at their lcm conductor
+        m = lcm(self.phase_m, other.phase_m)
+        return self.phase_e * (m // self.phase_m) == other.phase_e * (m // other.phase_m)
 
     def __repr__(self):
         return (f"SmoothCharLocal(p={self.p}, k={self.k}, r={self.r}, "

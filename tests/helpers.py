@@ -19,7 +19,7 @@ from brw.chars import (Character, _hermitian_sum, char_from_linear, char_table, 
 from brw.corpus import corpus_spec
 from brw.errors import CertificationFailure, NotNormal
 from brw.exact import (Cyclotomic, _prime_factors, kernel_basis, mod_matrix_inverse,
-                       reduce_vector, rref)
+                       normal_form, reduce_vector, rref)
 from brw.groups import (abelian_invariants, center, char_orbit, char_orbits,
                         check_normal, conjugacy_classes, commutator_subgroup, intern_group,
                         linear_characters, radical_subgroup, right_action,
@@ -321,16 +321,89 @@ def _kernel_of_escape(A, cur):
     return list(ker)
 
 
+class Cyc(Cyclotomic):
+    """A Cyclotomic with the field operations, on normal forms: the oracle for
+    brw's arithmetic, which runs on group-ring vectors and has none of it."""
+
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, x):
+        """x, a Cyclotomic or a rational, as a Cyc."""
+        return cls(x.m, x.coeffs) if isinstance(x, Cyclotomic) else cls(1, [x])
+
+    @classmethod
+    def one(cls, m=1):
+        return cls(m, [1])
+
+    @classmethod
+    def zero(cls, m=1):
+        return cls(m, [])
+
+    def embed(self, m2):
+        """The same number written at conductor m2 (m must divide m2)."""
+        return Cyc(m2, self.key(m2))
+
+    def is_zero(self):
+        return not any(self.coeffs)
+
+    def rational(self):
+        if not self.is_rational():
+            raise ValueError(f"{self!r} is not rational")
+        return Fraction(self.coeffs[0])
+
+    def _common(self, other):
+        other = Cyc.of(other)
+        L = lcm(self.m, other.m)
+        return self.embed(L), other.embed(L)
+
+    def __add__(self, other):
+        a, b = self._common(other)
+        return Cyc(a.m, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Cyc(self.m, [-x for x in self.coeffs])
+
+    def __mul__(self, other):
+        a, b = self._common(other)
+        out = [0] * a.m
+        for i, x in enumerate(a.coeffs):
+            for j, y in enumerate(b.coeffs):
+                out[(i + j) % a.m] += x * y
+        return Cyc(a.m, out)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, q):
+        return self * (1 / Fraction(q))
+
+
+def character_of(G, conj, values):
+    """The Character with these values (Cyclotomics or rationals) at the
+    classes of conj: each value's normal form, written at the lcm of their
+    conductors, as its class vector."""
+    values = [Cyc.of(v) for v in values]
+    m = lcm(*(v.m for v in values))
+    return Character(G, conj, m, [tuple((e, x) for e, x in enumerate(v.key(m)) if x)
+                                  for v in values])
+
+
+def values_of(chi):
+    """The values of chi at its classes, as Cycs at its conductor."""
+    return [Cyc(chi.m, normal_form(x, chi.m)) for x in chi.rows]
+
+
 def trivial_character(G):
     conj = conjugacy_classes(G)
-    return Character(G, conj, [Cyclotomic.one() for _ in conj.reps])
+    return character_of(G, conj, [1] * conj.k)
 
 
 def regular_character(G):
     conj = conjugacy_classes(G)
-    vals = [Cyclotomic.from_rational(G.order if G.elements[r] == G.algebra.one else 0)
-            for r in conj.reps]
-    return Character(G, conj, vals)
+    return character_of(G, conj, [G.order if G.elements[r] == G.algebra.one else 0
+                                  for r in conj.reps])
 
 
 def constituents(chi, table):
@@ -351,7 +424,7 @@ def rows_orthonormal(rows, sizes, order, m):
     pair summed over the group ring and reduced mod Phi_m, with no prime."""
     for i, x in enumerate(rows):
         for j in range(i, len(rows)):
-            acc = Cyclotomic._reduce(_hermitian_sum(zip(sizes, x, rows[j]), m), m)
+            acc = list(normal_form(enumerate(_hermitian_sum(zip(sizes, x, rows[j]), m)), m))
             acc[0] -= order if i == j else 0
             if any(acc):
                 return False
@@ -362,7 +435,7 @@ def verify_oracle(table):
     """CharTable.verify with the pair-by-pair pass over Z[zeta_m] in place of
     the certificate at a split prime."""
     G, chars = table.group, table.irreducibles
-    m = lcm(*(ch.conductor for ch in chars))
+    m = lcm(*(ch.m for ch in chars))
     return (len(chars) == table.conj.k
             and sum(int(ch.degree) ** 2 for ch in chars) == G.order
             and rows_orthonormal([ch.vectors(m) for ch in chars], table.conj.sizes, G.order, m))
@@ -395,7 +468,7 @@ def lift_oracle(table):
     done = {}   # the DFT of each sequence (chi(g^s))_s, computed once
     out = []
     for chi in table.irreducibles:
-        terms = [tuple((e, x) for e, x in enumerate(v.embed(m).coeffs) if x) for v in chi.values]
+        terms = [tuple((e, x) for e, x in enumerate(v.key(m)) if x) for v in values_of(chi)]
         rows = []
         for pk in powers:
             seq = tuple(terms[c] for c in pk)
@@ -407,7 +480,7 @@ def lift_oracle(table):
                     for s, value in enumerate(seq):
                         for e, x in value:
                             acc[(e - j * s) % m] += x
-                    mult = (Cyclotomic(m, acc) / o).rational()
+                    mult = (Cyc(m, acc) / o).rational()
                     assert mult.denominator == 1 and mult >= 0, mult
                     if mult:
                         row.append((j, int(mult)))
@@ -598,12 +671,12 @@ def sum_with(S, T):
 
 
 def conjugate(z):
-    """Complex conjugation zeta -> zeta^(-1) of a Cyclotomic."""
+    """Complex conjugation zeta -> zeta^(-1) of a Cyclotomic, as a Cyc."""
     m = z.m
     c = [0] * m
     for k, x in enumerate(z.coeffs):
         c[(m - k) % m] += x
-    return Cyclotomic(m, c)
+    return Cyc(m, c)
 
 
 def euler_phi(m):

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 import pytest
 
@@ -19,10 +19,10 @@ from brw.groups import (DEFAULT_ORDER_CAP, FiniteGroup, LinearChar, center,
                         conjugacy_classes, ideal_subgroup, linear_characters,
                         radical_subgroup, set_product, torus_subgroup,
                         unit_group)
-from brw.gutkin import linear_char_from_character, top_level
-from helpers import (conjugate, constituents, lift_oracle, rebased, regular_character,
-                     rows_orthonormal, run_optimized, trivial_character,
-                     verify_oracle)
+from brw.gutkin import gutkin_decompose, linear_char_from_character, top_level
+from helpers import (Cyc, character_of, conjugate, constituents, lift_oracle, rebased,
+                     regular_character, rows_orthonormal, run_optimized, trivial_character,
+                     values_of, verify_oracle)
 
 
 def test_char_table_degrees(b2_f3, b3_f2, diag2_f3):
@@ -32,9 +32,9 @@ def test_char_table_degrees(b2_f3, b3_f2, diag2_f3):
     assert tabD.degrees == [1, 1, 1, 1]
     # abelian: the table rows are exactly the linear characters
     GD = unit_group(diag2_f3)
-    lins = {tuple(char_from_linear(ch).values[k].key(tabD.conductor)
+    lins = {tuple(values_of(char_from_linear(ch))[k].key(tabD.conductor)
                   for k in range(tabD.conj.k)) for ch in linear_characters(GD)}
-    rows = {tuple(v.key(tabD.conductor) for v in chi.values) for chi in tabD.irreducibles}
+    rows = {tuple(v.key(tabD.conductor) for v in values_of(chi)) for chi in tabD.irreducibles}
     assert lins == rows
 
 
@@ -55,10 +55,10 @@ def test_verify_catches_one_changed_value(b2_f5):
     assert tab.verify()
     i = next(i for i, ch in enumerate(tab.irreducibles) if ch.degree > 1)
     for k in (1, tab.conj.k - 1):
-        values = list(tab.irreducibles[i].values)
+        values = values_of(tab.irreducibles[i])
         values[k] = values[k] + 1
         irreducibles = list(tab.irreducibles)
-        irreducibles[i] = Character(G, tab.conj, values)
+        irreducibles[i] = character_of(G, tab.conj, values)
         assert not CharTable(G, tab.conj, irreducibles, tab.conductor).verify()
 
 
@@ -160,8 +160,7 @@ def with_vector(tab, i, k, vec):
     m, ch = tab.conductor, tab.irreducibles[i]
     vecs = list(ch.vectors(m))
     vecs[k] = tuple(sorted((e, c) for e, c in vec.items() if c))
-    values = [Cyclotomic(m, [dict(x).get(e, 0) for e in range(m)]) for x in vecs]
-    return Character(tab.group, tab.conj, values, (m, tuple(vecs)))
+    return Character(tab.group, tab.conj, m, vecs)
 
 
 def mutations(tab, rng):
@@ -401,8 +400,8 @@ def test_induce_from_the_whole_group_against_counting():
         for lam in linear_characters(G):
             fast = induce(G, G, lam)
             counted = induce(G, copy, LinearChar(copy, lam.m, lam.exps))
-            assert [(v.m, v.coeffs) for v in fast.values] == \
-                [(v.m, v.coeffs) for v in counted.values], name
+            assert [(v.m, v.coeffs) for v in values_of(fast)] == \
+                [(v.m, v.coeffs) for v in values_of(counted)], name
 
 
 def test_linear_characters_are_constant_on_classes():
@@ -490,7 +489,7 @@ def test_clifford_degree_certificate(b2_f3, b3_f3):
     # norm 1, but it induces to chi, not to chi + 1
     for A in (b2_f3, b3_f3):
         G, P, theta, chi = _over_theta(A)
-        plus_one = Character(G, chi.conj, [v + 1 for v in chi.values])
+        plus_one = character_of(G, chi.conj, [v + 1 for v in values_of(chi)])
         with pytest.raises(CertificationFailure):
             clifford_correspondent(G, P, theta, plus_one)
         eta, S = clifford_correspondent(G, P, theta, chi)
@@ -531,6 +530,35 @@ def test_clifford_identity_across_orbit(b3_f3):
     assert hit > 0
 
 
+def test_character_equality_across_conductors(b3_f2, b3_f3, monkeypatch):
+    # a character compares by its values at any conductor: each witness's
+    # Ind lam (at lam.m) and each Clifford correspondent of the descent (at
+    # lcm(chi, theta)) equals exactly one table character, at the table's
+    # conductor; b3_f2 has both kinds at a conductor other than its table's
+    steps = []
+    real = brw.gutkin.clifford_correspondent
+    monkeypatch.setattr(brw.gutkin, "clifford_correspondent",
+                        lambda G, Q, theta, chi, orbit=None:
+                        steps.append((chi, theta, real(G, Q, theta, chi, orbit=orbit)))
+                        or steps[-1][2])
+    crossed = {"induced": 0, "clifford": 0}
+    for A in (b3_f2, b3_f3):
+        G = unit_group(A)
+        tab = char_table(G)
+        for chi in tab.irreducibles:
+            w = gutkin_decompose(A, chi)
+            ind = induce(G, w.H, w.lam)
+            assert ind.m == w.lam.m
+            assert [ind == psi for psi in tab.irreducibles] == [psi is chi for psi in tab.irreducibles]
+            crossed["induced"] += ind.m != tab.conductor
+    for chi, theta, (eta, S) in steps:
+        tabS = char_table(S)
+        assert eta.m == lcm(chi.m, theta.m)
+        assert sum(eta == psi for psi in tabS.irreducibles) == 1
+        crossed["clifford"] += eta.m != tabS.conductor
+    assert crossed == {"induced": 1, "clifford": 1} and len(steps) == 15
+
+
 def test_constituent_decomposition(b2_f3):
     G = unit_group(b2_f3)
     tab = char_table(G)
@@ -542,8 +570,8 @@ def test_constituent_decomposition(b2_f3):
 def reference_inner_product(chi, psi):
     """Sum of |C_k| chi_k conj(psi_k) over the classes, divided by |G|, in
     plain Cyclotomic arithmetic on the values (no group-ring vectors)."""
-    total = Cyclotomic.zero()
-    for size, a, b in zip(chi.conj.sizes, chi.values, psi.values):
+    total = Cyc.zero()
+    for size, a, b in zip(chi.conj.sizes, values_of(chi), values_of(psi)):
         total = total + a * conjugate(b) * size
     return (total / chi.group.order).rational()
 
@@ -563,16 +591,18 @@ def test_inner_product_against_reference(b2_f3, b3_f2):
             for lam in linear_characters(H)[:3]:
                 theta = char_from_linear(lam)
                 pool.append(induce(G, H, theta))
-                pool.append(induce(G, H, Character(H, theta.conj,
-                                                   [v * Fraction(1, 3) for v in theta.values])))
-        # the same irrational values written at two conductors in one class function
-        for chi in [c for c in tab.irreducibles if not all(v.is_rational() for v in c.values)][:2]:
-            mixed = Character(G, chi.conj, [v.embed(2 * v.m) if k % 2 else v
-                                            for k, v in enumerate(chi.values)])
-            assert mixed == chi
+                pool.append(induce(G, H, character_of(H, theta.conj,
+                                                      [v * Fraction(1, 3) for v in values_of(theta)])))
+        # irrational values given at two conductors, m and 2m, in one class
+        # function: written at their lcm, against the table row at m
+        for chi in [c for c in tab.irreducibles
+                    if not all(v.is_rational() for v in values_of(c))][:2]:
+            mixed = character_of(G, chi.conj, [v.embed(2 * v.m) if k % 2 else v
+                                               for k, v in enumerate(values_of(chi))])
+            assert mixed.m == 2 * chi.m and mixed == chi
             pool.append(mixed)
             mixed_conductors += 1
-        assert any(not isinstance(c, int) for chi in pool for v in chi.values for c in v.coeffs)
+        assert any(not isinstance(c, int) for chi in pool for v in values_of(chi) for c in v.coeffs)
         for _ in range(40):
             chi, psi = rng.choice(pool), rng.choice(pool)
             assert inner_product(chi, psi) == reference_inner_product(chi, psi)
@@ -602,7 +632,7 @@ def test_order_cap_checked_once_at_entry():
     P = radical_subgroup(A)
     assert restrict(G, P, one) == trivial_character(P)
     copy = FiniteGroup(A, G.elements)   # same elements, another object
-    assert one.transfer(copy).values == one.values
+    assert values_of(one.transfer(copy)) == values_of(one)
     theta = next(c for c in linear_characters(P) if not c.is_trivial())
     ind = induce(G, P, char_from_linear(theta))
     assert ind.degree == G.order // P.order
@@ -740,7 +770,7 @@ def test_lift_matches_values_on_powers(b3_f3, pattern3_f3):
                     acc = [0] * m
                     for j, c in exps:
                         acc[j * s % m] += c
-                    assert Cyclotomic(m, acc) == chi.values[cls], (k, s)
+                    assert Cyclotomic(m, acc) == values_of(chi)[cls], (k, s)
 
 
 def test_lift_matches_exact_dft_oracle():
@@ -760,14 +790,14 @@ def test_certificates_survive_optimized_mode():
     out = run_optimized("""
         from fractions import Fraction
         from brw.algebra import borel_algebra
-        from brw.chars import Character, char_table
+        from brw.chars import char_table
         from brw.errors import CertificationFailure
-        from brw.exact import Cyclotomic, _poly_divmod_int
+        from brw.exact import _poly_divmod_int
         from brw.groups import conjugacy_classes, unit_group
-        from helpers import constituents
+        from helpers import character_of, constituents
         G = unit_group(borel_algebra(3, 2))
         conj = conjugacy_classes(G)
-        half = Character(G, conj, [Cyclotomic.from_rational(Fraction(1, 2))] * conj.k)
+        half = character_of(G, conj, [Fraction(1, 2)] * conj.k)
         for call in (lambda: constituents(half, char_table(G)),
                      lambda: _poly_divmod_int([1, 0, 1], [0, 2]),
                      lambda: _poly_divmod_int([1, 0, 1], [0, 1])):

@@ -1,3 +1,4 @@
+import cmath
 import random
 from fractions import Fraction
 from math import gcd
@@ -6,8 +7,8 @@ import pytest
 
 from brw.errors import DivisionByZero, InvalidConductor
 from brw.exact import (SUPPORTED_PRIMES, Cyclotomic, cyclotomic_polynomial,
-                       kernel_basis, mod_inv, rref)
-from helpers import conjugate, euler_phi, trace
+                       kernel_basis, mod_inv, normal_form, rref)
+from helpers import Cyc, conjugate, euler_phi, trace
 
 
 @pytest.mark.parametrize("p", SUPPORTED_PRIMES)
@@ -19,9 +20,9 @@ def test_mod_inv_of_zero(p):
 
 
 def test_cyclotomic_examples():
-    z4 = Cyclotomic.root(4)
+    z4 = Cyc.root(4)
     assert z4 * z4 == -1
-    assert (Cyclotomic.one() + Cyclotomic.root(3, 1) + Cyclotomic.root(3, 2)).is_zero()
+    assert (Cyc.one() + Cyc.root(3, 1) + Cyc.root(3, 2)).is_zero()
     z6 = Cyclotomic.root(6)
     assert Cyclotomic(6, z6.coeffs) == z6
 
@@ -37,8 +38,8 @@ def test_cyclotomic_normal_form_idempotent():
 
 def test_roots_of_unity_order():
     for m in range(1, 25):
-        z = Cyclotomic.root(m)
-        acc = Cyclotomic.one(m)
+        z = Cyc.root(m)
+        acc = Cyc.one(m)
         for _ in range(m):
             acc = acc * z
         assert acc == 1, f"zeta_{m}^{m} != 1"
@@ -48,7 +49,7 @@ def test_conjugation_and_trace():
     rng = random.Random(7)
     for _ in range(40):
         m = rng.randrange(1, 16)
-        x = Cyclotomic(m, [rng.randrange(-4, 5) for _ in range(m)])
+        x = Cyc(m, [rng.randrange(-4, 5) for _ in range(m)])
         norm = x * conjugate(x)
         assert trace(norm) >= 0
         assert conjugate(conjugate(x)) == x
@@ -62,7 +63,7 @@ def test_invalid_conductor():
 
 
 def test_rational_arithmetic():
-    x = Cyclotomic(5, [Fraction(1, 2), 0, 0, 0, 0])
+    x = Cyc(5, [Fraction(1, 2), 0, 0, 0, 0])
     assert (x + x).rational() == 1
     assert (x / 2).rational() == Fraction(1, 4)
 
@@ -111,24 +112,55 @@ def test_kernel_basis_is_reduced():
 
 
 def test_rational_scaling_keeps_the_normal_form():
-    # scaling a normal form (no second reduction) against reducing the scaled
-    # integer vector, the way induce built its values, coefficient types included
+    # normal_form of a rationally scaled vector against the scaled normal form
+    # (the way induce and the Clifford step scale their class sums before any
+    # reduction), coefficient types included
     rng = random.Random(17)
     for m in range(1, 43):
         for _ in range(4):
-            v = [rng.randrange(-9, 10) for _ in range(rng.randrange(2 * m + 1))]
-            x = Cyclotomic(m, v)
+            v = [(e, rng.randrange(-9, 10)) for e in range(rng.randrange(2 * m + 1))]
+            x = normal_form(v, m)
             q = Fraction(rng.choice([-1, 1]) * rng.randrange(1, 13), rng.randrange(1, 13))
             n = rng.choice([1, 2, 3, 6, -4, 35])
-            for got, coeffs in ((x * q, [c * q for c in v]),
-                                (q * x, [c * q for c in v]),
-                                (x * n, [c * n for c in v]),
-                                (x * 0, []),
-                                (x / q, [c / q for c in v]),
-                                (x / n, [Fraction(c, n) for c in v])):
-                want = Cyclotomic(m, coeffs)
-                assert got.m == m and got.coeffs == want.coeffs
-                assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
+            for got, want in ((normal_form([(e, c * q) for e, c in v], m), (Cyc(m, x) * q).coeffs),
+                              (normal_form([(e, c * n) for e, c in v], m), (Cyc(m, x) * n).coeffs),
+                              (normal_form([(e, c / q) for e, c in v], m), (Cyc(m, x) / q).coeffs),
+                              (normal_form([(e, Fraction(c, n)) for e, c in v], m),
+                               (Cyc(m, x) / n).coeffs),
+                              (normal_form([], m), (Cyc(m, x) * 0).coeffs)):
+                assert got == want
+                assert [type(c) for c in got] == [type(c) for c in want]
+
+
+def random_vector(rng, m):
+    """A sparse vector in Q[C_m] with repeated exponents, exponents >= m and
+    below 0, negative coefficients and Fraction coefficients."""
+    return [(rng.randrange(-2 * m, 3 * m), rng.choice(
+        [rng.randrange(-5, 6), Fraction(rng.randrange(-7, 8), rng.randrange(1, 6))]))
+        for _ in range(rng.randrange(6))]
+
+
+def test_normal_form_against_the_cyclotomic_oracle():
+    # normal_form(vec, m, L) against sum x * zeta_L^(e L/m) in Cyc arithmetic,
+    # and against every complex embedding: the normal form has degree below
+    # phi(L), and such a polynomial is fixed by its values at the primitive
+    # L-th roots of unity
+    rng = random.Random(26)
+    for m in range(1, 61):
+        for L in sorted({m, 2 * m, 3 * m}):
+            if L > 120:
+                continue
+            for _ in range(3):
+                vec = random_vector(rng, m)
+                got = normal_form(vec, m, L)
+                want = sum((x * Cyc.root(L, e * (L // m)) for e, x in vec), Cyc.zero(L))
+                assert got == want.embed(L).coeffs, (vec, m, L)
+                assert [type(c) for c in got] == [type(c) for c in want.embed(L).coeffs]
+                assert len(got) == L and not any(got[euler_phi(L):])
+                for a in (a for a in range(1, L + 1) if gcd(a, L) == 1):
+                    z = cmath.exp(2j * cmath.pi * a / L)
+                    assert abs(sum(float(x) * z ** (e * (L // m)) for e, x in vec)
+                               - sum(float(c) * z ** k for k, c in enumerate(got))) < 1e-6
 
 
 def test_equality_against_the_lcm_conductor():
@@ -138,8 +170,8 @@ def test_equality_against_the_lcm_conductor():
     # irrational numbers written at different conductors
     def samples(m):
         def z(k):
-            return Cyclotomic.root(m, k)
-        return [Cyclotomic(m, [q]) for q in (0, 1, -1, Fraction(1, 3))] + [
+            return Cyc.root(m, k)
+        return [Cyc(m, [q]) for q in (0, 1, -1, Fraction(1, 3))] + [
             z(1), z(-1) + z(1), z(0) + z(1), z(m // 2), z(2) * 3, -z(m // 3)]
 
     compared = rational_pairs = 0
@@ -148,14 +180,14 @@ def test_equality_against_the_lcm_conductor():
         for m2 in sorted({1, 2, 3, 4, 6, m, 2 * m}):
             L = m * m2 // gcd(m, m2)
             ys = samples(m2)
-            at_l = [y.embed(L).coeffs for y in ys]
+            at_l = [y.key(L) for y in ys]
             for x in xs:
-                xl = x.embed(L).coeffs
+                xl = x.key(L)
                 for y, yl in zip(ys, at_l):
                     assert (x == y) == (y == x) == (xl == yl), (x, y)
                     rational_pairs += x.is_rational() or y.is_rational()
                     compared += 1
             for x in xs:
                 for q in (0, 1, -1, 2, Fraction(1, 3), Fraction(-1, 3)):
-                    assert (x == q) == (x.embed(m).coeffs == Cyclotomic(m, [q]).coeffs), (x, q)
+                    assert (x == q) == (x.key(m) == Cyclotomic(m, [q]).coeffs), (x, q)
     assert compared > rational_pairs > 0

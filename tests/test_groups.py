@@ -12,7 +12,7 @@ from brw.errors import (CertificationFailure, NotInsideRadical, NotNormal,
 from brw.groups import (FiniteGroup, abelian_invariants, abelianization,
                         center, char_orbit, char_orbits, check_normal,
                         commutator_subgroup, conjugacy_classes, ideal_subgroup,
-                        linear_characters, radical_subgroup, right_action,
+                        linear_characters, one_plus, radical_subgroup, right_action,
                         set_product, torus_subgroup, unit_group,
                         units_of_subspace)
 from brw.gutkin import diag_centraliser_level, top_level, verify_gutkin_brute
@@ -22,6 +22,23 @@ from helpers import (abelianization_oracle, assert_orbits_match_oracle,
                      brute_conj_partition, commutator_subgroup_oracle, diagonal_algebra,
                      fresh_corpus_algebra, mul_ids, orbit_count_P_dual,
                      rebased, run_optimized, subalgebra_algebra, torus_factorization)
+
+
+def test_one_plus_and_span_units_are_found_by_their_rows(monkeypatch):
+    # a second 1 + U on an equal subspace (another Subspace object) and a
+    # second unit group of the same rows are the groups built first, found
+    # before any vector of the subspace is built
+    A = fresh_corpus_algebra("b3_f3")
+    J = cached_decomposition(A).radical
+    P = one_plus(A, J)
+    G = unit_group(A)
+    calls = []
+    real = Subspace.vectors
+    monkeypatch.setattr(Subspace, "vectors", lambda self: calls.append(1) or real(self))
+    assert one_plus(A, Subspace(A, list(reversed(J.rows)))) is P
+    assert units_of_subspace(A, [A.basis_vector(i) for i in range(A.dim)]) is G
+    assert calls == []
+    assert P.order == A.p ** J.dim and P.elements == radical_subgroup(A).elements
 
 
 def test_unit_group_orders(b2_f3, b3_f2):

@@ -7,12 +7,12 @@ from brw.algebra import (DEFAULT_DIM_BOUND, Subalgebra, Subspace,
                          basic_decomposition, bimodule_complement,
                          bimodule_decompose, borel_algebra, cached_decomposition,
                          enumerate_subalgebras, pattern_algebra, radical_power)
-from brw.chars import (Character, char_from_linear, char_table, induce,
+from brw.chars import (char_from_linear, char_table, induce,
                        inner_product, restrict)
 from brw.corpus import DEFAULT_CORPUS, corpus_algebra
 from brw.errors import (CertificationFailure, DecompositionFailure, NotInvariant,
                         PreconditionFailure, SpecError)
-from brw.exact import rref
+from brw.exact import Cyclotomic, rref
 from brw.groups import (char_orbit, ideal_subgroup, intern_group,
                         linear_characters, radical_subgroup, unit_group,
                         unit_order, units_of_subspace)
@@ -22,10 +22,10 @@ from brw.gutkin import (SigmaData, _kills_commutators, _one_dim_ideal_steps,
                         ideal_intersection_test, j_sigma, phi_sigma, top_level,
                         verify_gutkin_brute)
 from helpers import (assert_orbits_match_oracle, assert_schreier_tree,
-                     assert_units_match_oracle, clifford_oracle, diag_centraliser,
+                     assert_units_match_oracle, character_of, clifford_oracle, diag_centraliser,
                      echelon_subspaces, fresh_corpus_algebra, group_exponent, j_sigma_oracle,
                      nondegenerate_step_oracle, radical_power_oracle, rebased,
-                     run_optimized, subalgebra_algebra)
+                     run_optimized, subalgebra_algebra, values_of)
 
 
 # -- fixtures for the worked sigma instances ---------------------------------
@@ -77,7 +77,7 @@ def test_diag_centraliser_trivial_torus(b3_f2):
             assert sub.dim == 3
     # nontrivial theta on the e12-direction: e11 fails theta(1+ad) = theta(1+da)
     nt = next(c for c in linear_characters(P)
-              if c.value_coords(tuple((a + b) % 2 for a, b in zip(A.one, A.basis_vector(3)))) != 1)
+              if c.exps[P.index[tuple((a + b) % 2 for a, b in zip(A.one, A.basis_vector(3)))]] != 0)
     assert diag_centraliser(A, P, nt).dim == 2
 
 
@@ -281,8 +281,8 @@ def test_lemma_ideal_fails_for_p2_nontrivial_sigma(b4_f2):
     Jsq = lvl.radical_power(2)
     N = lvl.one_plus(Jsq)
     sigma = next(ch for ch in linear_characters(N)
-                 if [ch.value_coords(tuple((a + b) % 2 for a, b in zip(A.one, A.basis_vector(i))))
-                     == 1 for i in (5, 6, 8)] == [False, True, False])
+                 if [ch.exps[N.index[tuple((a + b) % 2 for a, b in zip(A.one, A.basis_vector(i)))]]
+                     == 0 for i in (5, 6, 8)] == [False, True, False])
     G = lvl.units
     assert all(sigma.conj_by(G, G.index[g]).exps == sigma.exps for g in G.generators())
     L = Subspace(A, Jsq.rows + (A.basis_vector(7),))
@@ -425,12 +425,47 @@ def test_certify_stabilizers_from_orbits(b3_f3, pattern3_f3):
             assert sub.dim < A.dim or stab.order == G.order
 
 
+def test_stabilizer_span_from_generators_against_all_elements(monkeypatch):
+    # certify_stabilizer_subalgebra closes span{1} under G_theta's generators;
+    # on every stabilizer a corpus run certifies, and on those of three specs
+    # in a dense basis (where 1 need not lead with a 1), its rows are the
+    # echelon form of all of G_theta's elements
+    certified = []
+    real = brw.gutkin.certify_stabilizer_subalgebra
+    monkeypatch.setattr(brw.gutkin, "certify_stabilizer_subalgebra",
+                        lambda A, G_theta: certified.append((A, G_theta, real(A, G_theta)))
+                        or certified[-1][2])
+    algebras = [fresh_corpus_algebra(name) for name in DEFAULT_CORPUS]
+    algebras += [rebased(fresh_corpus_algebra(name), random.Random(1))
+                 for name in ("b2_f5", "b3_f3", "pattern3_f3")]
+    for A in algebras:
+        for chi in char_table(unit_group(A)).irreducibles:
+            gutkin_decompose(A, chi)
+    assert len(certified) == 41 + 4 + 14 + 10
+    for A, G_theta, sub in certified:
+        assert sub.rows == rref(list(G_theta.elements), A.p)[0]
+
+
+def test_the_descent_and_the_brute_search_build_no_cyclotomic(monkeypatch):
+    # characters stay per-class vectors end to end: the table, every descent
+    # on b3_f3 and the brute search reduce vectors (exact.normal_form) where
+    # they compare them, and build no Cyclotomic
+    built = []
+    real = Cyclotomic.__init__
+    monkeypatch.setattr(Cyclotomic, "__init__", lambda self, *a: built.append(a) or real(self, *a))
+    A = fresh_corpus_algebra("b3_f3")
+    for chi in char_table(unit_group(A)).irreducibles:
+        assert gutkin_decompose(A, chi).induced_matches
+    assert verify_gutkin_brute(A, max_dim=A.dim).all_witnessed
+    assert built == []
+
+
 # -- the full decomposition ----------------------------------------------------
 
 def test_gutkin_trivial_character(b2_f3):
     G = unit_group(b2_f3)
     triv = next(c for c in char_table(G).irreducibles
-                if c.degree == 1 and all(v == 1 for v in c.values))
+                if c.degree == 1 and all(v == 1 for v in values_of(c)))
     w = gutkin_decompose(b2_f3, triv)
     assert w.H.order == G.order and w.lam.is_trivial()
     assert w.steps[-1]["branch"] == "leaf"
@@ -440,19 +475,20 @@ def test_gutkin_requires_an_irreducible(b2_f3):
     # the sum of two linear characters has norm 2; also under python -O
     G = unit_group(b2_f3)
     a, b = (char_from_linear(c) for c in linear_characters(G)[:2])
-    chi = Character(G, a.conj, [x + y for x, y in zip(a.values, b.values)])
+    chi = character_of(G, a.conj, [x + y for x, y in zip(values_of(a), values_of(b))])
     with pytest.raises(PreconditionFailure):
         gutkin_decompose(b2_f3, chi)
     out = run_optimized("""
         from brw.algebra import borel_algebra
-        from brw.chars import Character, char_from_linear
+        from brw.chars import char_from_linear
         from brw.errors import PreconditionFailure
         from brw.groups import linear_characters, unit_group
         from brw.gutkin import gutkin_decompose
+        from helpers import character_of, values_of
         A = borel_algebra(3, 2)
         G = unit_group(A)
         a, b = (char_from_linear(c) for c in linear_characters(G)[:2])
-        chi = Character(G, a.conj, [x + y for x, y in zip(a.values, b.values)])
+        chi = character_of(G, a.conj, [x + y for x, y in zip(values_of(a), values_of(b))])
         try:
             gutkin_decompose(A, chi)
         except PreconditionFailure:
@@ -596,8 +632,8 @@ def test_brute_linear_induction_against_class_functions(monkeypatch):
                 if i is not None:
                     expected.append((lam.exps, i))
                 got = induce(G, H, lam)
-                assert [(v.m, v.coeffs) for v in got.values] == \
-                    [(v.m, v.coeffs) for v in want.values]
+                assert [(v.m, v.coeffs) for v in values_of(got)] == \
+                    [(v.m, v.coeffs) for v in values_of(want)]
             assert [(lam.exps, i) for lam, i in out] == expected
             count += len(linear_characters(H))
     assert count == 110   # one decision per (H, lambda), not one per (B, lambda)

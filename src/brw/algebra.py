@@ -530,8 +530,8 @@ def _closure_rows(A, rows, pivots, d, known):
     return rows
 
 
-def _coset_directions(A, rows, pivots):
-    """Canonical nonzero coset representatives of A / span(rows), leading coeff 1."""
+def _coset_directions(A, pivots):
+    """Canonical nonzero coset representatives of A / span(rows), rows with these pivots."""
     free = [c for c in range(A.dim) if c not in pivots]
     for coeffs in all_vectors(A.p, len(free)):
         if next((x for x in coeffs if x), None) == 1:
@@ -548,7 +548,7 @@ def check_scan_bound(A: Algebra, max_dim=None):
         raise TooLarge(f"dim {A.dim} exceeds subalgebra scan bound {bound} for p={A.p}")
 
 
-def enumerate_subalgebras(A: Algebra, max_dim=None, budget=None, seeds=None):
+def enumerate_subalgebras(A: Algebra, max_dim=None, seeds=None):
     """All unital multiplicatively closed subspaces of A containing a seed.
 
     seeds is an iterable of vector lists, read after the scan bound is
@@ -556,11 +556,11 @@ def enumerate_subalgebras(A: Algebra, max_dim=None, budget=None, seeds=None):
     walk: start at the closures of span{1} + span(seed), repeatedly extend a
     known subalgebra B by one coset direction d and complete the
     multiplicative closure, with one span -> closure map for the whole walk
-    (_closure_rows); dedupe by echelon normal form. The budget counts the
-    closures. Output sorted by dimension, then lexicographic echelon basis.
+    (_closure_rows); dedupe by echelon normal form. At most
+    DEFAULT_SCAN_BUDGET closures are run, then TooLarge. Output sorted by
+    dimension, then lexicographic echelon basis.
     """
     check_scan_bound(A, max_dim)
-    budget = budget if budget is not None else DEFAULT_SCAN_BUDGET
     start, _ = rref([A.one], A.p)
     known = {start: start}
     found, queue, spent = set(), [], 0
@@ -568,8 +568,8 @@ def enumerate_subalgebras(A: Algebra, max_dim=None, budget=None, seeds=None):
     def close(rows, d, pivots=None):
         nonlocal spent
         spent += 1
-        if spent > budget:
-            raise TooLarge(f"subalgebra scan budget {budget} exhausted")
+        if spent > DEFAULT_SCAN_BUDGET:
+            raise TooLarge(f"subalgebra scan budget {DEFAULT_SCAN_BUDGET} exhausted")
         pivots = pivots or tuple(next(c for c, x in enumerate(r) if x) for r in rows)
         return _closure_rows(A, rows, pivots, d, known)
 
@@ -583,7 +583,7 @@ def enumerate_subalgebras(A: Algebra, max_dim=None, budget=None, seeds=None):
     while queue:
         rows = queue.pop()
         pivots = tuple(next(c for c, x in enumerate(r) if x) for r in rows)
-        for d in _coset_directions(A, rows, pivots):
+        for d in _coset_directions(A, pivots):
             closed = close(rows, d, pivots)
             if closed not in found:
                 found.add(closed)

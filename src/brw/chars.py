@@ -51,8 +51,8 @@ from operator import mul
 from .errors import (CertificationFailure, GroupMismatch, LiftFailure,
                      NotOverTheta, NotSubgroup)
 from .exact import _coeff, _prime_factors, is_prime, kernel_basis, mod_inv, normal_form
-from .groups import (ConjData, FiniteGroup, LinearChar, _cyclic_powers,
-                     char_orbit, conjugacy_classes, right_action)
+from .groups import (ConjData, FiniteGroup, LinearChar, char_orbit, conjugacy_classes,
+                     right_action)
 
 
 class Character:
@@ -198,19 +198,13 @@ def _root_of_order(m, l):
     raise LiftFailure(f"no element of order {m} mod {l}")
 
 
-def _power_classes(G: FiniteGroup, conj: ConjData, r):
-    """Classes of g^0, g^1, ..., g^(o-1) for g = G.elements[r] of order o."""
-    A = G.algebra
-    return [conj.class_of[G.index[y]] for y in _cyclic_powers(A.mul, A.one, G.elements[r])]
-
-
-def _class_matrix(G: FiniteGroup, conj: ConjData, r, r_inv):
+def _class_matrix(G: FiniteGroup, conj: ConjData, r_inv):
     """Sparse columns of M_r[j][k] = #{(x,y) in C_r x C_j : x y = rep_k}.
 
-    Column k is ((j, M_r[j][k]), ...) over the nonzero entries. r_inv is the
-    class of the inverses of C_r: x runs over C_r as u = x^-1 in C_{r_inv},
-    and y = u rep_k lies in C_j, so that the matrix costs |C_r| * k products
-    and no inversion.
+    Column k is ((j, M_r[j][k]), ...) over the nonzero entries. C_r is given
+    by r_inv, the class of its inverses: x runs over C_r as u = x^-1 in
+    C_{r_inv}, and y = u rep_k lies in C_j, so that the matrix costs
+    |C_r| * k products and no inversion.
     """
     A = G.algebra
     xs = [G.elements[u] for u in conj.classes[r_inv]]
@@ -297,7 +291,7 @@ def _refine_spaces(G: FiniteGroup, conj: ConjData, inv_class, l):
     for r in sorted(range(1, n), key=lambda r: conj.sizes[r]):
         if all(len(rows) == 1 for rows, _ in spaces):
             break
-        cols = _class_matrix(G, conj, r, inv_class[r])
+        cols = _class_matrix(G, conj, inv_class[r])
         new_spaces = []
         for rows, pivots in spaces:
             d = len(rows)
@@ -427,7 +421,7 @@ def _multiplicities(vals_mod, weights, l):
 def _char_table(G: FiniteGroup) -> CharTable:
     conj = conjugacy_classes(G)
     n, order = conj.k, G.order
-    powers = [_power_classes(G, conj, r) for r in conj.reps]
+    powers = G.power_classes()
     m = lcm(*(len(pk) for pk in powers))
     l = _split_prime(isqrt(4 * order), m)   # l * l > 4 |G| (Dixon)
     inv_class = [pk[-1] for pk in powers]   # class of g^(o-1) = g^-1

@@ -219,7 +219,7 @@ class Cyclotomic:
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "coeffs", normal_form(enumerate(map(_coeff, coeffs)), m))
 
-    def __setattr__(self, *a):
+    def __setattr__(self, *_):
         raise AttributeError("Cyclotomic is immutable")
 
     @classmethod
@@ -249,7 +249,7 @@ class Cyclotomic:
     def __hash__(self):
         raise TypeError("hash Cyclotomic via .key(conductor)")
 
-    def render(self, var="z"):
+    def render(self):
         """Human-readable form 'a0 + a1*z + a2*z^2 + ...' (nonzero terms only)."""
         terms = []
         for k, x in enumerate(self.coeffs):
@@ -258,7 +258,7 @@ class Cyclotomic:
             if k == 0:
                 terms.append(str(x))
             else:
-                z = var if k == 1 else f"{var}^{k}"
+                z = "z" if k == 1 else f"z^{k}"
                 if x == 1:
                     terms.append(z)
                 elif x == -1:

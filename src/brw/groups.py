@@ -7,19 +7,19 @@ keeps memory flat for orders up to the configured cap.
 Cache owners: the algebra keeps one FiniteGroup per element set
 (intern_group, in algebra._groups), found there as well by the rows it was
 built from, ("1+", rows) for one_plus and ("units", rows) for
-units_of_subspace, and its BasicDecomposition (J^n and the torus
-coordinates). Each FiniteGroup keeps what is computed from it alone:
-generators, with what generators() records while it grows them (_grow, on
-ids): the one product table (_right, right multiplication of every id by
-each generator) and the spanning tree of the Cayley graph on them (_tree,
-the edge that first reached each element); the inverses and the conjugation
-permutations of the generators, read off that tree with no product
-(_inverse, _conj_perms); conjugacy classes (_conj), its exponent (_exp),
-its character table (_table, set by chars.char_table), its linear
-characters (_linear), the conjugation action of its generators on each
-normal subgroup (_conj_action, set by check_normal) and the right
-multiplication of its ids by the generators of each subgroup
-(_right_action, set by right_action).
+units_of_subspace or gutkin.certify_stabilizer_subalgebra, and its
+BasicDecomposition (J^n and the torus coordinates). Each FiniteGroup keeps
+what is computed from it alone: generators, with what generators() records
+while it grows them (_grow, on ids): the one product table (_right, right
+multiplication of every id by each generator) and the spanning tree of the
+Cayley graph on them (_tree, the edge that first reached each element); the
+inverses and the conjugation permutations of the generators, read off that
+tree with no product (_inverse, _conj_perms); conjugacy classes (_conj), the
+power map (_powers, the classes of the powers of each class representative),
+its character table (_table, set by chars.char_table), its linear characters
+(_linear), the conjugation action of its generators on each normal subgroup
+(_conj_action, set by check_normal) and the right multiplication of its ids
+by the generators of each subgroup (_right_action, set by right_action).
 
 The order cap is checked once, in unit_group: every other group here is a
 subgroup of A^x, so no other function takes a cap.
@@ -62,7 +62,7 @@ class FiniteGroup:
         self._inverse = None
         self._conj_perms = None
         self._conj = None
-        self._exp = None
+        self._powers = None
         self._table = None
         self._linear = None
         self._conj_action = {}
@@ -143,18 +143,23 @@ class FiniteGroup:
         self.inverses()
         return self._conj_perms
 
+    def power_classes(self):
+        """The power map: per class representative g of order o, the classes
+        of g^0, g^1, ..., g^(o-1); computed once."""
+        if self._powers is None:
+            A, conj = self.algebra, conjugacy_classes(self)
+            powers = (_cyclic_powers(A.mul, A.one, self.elements[r]) for r in conj.reps)
+            self._powers = tuple([conj.class_of[self.index[y]] for y in ys] for ys in powers)
+        return self._powers
+
     def exponent(self):
-        """lcm of the element orders, from the class representatives; computed once."""
-        if self._exp is None:
-            A = self.algebra
-            reps = (self._conj or conjugacy_classes(self)).reps
-            self._exp = lcm(*(len(_cyclic_powers(A.mul, A.one, self.elements[r])) for r in reps))
-        return self._exp
+        """lcm of the element orders, the lengths of the power map."""
+        return lcm(*map(len, self.power_classes()))
 
     def contains_group(self, other):
-        """Whether every element of other lies in this group; True at once
-        when other is this group, with no element scanned."""
-        return other is self or all(v in self.index for v in other.elements)
+        """Whether other lies in this group, tested on other's generators: a
+        group that holds them holds other. True at once when other is this group."""
+        return other is self or all(g in self.index for g in other.generators())
 
     def __repr__(self):
         return f"FiniteGroup(order={self.order})"
@@ -320,8 +325,7 @@ def set_product(G: FiniteGroup, H: FiniteGroup, K: FiniteGroup) -> FiniteGroup:
 class ConjData:
     """Conjugacy classes: representatives (least id), sizes, and the class map."""
 
-    def __init__(self, group, reps, classes, class_of):
-        self.group = group
+    def __init__(self, reps, classes, class_of):
         self.reps = tuple(reps)
         self.classes = tuple(tuple(c) for c in classes)
         self.sizes = tuple(len(c) for c in self.classes)
@@ -356,7 +360,7 @@ def conjugacy_classes(G: FiniteGroup) -> ConjData:
     remap = {old: new for new, old in enumerate(order)}
     classes = [classes[old] for old in order]
     class_of = [remap[c] for c in class_of]
-    G._conj = ConjData(G, [c[0] for c in classes], classes, class_of)
+    G._conj = ConjData([c[0] for c in classes], classes, class_of)
     return G._conj
 
 
@@ -513,15 +517,6 @@ class LinearChar:
         step = m2 // self.m
         return LinearChar(self.domain, m2, [e * step for e in self.exps])
 
-    def same_values(self, other):
-        """Equality as functions, tolerating different conductors."""
-        if self.domain.elements != other.domain.elements:
-            return False
-        L = lcm(self.m, other.m)
-        a = self.rebase(L)
-        b = other.rebase(L)
-        return a.exps == b.exps
-
     def mul(self, other):
         if self.domain is not other.domain:
             raise GroupMismatch("characters live on different groups")
@@ -530,8 +525,11 @@ class LinearChar:
         return LinearChar(self.domain, L, [x + y for x, y in zip(a.exps, b.exps)])
 
     def __eq__(self, other):
-        return (isinstance(other, LinearChar) and self.domain is other.domain
-                and self.same_values(other))
+        """Equality as functions on one domain, tolerating different conductors."""
+        if not isinstance(other, LinearChar) or self.domain is not other.domain:
+            return False
+        L = lcm(self.m, other.m)
+        return self.rebase(L).exps == other.rebase(L).exps
 
     def __hash__(self):
         raise TypeError("use .exps as a dict key within one enumeration")
@@ -563,9 +561,8 @@ def dual_characters(domain, divisors, coords):
 # ---------------------------------------------------------------------------
 
 class CharOrbit:
-    def __init__(self, base, acting, orbit, stabilizer):
+    def __init__(self, base, orbit, stabilizer):
         self.base = base
-        self.acting = acting
         self.orbit = tuple(orbit)
         self.stabilizer = stabilizer
 
@@ -585,9 +582,9 @@ def check_normal(G: FiniteGroup, Q: FiniteGroup):
     perms = G._conj_action.get(Q)
     if perms is not None:
         return perms
-    if not G.contains_group(Q):
+    ids = [G.index.get(q) for q in Q.elements]
+    if None in ids:
         raise NotNormal("Q is not a subset of G")
-    ids = [G.index[q] for q in Q.elements]
     perms = tuple(tuple(Q.index.get(G.elements[conj[x]]) for x in ids)
                   for conj in G.conjugations())
     if any(None in perm for perm in perms):
@@ -642,7 +639,7 @@ def char_orbit(G: FiniteGroup, Q: FiniteGroup, theta: LinearChar) -> CharOrbit:
     if len(queue) * len(stab) != G.order:
         raise CertificationFailure("orbit-stabilizer identity failed")
     orbit = [LinearChar(Q, theta.m, e) for e in sorted(queue)]
-    return CharOrbit(theta, G, orbit, intern_group(G.algebra, stab))
+    return CharOrbit(theta, orbit, intern_group(G.algebra, stab))
 
 
 def char_orbits(G: FiniteGroup, Q: FiniteGroup):

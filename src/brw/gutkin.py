@@ -170,7 +170,6 @@ class SigmaData:
         if sigma.domain is not self.N:
             sigma = sigma.restrict(self.N)
         self.sigma = sigma
-        self.Jn = Jn
         self._check_p_invariant()
         self._jsigma = None
 
@@ -294,7 +293,7 @@ def extend_character(S: SigmaData) -> ExtensionResult:
         raise NoExtension("sigma does not kill [Q,Q]")
     exts = []
     for ch in linear_characters(Q):
-        if ch.restrict(N).same_values(sigma):
+        if ch.restrict(N) == sigma:
             exts.append(ch)
     if not exts:
         raise NoExtension("no extension of sigma to Q exists")
@@ -338,6 +337,8 @@ def certify_stabilizer_subalgebra(A: Algebra, G_theta: FiniteGroup) -> Subalgebr
     W is closed under products, as G_theta is, so it is the closure of
     span{1} under G_theta's generators (_closure_rows), whose products give
     every element; echelon form is unique, so the rows are rref(G_theta).
+    Once certified, G_theta is registered as the unit group of the rows
+    (units_of_subspace), so a Level on them builds none of its units.
     """
     rows, pivots = rref([A.one], A.p)
     for g in G_theta.generators():
@@ -345,6 +346,7 @@ def certify_stabilizer_subalgebra(A: Algebra, G_theta: FiniteGroup) -> Subalgebr
         pivots = tuple(next(c for c, x in enumerate(r) if x) for r in rows)
     if unit_order(A, rows) != G_theta.order:
         raise CertificationFailure("stabilizer is not the unit group of its span")
+    A._groups[("units", rows)] = G_theta
     level = A._levels.get(rows)
     return level.sub if level is not None else Subalgebra(A, rows)
 
@@ -357,8 +359,7 @@ class GutkinWitness:
     """Chain of subalgebra descents ending in a linear character whose
     induction recovers the target irreducible."""
 
-    def __init__(self, algebra, group, target, steps, subalgebra, H, lam):
-        self.algebra = algebra
+    def __init__(self, group, target, steps, subalgebra, H, lam):
         self.group = group
         self.target = target
         self.steps = steps
@@ -403,9 +404,9 @@ def _scalar_restriction(level: Level, psi: Character, n):
     met = sorted(set(ks))
     exps = _root_exps([psi.rows[k] for k in met], psi.m, psi.m, int(psi.degree))
     if exps is None:
-        return None, N
+        return None
     exp_of = dict(zip(met, exps))
-    return LinearChar(N, psi.m, [exp_of[k] for k in ks]), N
+    return LinearChar(N, psi.m, [exp_of[k] for k in ks])
 
 
 def _one_dim_ideal_steps(level: Level, n):
@@ -451,7 +452,7 @@ def _decompose(level: Level, chi: Character, steps):
         sigma = None
         cand = 1
         while level.radical_power(cand).dim > 0:
-            sig, N = _scalar_restriction(level, psi, cand)
+            sig = _scalar_restriction(level, psi, cand)
             if sig is not None:
                 n, sigma = cand, sig
                 break
@@ -495,7 +496,7 @@ def gutkin_decompose(A: Algebra, chi: Character) -> GutkinWitness:
         raise PreconditionFailure("gutkin_decompose requires an irreducible character")
     steps = []
     leaf, lam = _decompose(level, chi0, steps)
-    witness = GutkinWitness(A, G, chi0, steps, leaf.sub, leaf.units, lam)
+    witness = GutkinWitness(G, chi0, steps, leaf.sub, leaf.units, lam)
     if not witness.verify():
         raise DecompositionFailure("induced character does not match the target")
     return witness
@@ -532,7 +533,7 @@ def _radical_seeds(J: Subspace, c):
 
 def brute_candidates(A: Algebra, G: FiniteGroup, degrees, max_dim=None):
     """[(B, [G:B^x])] for the subalgebras B of A with [G:B^x] in degrees, in
-    enumerate_subalgebras order, from its walk (default scan budget) upward
+    enumerate_subalgebras order, from its walk (within the scan budget) upward
     from span{1} + W for every W <= J of codimension c (verify_gutkin_brute)."""
     J = top_level(A).radical
     c = 0

@@ -12,7 +12,7 @@ from math import gcd, lcm
 from .algebra import Subalgebra, cached_decomposition
 from .errors import SpecError, TooLarge
 from .exact import Cyclotomic, is_prime
-from .groups import LinearChar, _dual_exps, abelian_invariants, dual_characters
+from .groups import LinearChar, abelian_invariants, dual_characters
 
 
 class ResidueUnits:
@@ -128,24 +128,15 @@ def factor_unitary(chi: SmoothCharLocal):
 
 
 class LocalCharGroup:
-    """Generators of the smooth characters of k^x at residue level k."""
+    """Smooth characters of k^x at residue level k: the elementary divisors of
+    (Z/p^k)^x, dual to the unit parts, and the uniformizer's free direction."""
 
     def __init__(self, p, k, cap=None):
         if k < 1:
             raise SpecError("character group needs level k >= 1")
         self.p = p
         self.k = k
-        group = ResidueUnits(p, k, cap)
-        self.divisors, gens, dlog = group.invariants()
-        m = self.divisors[0] if self.divisors else 1
-        coords = [dlog[r] for r in group.elements]
-        self.unit_generators = []
-        for i in range(len(self.divisors)):
-            c = [1 if j == i else 0 for j in range(len(self.divisors))]
-            self.unit_generators.append(SmoothCharLocal(
-                p, k, LinearChar(group, m, _dual_exps(c, self.divisors, coords)), 1, 1, 0))
-        # the free direction: trivial on units, arbitrary at the uniformizer
-        self.free_generator = SmoothCharLocal(p, k, trivial_unit_part(group), 1, 1, 0)
+        self.divisors = ResidueUnits(p, k, cap).invariants()[0]
 
     @property
     def unit_group_order(self):

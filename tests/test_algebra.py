@@ -235,11 +235,12 @@ def test_every_walk_closure_against_all_pairs_fixpoint(monkeypatch):
     assert 0 < tally["lookups"] < tally["stops"] < tally["calls"]
 
 
-def test_enumerate_caps(b3_f3):
+def test_enumerate_caps(b3_f3, monkeypatch):
     with pytest.raises(TooLarge):
         enumerate_subalgebras(b3_f3)  # dim 6 > default bound 5 for p=3
+    monkeypatch.setattr(algebra, "DEFAULT_SCAN_BUDGET", 3)
     with pytest.raises(TooLarge):
-        enumerate_subalgebras(borel_algebra(2, 3), budget=3)
+        enumerate_subalgebras(borel_algebra(2, 3))
 
 
 def test_lemma_subalgebra_property(b2_f2, b2_f3, b3_f2):

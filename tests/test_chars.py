@@ -319,7 +319,7 @@ def test_induce_example2(b2_f3):
     # for a fixed theta = tau|P, tau -> Ind tau is one-to-one onto the
     # degree >= 2 irreducibles
     theta = taus[0].restrict(P)
-    over_theta = [t for t in taus if t.restrict(P).same_values(theta)]
+    over_theta = [t for t in taus if t.restrict(P) == theta]
     induced = [induce(G, ZP, char_from_linear(t)) for t in over_theta]
     assert len(induced) == len(deg2)
     for i, a in enumerate(induced):
@@ -736,7 +736,7 @@ def test_class_matrix_against_pair_count(b2_f3, b2_f5, b3_f3, pattern3_f3):
             r_inv = conj.class_of[G.inv_id(conj.reps[r])]
             non_real += r_inv != r
             dense = [[0] * conj.k for _ in range(conj.k)]
-            for k, col in enumerate(_class_matrix(G, conj, r, r_inv)):
+            for k, col in enumerate(_class_matrix(G, conj, r_inv)):
                 for j, c in col:
                     assert c
                     dense[j][k] = c

@@ -13,7 +13,7 @@ from brw.corpus import DEFAULT_CORPUS, corpus_algebra
 from brw.errors import (CertificationFailure, DecompositionFailure, NotInvariant,
                         PreconditionFailure, SpecError)
 from brw.exact import Cyclotomic, rref
-from brw.groups import (char_orbit, ideal_subgroup, intern_group,
+from brw.groups import (char_orbit, char_orbits, ideal_subgroup, intern_group,
                         linear_characters, radical_subgroup, unit_group,
                         unit_order, units_of_subspace)
 from brw.gutkin import (SigmaData, _kills_commutators, _one_dim_ideal_steps,
@@ -446,6 +446,18 @@ def test_stabilizer_span_from_generators_against_all_elements(monkeypatch):
         assert sub.rows == rref(list(G_theta.elements), A.p)[0]
 
 
+def test_level_on_a_certified_stabilizer_span_builds_no_vector(monkeypatch):
+    # the certificate proves span(G_theta)^x = G_theta, so the Level on that
+    # span takes G_theta as its unit group: no vector of the span is built
+    A = fresh_corpus_algebra("b3_f3")
+    G, P = unit_group(A), radical_subgroup(A)
+    stabilizers = [orb.stabilizer for orb in char_orbits(G, P) if orb.stabilizer is not G]
+    subs = [certify_stabilizer_subalgebra(A, S) for S in stabilizers]
+    calls = []
+    real = Subspace.vectors
+    monkeypatch.setattr(Subspace, "vectors", lambda self: calls.append(1) or real(self))
+    assert [get_level(sub).units for sub in subs] == stabilizers
+    assert len(subs) > 1 and calls == []
 def test_the_descent_and_the_brute_search_build_no_cyclotomic(monkeypatch):
     # characters stay per-class vectors end to end: the table, every descent
     # on b3_f3 and the brute search reduce vectors (exact.normal_form) where

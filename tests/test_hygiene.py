@@ -1,8 +1,9 @@
 """Source hygiene of src/brw, checked with the standard library's ast.
 
-Every name a module imports is used in that module, and every module-level
+Every name a module imports is used in that module, every module-level
 function and class is referenced from src/brw, tests/ or perfbench/ outside
-its own definition, so dead code and stale imports show up as failures.
+its own definition, and every parameter and stored attribute is read, so dead
+code, stale imports and state nothing reads show up as failures.
 """
 
 import ast
@@ -65,3 +66,49 @@ def test_every_module_level_definition_is_referenced():
                        for other, line in refs.get(node.name, ())):
                 dead.append(f"{os.path.basename(path)}:{node.lineno} {node.name}")
     assert not dead, dead
+
+
+def _stored_attributes(tree):
+    """(name, line) for every `self.name = ...` target in a tree."""
+    for node in ast.walk(tree):
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, (ast.AnnAssign, ast.AugAssign))
+                   else [])
+        for t in targets:
+            if (isinstance(t, ast.Attribute) and isinstance(t.value, ast.Name)
+                    and t.value.id == "self"):
+                yield t.attr, t.lineno
+
+
+def test_every_parameter_and_stored_attribute_is_read():
+    """Every parameter of a function in src/brw is named in that function's
+    body (self, cls, _ and _-prefixed names are exempt), and every attribute
+    stored as `self.x = ...` in src/brw is loaded as `.x` somewhere in src/brw,
+    tests/ or perfbench/.
+
+    The attribute half is by name only: a stored attribute counts as read
+    when any object's attribute of that name is loaded. It misses an
+    attribute whose name another class reads (ConjData.group and
+    GutkinWitness.algebra were such), and one that is only appended to or
+    otherwise loaded to be changed (LocalCharGroup.unit_generators was one)."""
+    trees = {path: _parse(path) for d in (SRC, os.path.join(ROOT, "tests"),
+                                          os.path.join(ROOT, "perfbench"))
+             for path in _py_files(d)}
+    loaded = {node.attr for tree in trees.values() for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = []
+    for path in _py_files(SRC):
+        where = os.path.basename(path)
+        for node in ast.walk(trees[path]):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                named = {n.id for stmt in node.body for n in ast.walk(stmt)
+                         if isinstance(n, ast.Name)}
+                a = node.args
+                params = a.posonlyargs + a.args + a.kwonlyargs
+                params += [x for x in (a.vararg, a.kwarg) if x]
+                unread += [f"{where}:{arg.lineno} {arg.arg}" for arg in params
+                           if arg.arg not in named and arg.arg not in ("self", "cls")
+                           and not arg.arg.startswith("_")]
+        unread += [f"{where}:{line} {name}" for name, line in _stored_attributes(trees[path])
+                   if name not in loaded]
+    assert not unread, unread

@@ -81,29 +81,19 @@ class Algebra:
         # for each i, the j with b_i * b_j != 0 and the nonzero terms (k, c) of that product
         self._nz = tuple(tuple((j, tuple((k, c) for k, c in enumerate(row) if c))
                                for j, row in enumerate(plane) if any(row)) for plane in self.sc)
-        self._check_identity()
-        self._check_associativity()
+        # the one basis of A, and the certificate over it: 'one' is a two-sided
+        # identity, then (b_i b_j) b_k = b_i (b_j b_k) for every basis triple
+        E = self._basis = tuple(tuple(1 if k == i else 0 for k in range(dim))
+                                for i in range(dim))
+        for i, b in enumerate(E):
+            if self.mul(self.one, b) != b or self.mul(b, self.one) != b:
+                raise SpecError(f"'one' is not a two-sided identity (fails on basis {i})")
+        for i, j, k in product(range(dim), repeat=3):
+            if self.mul(self.sc[i][j], E[k]) != self.mul(E[i], self.sc[j][k]):
+                raise SpecError(f"associativity fails at basis triple ({i},{j},{k})")
         self._dec = None
         self._groups = {}
         self._levels = {}
-
-    def _check_identity(self):
-        for i in range(self.dim):
-            b = tuple(1 if k == i else 0 for k in range(self.dim))
-            if self.mul(self.one, b) != b or self.mul(b, self.one) != b:
-                raise SpecError(f"'one' is not a two-sided identity (fails on basis {i})")
-
-    def _check_associativity(self):
-        for i in range(self.dim):
-            for j in range(self.dim):
-                bij = self.sc[i][j]
-                for k in range(self.dim):
-                    left = self.mul(bij, tuple(1 if t == k else 0 for t in range(self.dim)))
-                    right = self.mul(
-                        tuple(1 if t == i else 0 for t in range(self.dim)), self.sc[j][k]
-                    )
-                    if left != right:
-                        raise SpecError(f"associativity fails at basis triple ({i},{j},{k})")
 
     # -- arithmetic on coordinate tuples --------------------------------------
     def mul(self, x, y):
@@ -139,10 +129,10 @@ class Algebra:
         return tuple(x % self.p for x in out)
 
     def basis_vector(self, i):
-        return tuple(1 if k == i else 0 for k in range(self.dim))
+        return self._basis[i]
 
     def basis(self):
-        return tuple(self.basis_vector(i) for i in range(self.dim))
+        return self._basis
 
     def elements(self):
         return all_vectors(self.p, self.dim)
@@ -400,7 +390,7 @@ def basic_decomposition(B) -> BasicDecomposition:
     chain, prims = _split_basic_analysis(A, basis)
     steps = (len(basis) - 1).bit_length() + 2
     idems = []
-    s = tuple(0 for _ in range(A.dim))
+    zero = s = (0,) * A.dim
     for a in prims:
         one_minus_s = vec_sub(A.one, s, A.p)
         a = A.mul(A.mul(one_minus_s, a), one_minus_s)
@@ -411,8 +401,7 @@ def basic_decomposition(B) -> BasicDecomposition:
         raise NotSplitBasic("lifted idempotents do not sum to 1")
     for i, e in enumerate(idems):
         for j, f in enumerate(idems):
-            expect = e if i == j else tuple(0 for _ in range(A.dim))
-            if A.mul(e, f) != expect:
+            if A.mul(e, f) != (e if i == j else zero):
                 raise NotSplitBasic("lifted idempotents not orthogonal")
     diagonal = Subalgebra(A, idems)
     diagonal.idempotents = tuple(idems)

@@ -230,13 +230,12 @@ def unit_group(A: Algebra, cap=None) -> FiniteGroup:
     The one order-cap check: the order is compared with the cap, when given,
     before any element is built; every other group is a subgroup of A^x."""
     dec = cached_decomposition(A)  # raises NotSplitBasic when appropriate
-    basis = [A.basis_vector(i) for i in range(A.dim)]
-    order = unit_order(A, basis)
+    order = unit_order(A, A.basis())
     if order != (A.p - 1) ** dec.n * A.p ** dec.radical.dim:
         raise CertificationFailure("unit group order differs from (p-1)^n p^dim(J)")
     if cap is not None and order > cap:
         raise TooLarge(f"group order {order} exceeds cap {cap}")
-    return units_of_subspace(A, basis)
+    return units_of_subspace(A, A.basis())
 
 
 def torus_subgroup(A: Algebra) -> FiniteGroup:

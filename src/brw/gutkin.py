@@ -211,10 +211,9 @@ def j_sigma(S: SigmaData) -> Subspace:
         values = P.walk(0, lambda v, s: (v + sigma.exps[cs[s]]) % sigma.m)
         kernel = [k and v == 0 for k, v in zip(kernel, values)]
     members = [vec_sub(x, A.one, A.p) for x, k in zip(P.elements, kernel) if k]
-    rows, _ = rref(members, A.p)
-    if len(members) != A.p ** len(rows):
+    js = Subspace(A, members)
+    if len(members) != A.p ** js.dim:
         raise CertificationFailure("J_sigma is not a subspace")
-    js = Subspace(A, rows)
     Jsq = level.radical_power(2)
     if not all(js.contains(v) for v in Jsq.rows):
         raise CertificationFailure("J^2 is not contained in J_sigma")
@@ -355,6 +354,13 @@ def certify_stabilizer_subalgebra(A: Algebra, G_theta: FiniteGroup) -> Subalgebr
 # the constructive decomposition
 # ---------------------------------------------------------------------------
 
+def _witness_record(rows, H, lam):
+    """The report fields of a witness Ind_H^G(lam), H = span(rows)^x, that the
+    constructive summary and the brute-force first witness share."""
+    return {"subalgebra_basis": [list(r) for r in rows], "subalgebra_dim": len(rows),
+            "H_order": H.order, "lambda_conductor": lam.m, "lambda_exps": list(lam.exps)}
+
+
 class GutkinWitness:
     """Chain of subalgebra descents ending in a linear character whose
     induction recovers the target irreducible."""
@@ -382,16 +388,10 @@ class GutkinWitness:
         return [s["algebra_dim"] for s in self.steps]
 
     def summary(self):
-        return {
-            "degree": int(self.target.degree),
-            "subalgebra_basis": [list(r) for r in self.subalgebra_rows],
-            "subalgebra_dim": len(self.subalgebra_rows),
-            "H_order": self.H.order,
-            "lambda_conductor": self.lam.m,
-            "lambda_exps": list(self.lam.exps),
-            "chain_dims": self.chain_dims,
-            "induced_matches": bool(self.induced_matches),
-        }
+        return {"degree": int(self.target.degree),
+                **_witness_record(self.subalgebra_rows, self.H, self.lam),
+                "chain_dims": self.chain_dims,
+                "induced_matches": bool(self.induced_matches)}
 
 
 def _scalar_restriction(level: Level, psi: Character, n):
@@ -591,13 +591,7 @@ def verify_gutkin_brute(A: Algebra, max_dim=None) -> BruteReport:
             entry = per_irr[i]
             entry["witness_count"] += 1
             if entry["first"] is None:
-                entry["first"] = {
-                    "subalgebra_basis": [list(r) for r in B.rows],
-                    "subalgebra_dim": B.dim,
-                    "H_order": H.order,
-                    "lambda_conductor": lam.m,
-                    "lambda_exps": list(lam.exps),
-                }
+                entry["first"] = _witness_record(B.rows, H, lam)
     report = BruteReport(G, table, per_irr)
     if not report.all_witnessed:
         missing = [i for i, e in enumerate(per_irr) if e["witness_count"] == 0]

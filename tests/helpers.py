@@ -630,6 +630,28 @@ def rebased(A, rng):
     return Algebra(p, sc, coords(A.one))
 
 
+def spec_certificate_oracle(spec):
+    """The SpecError message of the first identity or associativity check
+    that an explicit spec fails, or None. The products are sums over the sc
+    tensor itself: for each basis index i in order, 1 b_i = b_i = b_i 1,
+    then (b_i b_j) b_k = b_i (b_j b_k) for the triples in lexicographic order."""
+    p, sc, one = spec["p"], spec["sc"], spec["one"]
+    n = len(sc)
+    for i in range(n):
+        for t in range(n):
+            unit = int(t == i)
+            if (sum(one[a] * sc[a][i][t] for a in range(n)) % p != unit
+                    or sum(one[b] * sc[i][b][t] for b in range(n)) % p != unit):
+                return f"'one' is not a two-sided identity (fails on basis {i})"
+    for i, j, k in product(range(n), repeat=3):
+        for t in range(n):
+            left = sum(sc[i][j][s] * sc[s][k][t] for s in range(n))
+            right = sum(sc[j][k][s] * sc[i][s][t] for s in range(n))
+            if (left - right) % p:
+                return f"associativity fails at basis triple ({i},{j},{k})"
+    return None
+
+
 def run_optimized(code):
     """stdout of code run under python -O (asserts stripped) with brw and these
     helpers on the path."""

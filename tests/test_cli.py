@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 import time
+from itertools import product
 
 import pytest
 
@@ -15,11 +16,12 @@ import brw.algebra
 import brw.cli
 import brw.corpus
 import brw.gutkin
-from brw.algebra import Subalgebra
+from brw.algebra import Algebra, Subalgebra
 from brw.cli import main
 from brw.corpus import DEFAULT_CORPUS, corpus_algebra, corpus_spec
+from brw.errors import SpecError
 from brw.localfield import InductionDatum, is_admissible_shape
-from helpers import matrix_algebra_2x2, polynomial_quotient
+from helpers import matrix_algebra_2x2, polynomial_quotient, rebased, spec_certificate_oracle
 
 
 def run(tmp_path, *argv):
@@ -652,6 +654,48 @@ def test_malformed_spec_is_a_spec_error(tmp_path, capsys, spec):
 def explicit_spec(A):
     return {"p": A.p, "dim": A.dim, "one": list(A.one),
             "sc": [[list(row) for row in plane] for plane in A.sc]}
+
+
+def _certificate_corruptions(seed):
+    """(name, spec) for explicit corpus specs, in their monomial basis and in
+    a dense random one, each with one entry of sc or of one changed: every
+    entry of one, and a seeded sample of the entries of sc."""
+    rng = random.Random(seed)
+    dense = ("b2_f5", "b3_f2", "pattern3_f3", "b3_f3", "b4_f2")
+    bases = [(name, explicit_spec(corpus_algebra(name))) for name in DEFAULT_CORPUS]
+    bases += [(f"dense {name}", explicit_spec(rebased(corpus_algebra(name), rng)))
+              for name in dense]
+    for name, spec in bases:
+        p, dim = spec["p"], spec["dim"]
+        for t in range(dim):
+            broken = copy.deepcopy(spec)
+            broken["one"][t] = (broken["one"][t] + 1) % p
+            yield name, broken
+        for i, j, k in rng.sample(list(product(range(dim), repeat=3)), min(8, dim ** 3)):
+            broken = copy.deepcopy(spec)
+            broken["sc"][i][j][k] = (broken["sc"][i][j][k] + rng.randrange(1, p)) % p
+            yield name, broken
+
+
+def test_certificate_names_the_first_failing_check(tmp_path, capsys):
+    """Every corruption fails the certificate: Algebra(...) and brw info name
+    the basis index of the first identity failure, or else the
+    lexicographically first non-associative triple, that
+    spec_certificate_oracle finds on the tensor; info exits 2 with that one
+    stderr line."""
+    path = tmp_path / "spec.json"
+    seen = set()
+    for name, spec in _certificate_corruptions(28):
+        expected = spec_certificate_oracle(spec)
+        with pytest.raises(SpecError) as err:
+            Algebra(spec["p"], spec["sc"], spec["one"])
+        assert str(err.value) == expected, name
+        path.write_text(json.dumps(spec))
+        assert main(["info", str(path)]) == 2, name
+        assert capsys.readouterr().err.splitlines() == [f"spec error: {expected}"], name
+        seen.add((name.startswith("dense"), expected.split()[0]))
+    assert seen == {(dense, kind) for dense in (False, True)
+                    for kind in ("'one'", "associativity")}
 
 
 def _pattern_mutations(spec, rng):

@@ -185,13 +185,6 @@ class Subspace:
         ker = kernel_basis(transposed, k + l, p)
         return Subspace(self.owner, [self.owner.combine(y[:k], self.rows) for y in ker])
 
-    def __eq__(self, other):
-        return (isinstance(other, Subspace) and self.owner is other.owner
-                and self.rows == other.rows)
-
-    def __hash__(self):
-        return hash((id(self.owner), self.rows))
-
     def __repr__(self):
         return f"{type(self).__name__}(dim={self.dim})"
 

@@ -94,20 +94,6 @@ class Character:
     def __hash__(self):
         raise TypeError("characters are compared, not hashed")
 
-    def transfer(self, other_group: FiniteGroup):
-        """Rebuild on another FiniteGroup object with the same element set."""
-        if other_group is self.group:
-            return self
-        if other_group.elements != self.group.elements:
-            raise GroupMismatch("transfer requires identical element sets")
-        return self._on(other_group)
-
-    def _on(self, H: FiniteGroup):
-        """The vectors at the classes of H (a subset of the group)."""
-        conj, class_of, index = conjugacy_classes(H), self.conj.class_of, self.group.index
-        return Character(H, conj, self.m, [self.rows[class_of[index[H.elements[r]]]]
-                                           for r in conj.reps])
-
     def __repr__(self):
         return f"Character(deg={self.degree}, k={self.conj.k})"
 
@@ -488,7 +474,7 @@ def induced_linear(G: FiniteGroup, H: FiniteGroup, lams):
     s_k = |C_k| lam(g_k) at the class representative, as lam is constant on
     classes. H and the domains of the lams are checked once per call."""
     _check_subgroup(G, H)
-    if any(lam.domain is not H and lam.domain.elements != H.elements for lam in lams):
+    if any(lam.domain is not H for lam in lams):
         raise GroupMismatch("lambda is not a character of H")
     conj = conjugacy_classes(G)
     if H is G:
@@ -531,7 +517,7 @@ def induce(G: FiniteGroup, H: FiniteGroup, chi) -> Character:
         return _induced(G, H, conj, chi.m, sums)
     _check_subgroup(G, H)
     if chi.group is not H:
-        chi = chi.transfer(H)
+        raise GroupMismatch("chi is not a character of H")
     class_of = chi.conj.class_of
     terms = ((k, e, x) for k, cls in enumerate(conj.classes) for xid in cls
              if (i := H.index.get(G.elements[xid])) is not None
@@ -540,11 +526,14 @@ def induce(G: FiniteGroup, H: FiniteGroup, chi) -> Character:
 
 
 def restrict(G: FiniteGroup, H: FiniteGroup, chi: Character) -> Character:
-    """Restriction of a class function on G to the subgroup H."""
+    """Restriction of a class function on G itself to the subgroup H: chi's
+    vector at the class in G of each class representative of H."""
     _check_subgroup(G, H)
     if chi.group is not G:
-        chi = chi.transfer(G)
-    return chi._on(H)
+        raise GroupMismatch("chi is not a character of G")
+    conj, class_of = conjugacy_classes(H), chi.conj.class_of
+    return Character(H, conj, chi.m, [chi.rows[class_of[G.index[H.elements[r]]]]
+                                      for r in conj.reps])
 
 
 def clifford_correspondent(G: FiniteGroup, Q: FiniteGroup, theta: LinearChar,
@@ -556,7 +545,7 @@ def clifford_correspondent(G: FiniteGroup, Q: FiniteGroup, theta: LinearChar,
     CertificationFailure unless <eta, eta> = 1 and eta(1) [G:S] = chi(1).
     """
     if chi.group is not G:
-        chi = chi.transfer(G)
+        raise GroupMismatch("chi is not a character of G")
     if orbit is None:
         orbit = char_orbit(G, Q, theta)
     S = orbit.stabilizer

@@ -2,7 +2,9 @@
 
 Groups are stored fully enumerated (element coordinates sorted, so ids are
 canonical); products are computed on demand through the owning algebra, which
-keeps memory flat for orders up to the configured cap.
+keeps memory flat for orders up to the configured cap. A FiniteGroup is built
+only by intern_group, once per element set of its algebra, so identity is
+equality: groups, and the characters on them, are compared by `is`.
 
 Cache owners: the algebra keeps one FiniteGroup per element set
 (intern_group, in algebra._groups), found there as well by the rows it was
@@ -47,11 +49,12 @@ def intern_group(algebra, elements):
 
 
 class FiniteGroup:
-    """Subgroup of the unit group of an algebra, enumerated by coordinates."""
+    """Subgroup of the unit group of an algebra, enumerated by coordinates:
+    elements is the sorted tuple of distinct elements that intern_group gives."""
 
     def __init__(self, algebra: Algebra, elements):
         self.algebra = algebra
-        self.elements = tuple(sorted(set(elements)))
+        self.elements = elements
         self.index = {v: i for i, v in enumerate(self.elements)}
         if algebra.one not in self.index:
             raise ValueError("identity missing from group element list")

@@ -168,7 +168,7 @@ class SigmaData:
         self.N = level.one_plus(Jn)
         self.Q = level.one_plus(L)
         if sigma.domain is not self.N:
-            sigma = sigma.restrict(self.N)
+            raise PreconditionFailure("sigma is not a character of N = 1 + J^n")
         self.sigma = sigma
         self._check_p_invariant()
         self._jsigma = None
@@ -256,11 +256,12 @@ def ideal_intersection_test(level: Level, I: Subspace, S: SigmaData) -> bool:
 
 
 class ExtensionResult:
-    def __init__(self, sigma_data, extensions, jsig, stabilizer_identity, single_orbit):
+    stabilizer_identity = True   # extend_character returns one only when it holds
+
+    def __init__(self, sigma_data, extensions, jsig, single_orbit):
         self.sigma_data = sigma_data
         self.extensions = tuple(extensions)
         self.j_sigma = jsig
-        self.stabilizer_identity = stabilizer_identity
         self.single_orbit = single_orbit
 
     @property
@@ -282,11 +283,10 @@ def extend_character(S: SigmaData) -> ExtensionResult:
 
     Certifies: [Q,Q] <= ker sigma, on pairs of generators of Q (exact as
     sigma is P-invariant), there are exactly p = |Q/N| extensions, every
-    extension has P-stabilizer 1 + J_sigma, and when that stabilizer is
-    proper the extensions form a single P-orbit.
+    extension has P-stabilizer 1 + J_sigma (the one interned group), and when
+    that stabilizer is proper the extensions form a single P-orbit.
     """
     level = S.level
-    A = level.ambient
     Q, N, sigma = S.Q, S.N, S.sigma
     if not _kills_commutators(Q, N, sigma):
         raise NoExtension("sigma does not kill [Q,Q]")
@@ -300,23 +300,17 @@ def extend_character(S: SigmaData) -> ExtensionResult:
         raise NoExtension(f"expected {Q.order // N.order} extensions, found {len(exts)}")
     exts.sort(key=lambda ch: ch.exps)
     jsig = j_sigma(S)
-    expected_stab = one_plus(A, jsig).elements
-    stab_ok = True
-    proper = None
+    expected = one_plus(level.ambient, jsig)
     orbits = [char_orbit(level.P, Q, ch) for ch in exts]
-    for orb in orbits:
-        if orb.stabilizer.elements != expected_stab:
-            stab_ok = False
-        proper = orb.stabilizer.order != level.P.order
-    if not stab_ok:
+    if any(orb.stabilizer is not expected for orb in orbits):
         raise CertificationFailure("P-stabilizer of an extension differs from 1 + J_sigma")
     single = None
-    if proper:
+    if expected is not level.P:
         orbit_exps = {c.exps for c in orbits[0].orbit}
         single = orbit_exps == {c.exps for c in exts}
         if not single:
             raise CertificationFailure("extensions do not form a single P-orbit")
-    return ExtensionResult(S, exts, jsig, stab_ok, single)
+    return ExtensionResult(S, exts, jsig, single)
 
 
 # ---------------------------------------------------------------------------
@@ -424,22 +418,19 @@ def _one_dim_ideal_steps(level: Level, n):
 
 def _decompose(level: Level, chi: Character, steps):
     H = level.units
-    if chi.group is not H:
-        chi = chi.transfer(H)
     if chi.degree == 1:
         lam = linear_char_from_character(chi)
         steps.append({"branch": "leaf", "algebra_dim": level.dim, "group_order": H.order})
         return level, lam
     P = level.P
-    tabP = char_table(P)
-    resP = restrict(H, P, chi)
-    psi = None
-    for irr in tabP.irreducibles:
-        if inner_product(resP, irr) != 0:
-            psi = irr
-            break
-    if psi is None:
-        raise DecompositionFailure("the restriction to P has no constituent in P's table")
+    if P is H:   # p = 2: Res_P chi = chi is irreducible, its own only constituent
+        psi = chi
+    else:
+        resP = restrict(H, P, chi)
+        psi = next((irr for irr in char_table(P).irreducibles
+                    if inner_product(resP, irr) != 0), None)
+        if psi is None:
+            raise DecompositionFailure("the restriction to P has no constituent in P's table")
 
     step = {"algebra_dim": level.dim, "group_order": H.order}
     if psi.degree == 1:
@@ -487,16 +478,15 @@ def _decompose(level: Level, chi: Character, steps):
 
 
 def gutkin_decompose(A: Algebra, chi: Character) -> GutkinWitness:
-    """Write the irreducible chi as Ind_H^G(lambda) for H the unit group of a
-    subalgebra and lambda linear; the witness is verified by exact induction."""
+    """Write the irreducible chi of G = A^x (a character of G itself) as
+    Ind_H^G(lambda) for H the unit group of a subalgebra and lambda linear;
+    the witness is verified by exact induction."""
     level = top_level(A)
-    G = level.units
-    chi0 = chi.transfer(G)
-    if inner_product(chi0, chi0) != 1:
+    if inner_product(chi, chi) != 1:
         raise PreconditionFailure("gutkin_decompose requires an irreducible character")
     steps = []
-    leaf, lam = _decompose(level, chi0, steps)
-    witness = GutkinWitness(G, chi0, steps, leaf.sub, leaf.units, lam)
+    leaf, lam = _decompose(level, chi, steps)
+    witness = GutkinWitness(level.units, chi, steps, leaf.sub, leaf.units, lam)
     if not witness.verify():
         raise DecompositionFailure("induced character does not match the target")
     return witness

@@ -436,7 +436,25 @@ def test_clifford_examples(b2_f3, b3_f2):
     sig = next(c for c in linear_characters(N) if not c.is_trivial())
     chi3 = next(c for c in char_table(G3).irreducibles if c.degree == 2)
     eta3, S3 = clifford_correspondent(G3, N, sig, chi3)
-    assert S3.order == G3.order and eta3 == chi3.transfer(S3)
+    assert S3 is G3 and eta3 == chi3
+
+
+def test_characters_on_a_copy_of_a_group_are_refused(b2_f3):
+    # a group is its interned object: a FiniteGroup on the same elements is
+    # another group, and no character is moved onto it or off it
+    G, P = unit_group(b2_f3), radical_subgroup(b2_f3)
+    copy = FiniteGroup(b2_f3, G.elements)
+    theta = next(c for c in linear_characters(P) if not c.is_trivial())
+    chi = next(c for c in char_table(G).irreducibles
+               if inner_product(restrict(G, P, c), char_from_linear(theta)) != 0)
+    on_copy = Character(copy, conjugacy_classes(copy), chi.m, chi.rows)
+    calls = [lambda: restrict(copy, P, chi), lambda: restrict(G, P, on_copy),
+             lambda: induce(G, copy, chi), lambda: induce(copy, G, on_copy),
+             lambda: clifford_correspondent(copy, P, theta, chi),
+             lambda: clifford_correspondent(G, P, theta, on_copy)]
+    for call in calls:
+        with pytest.raises(GroupMismatch):
+            call()
 
 
 def test_clifford_requires_over_theta(b2_f3):
@@ -631,8 +649,9 @@ def test_order_cap_checked_once_at_entry():
     one = trivial_character(G)
     P = radical_subgroup(A)
     assert restrict(G, P, one) == trivial_character(P)
-    copy = FiniteGroup(A, G.elements)   # same elements, another object
-    assert values_of(one.transfer(copy)) == values_of(one)
+    copy = FiniteGroup(A, G.elements)   # same elements, another object: refused
+    with pytest.raises(GroupMismatch):
+        restrict(copy, P, one)
     theta = next(c for c in linear_characters(P) if not c.is_trivial())
     ind = induce(G, P, char_from_linear(theta))
     assert ind.degree == G.order // P.order

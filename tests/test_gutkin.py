@@ -1,21 +1,23 @@
 import random
+import re
 
 import pytest
 
+import brw.chars
 import brw.gutkin
 from brw.algebra import (DEFAULT_DIM_BOUND, Subalgebra, Subspace,
                          basic_decomposition, bimodule_complement,
                          bimodule_decompose, borel_algebra, cached_decomposition,
                          enumerate_subalgebras, pattern_algebra, radical_power)
-from brw.chars import (char_from_linear, char_table, induce,
+from brw.chars import (Character, char_from_linear, char_table, induce,
                        inner_product, restrict)
 from brw.corpus import DEFAULT_CORPUS, corpus_algebra
-from brw.errors import (CertificationFailure, DecompositionFailure, NotInvariant,
-                        PreconditionFailure, SpecError)
+from brw.errors import (CertificationFailure, DecompositionFailure, GroupMismatch,
+                        NotInvariant, PreconditionFailure, SpecError)
 from brw.exact import Cyclotomic, rref
-from brw.groups import (char_orbit, char_orbits, ideal_subgroup, intern_group,
-                        linear_characters, radical_subgroup, unit_group,
-                        unit_order, units_of_subspace)
+from brw.groups import (CharOrbit, FiniteGroup, char_orbit, char_orbits, conjugacy_classes,
+                        ideal_subgroup, intern_group, linear_characters, radical_subgroup,
+                        unit_group, unit_order, units_of_subspace)
 from brw.gutkin import (SigmaData, _kills_commutators, _one_dim_ideal_steps,
                         _radical_seeds, brute_candidates, certify_stabilizer_subalgebra,
                         extend_character, get_level, gutkin_decompose,
@@ -352,6 +354,84 @@ def test_extend_character_b3f3(sigma_b3f3):
     for theta in ext.extensions:
         orb = char_orbit(sigma_b3f3.level.P, sigma_b3f3.Q, theta)
         assert set(orb.stabilizer.elements) == expected
+
+
+def test_extend_character_certifies_the_stabilizer(sigma_b3f3, monkeypatch):
+    # J_sigma != J here, so every P-stabilizer is proper; a J_sigma widened
+    # to all of J names 1 + J = P, which no stabilizer equals
+    assert j_sigma(sigma_b3f3).dim < sigma_b3f3.level.radical.dim
+    monkeypatch.setattr(brw.gutkin, "j_sigma", lambda S: S.level.radical)
+    with pytest.raises(CertificationFailure,
+                       match=r"^P-stabilizer of an extension differs from 1 \+ J_sigma$"):
+        extend_character(sigma_b3f3)
+
+
+def test_extend_character_certifies_a_single_orbit(sigma_b3f3, monkeypatch):
+    # orbits cut down to their base points, with their true stabilizers:
+    # the p extensions no longer form one P-orbit
+    real = brw.gutkin.char_orbit
+
+    def base_only(G, Q, theta):
+        return CharOrbit(theta, [theta], real(G, Q, theta).stabilizer)
+
+    monkeypatch.setattr(brw.gutkin, "char_orbit", base_only)
+    with pytest.raises(CertificationFailure,
+                       match="^extensions do not form a single P-orbit$"):
+        extend_character(sigma_b3f3)
+
+
+def test_sigma_data_preconditions(b3_f3):
+    # n = 2 on the upper triangular 3 x 3 matrices over F_3: J = <e12, e13,
+    # e23>, J^2 = <e13>, and the step ideals are J^2 + <e12> and J^2 + <e23>
+    A = b3_f3
+    lvl = top_level(A)
+    e12, e13, e23 = (A.basis_vector(i) for i in (3, 4, 5))
+    assert lvl.radical_power(2).rows == (e13,)
+    sigma = next(c for c in linear_characters(lvl.one_plus(lvl.radical_power(2)))
+                 if not c.is_trivial())
+    cases = [([e12], "J^n is not contained in L"),
+             ([e13, A.one], "L is not contained in J^(n-1)"),
+             ([e12, e13, e23], "L must have dimension dim J^n + 1"),
+             ([e13, tuple((x + y) % A.p for x, y in zip(e12, e23))],
+              "L is not an ideal of the algebra")]
+    for rows, message in cases:
+        with pytest.raises(PreconditionFailure, match=f"^{re.escape(message)}$"):
+            SigmaData(lvl, 2, Subspace(A, rows), sigma)
+    SigmaData(lvl, 2, Subspace(A, [e12, e13]), sigma)   # a step ideal passes
+
+
+def test_sigma_data_takes_sigma_on_n_only(sigma_b3f2):
+    # a character of P is not restricted to N = 1 + J^n: it is refused
+    S = sigma_b3f2
+    lam = next(c for c in linear_characters(S.level.P) if not c.is_trivial())
+    with pytest.raises(PreconditionFailure, match=r"^sigma is not a character of N = 1 \+ J\^n$"):
+        SigmaData(S.level, S.n, S.L, lam)
+
+
+def test_gutkin_decompose_refuses_a_character_on_a_copy_of_g(b2_f3, b3_f2):
+    # at odd p restrict refuses it, at p = 2 the Clifford step or the
+    # witness's induction: no path moves chi onto the interned G
+    for A in (b2_f3, b3_f2):
+        G = unit_group(A)
+        copy = FiniteGroup(A, G.elements)
+        conj = conjugacy_classes(copy)
+        for chi in char_table(G).irreducibles:
+            with pytest.raises(GroupMismatch):
+                gutkin_decompose(A, Character(copy, conj, chi.m, chi.rows))
+
+
+def test_descents_at_p2_build_only_the_table_of_g(monkeypatch):
+    # at p = 2 each level's P is its whole unit group, so Res_P chi = chi is
+    # its own constituent and no level below the top needs a table
+    real, built = brw.chars._char_table, []
+    monkeypatch.setattr(brw.chars, "_char_table", lambda G: built.append(G) or real(G))
+    A = fresh_corpus_algebra("b4_f2")
+    for B in (A, rebased(A, random.Random(1))):
+        built.clear()
+        G = unit_group(B)
+        for chi in char_table(G).irreducibles:
+            assert gutkin_decompose(B, chi).induced_matches
+        assert built == [G]
 
 
 def test_char_orbit_on_sigma_step_against_all_of_G(sigma_b3f3):

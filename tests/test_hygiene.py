@@ -112,3 +112,27 @@ def test_every_parameter_and_stored_attribute_is_read():
         unread += [f"{where}:{line} {name}" for name, line in _stored_attributes(trees[path])
                    if name not in loaded]
     assert not unread, unread
+
+
+def test_groups_are_interned_and_compared_by_identity():
+    """A FiniteGroup is built only in groups.intern_group, once per element
+    set of its algebra, so a group equals another exactly when it is that
+    object: src/brw calls FiniteGroup nowhere else, and no == or != has an
+    .elements attribute as an operand."""
+    found = []
+    for path in _py_files(SRC):
+        where = os.path.basename(path)
+        tree = _parse(path)
+        interned = {id(n) for f in tree.body if isinstance(f, ast.FunctionDef)
+                    and where == "groups.py" and f.name == "intern_group" for n in ast.walk(f)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and id(node) not in interned
+                    and "FiniteGroup" in (getattr(node.func, "id", None),
+                                          getattr(node.func, "attr", None))):
+                found.append(f"{where}:{node.lineno} FiniteGroup(")
+            if (isinstance(node, ast.Compare)
+                    and any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops)
+                    and any(isinstance(x, ast.Attribute) and x.attr == "elements"
+                            for x in (node.left, *node.comparators))):
+                found.append(f"{where}:{node.lineno} == or != on .elements")
+    assert not found, found

@@ -669,6 +669,7 @@ def algebra_from_spec(spec: dict) -> Algebra:
     _check_int_array(sc, (dim, dim, dim), "sc")
     _check_int_array(spec["one"], (dim,), "one")
     labels = spec.get("labels")
-    if labels is not None and not isinstance(labels, list):
-        raise SpecError("field 'labels' must be a list")
+    if labels is not None and not (isinstance(labels, list)
+                                   and all(isinstance(x, str) for x in labels)):
+        raise SpecError("field 'labels' must be a list of strings")
     return Algebra(p, sc, spec["one"], labels)

@@ -19,7 +19,7 @@ by _one_dim_ideal_steps); a SigmaData keeps its J_sigma.
 
 from functools import cache
 from itertools import combinations, product
-from math import lcm
+from math import gcd, lcm
 
 from .algebra import (Algebra, Subalgebra, Subspace, _closure_rows, basic_decomposition,
                       bimodule_complement, bimodule_decompose, cached_decomposition,
@@ -28,7 +28,7 @@ from .chars import (Character, char_table, clifford_correspondent, induce,
                     induced_linear, inner_product, restrict)
 from .errors import (CertificationFailure, DecompositionFailure, NoExtension, NotInvariant,
                      PreconditionFailure, SpecError, VerificationFailure)
-from .exact import normal_form, rref
+from .exact import kernel_basis, normal_form, rref
 from .groups import (FiniteGroup, LinearChar, char_orbit, linear_characters,
                      one_plus, torus_elements, unit_order, units_of_subspace)
 
@@ -181,59 +181,56 @@ class SigmaData:
         return self.sigma.is_invariant(self.level.units)
 
     def commutator_value(self, x, u):
-        """sigma([1+x, 1+u]) as an exponent mod sigma.m, for x in J, u in L."""
+        """sigma([1+x, 1+u]) as an exponent mod sigma.m, for x in J, u in L;
+        CertificationFailure if the commutator is outside N."""
         A, P = self.level.ambient, self.level.P
         c = P.commutator_id(P.index[vec_add(A.one, x, A.p)], P.index[vec_add(A.one, u, A.p)])
-        return self.sigma.exps[self.N.index[P.elements[c]]]
+        k = self.N.index.get(P.elements[c])
+        if k is None:
+            raise CertificationFailure("[P, Q] is not contained in N")
+        return self.sigma.exps[k]
 
 
 def j_sigma(S: SigmaData) -> Subspace:
     """J_sigma = {a in J : sigma([1+a, 1+u]) = 1 for all u in L}, certified.
 
-    For a fixed h in Q, g -> sigma([g, h]) is a homomorphism P -> Z/m:
-    [g1 g2, h] = g2^-1 [g1, h] g2 [g2, h], and sigma is P-invariant on the
-    normal N. It is computed on the generators of P, where every commutator
-    must lie in N (so [P, Q] <= N), and extended along P's Schreier tree.
-    h -> sigma([g, h]) is a homomorphism on Q in the same way, so testing the
-    generators h of Q is exact. Certificates: the set is a subspace,
-    multiplicatively closed, contains J^2 and has codimension at most one in J.
+    For h in Q, chi_h: g -> sigma([g, h]) is a homomorphism on P while its
+    commutators lie in N: [g1 g2, h] = g2^-1 [g1, h] g2 [g2, h], and sigma is
+    P-invariant; the same holds for h -> sigma([g, h]) on Q, so Q's generators
+    h suffice. Once chi_h vanishes on the generators of 1 + J^2, a ->
+    chi_h(1+a) is F_p-linear on J ((1+a)(1+b) is 1+a+b times an element of
+    1 + J^2), with values in (m / gcd(m, p)) Z/m (p chi_h(1+a) =
+    chi_h(1+a^p) = 0). So J_sigma is the kernel, along J's rows r, of the
+    |gens Q| x dim J matrix of chi_h(1+r). The 1 + r and the generators of
+    1 + J^2 generate P, so commutator_value certifies [P, Q] <= N on them.
+    Certificates: [P, Q] <= N, J^2 <= J_sigma, codimension at most one in J,
+    closure under products; the set is a subspace by construction.
     """
     if S._jsigma is not None:
         return S._jsigma
     level = S.level
-    A, P, N, sigma = level.ambient, level.P, S.N, S.sigma
-    gens = [P.index[g] for g in P.generators()]
-    kernel = [True] * P.order
-    for h in S.Q.generators():
-        cs = [N.index.get(P.elements[P.commutator_id(g, P.index[h])]) for g in gens]
-        if None in cs:
-            raise CertificationFailure("[P, Q] is not contained in N")
-        values = P.walk(0, lambda v, s: (v + sigma.exps[cs[s]]) % sigma.m)
-        kernel = [k and v == 0 for k, v in zip(kernel, values)]
-    members = [vec_sub(x, A.one, A.p) for x, k in zip(P.elements, kernel) if k]
-    js = Subspace(A, members)
-    if len(members) != A.p ** js.dim:
-        raise CertificationFailure("J_sigma is not a subspace")
-    Jsq = level.radical_power(2)
-    if not all(js.contains(v) for v in Jsq.rows):
+    A, J, m = level.ambient, level.radical, S.sigma.m
+    us = [vec_sub(h, A.one, A.p) for h in S.Q.generators()]
+    sq = [vec_sub(g, A.one, A.p) for g in level.one_plus(level.radical_power(2)).generators()]
+    if any(S.commutator_value(x, u) for u in us for x in sq):
         raise CertificationFailure("J^2 is not contained in J_sigma")
-    if level.radical.dim - js.dim > 1:
+    scale = m // gcd(m, A.p)
+    M = [[S.commutator_value(r, u) // scale for r in J.rows] for u in us]
+    js = Subspace(A, [A.combine(y, J.rows) for y in kernel_basis(M, J.dim, A.p)])
+    if J.dim - js.dim > 1:
         raise CertificationFailure("J_sigma has codimension greater than one")
-    for u in js.rows:
-        for v in js.rows:
-            if not js.contains(A.mul(u, v)):
-                raise CertificationFailure("J_sigma is not multiplicatively closed")
+    if not js.closed_under(js.rows, ()):
+        raise CertificationFailure("J_sigma is not multiplicatively closed")
     S._jsigma = js
     return js
 
 
 def phi_sigma(S: SigmaData, g) -> LinearChar:
     """The character phi_sigma(g): h -> sigma([g,h]) on Q, for g in P (coords)."""
-    P, Q = S.level.P, S.Q
-    g = P.index[g]
-    exps = [S.sigma.exps[S.N.index[P.elements[P.commutator_id(g, P.index[h])]]]
-            for h in Q.elements]
-    ch = LinearChar(Q, S.sigma.m, exps)
+    A, Q = S.level.ambient, S.Q
+    x = vec_sub(g, A.one, A.p)
+    ch = LinearChar(Q, S.sigma.m, [S.commutator_value(x, vec_sub(h, A.one, A.p))
+                                   for h in Q.elements])
     # image lies in the annihilator of N
     if any(ch.exps[Q.index[v]] for v in S.N.elements):
         raise CertificationFailure("phi_sigma(g) not trivial on N")

@@ -639,9 +639,10 @@ def test_local_level_is_capped(capsys):
     {"p": 3.0, "pattern": {"n": 2, "closed_pairs": [[1, 2]]}},
     {"p": 3, "dim": 1.0, "one": [1], "sc": [[[1]]]},
     {"p": 3, "dim": 1, "one": [1], "sc": [[[1]]], "labels": []},
+    {"p": 2, "dim": 1, "one": [1], "sc": [[[1]]], "labels": [5]},
 ], ids=["sc_plane_not_a_list", "sc_entry_not_an_integer", "one_not_a_list",
         "closed_pairs_not_a_list", "p_not_an_integer", "dim_not_an_integer",
-        "labels_empty"])
+        "labels_empty", "label_not_a_string"])
 def test_malformed_spec_is_a_spec_error(tmp_path, capsys, spec):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(spec))

@@ -160,6 +160,64 @@ def test_j_sigma_certifies_that_commutators_lie_in_n(b4_f2):
     S.Q = lvl.P
     with pytest.raises(CertificationFailure):
         j_sigma(S)
+    # the one commutator routine refuses such a pair: [1 + e12, 1 + e23] =
+    # 1 + e13 lies in 1 + J^2, not in N = 1 + J^3; phi_sigma reads it too
+    A = b4_f2
+    e12, e23 = A.basis_vector(4), A.basis_vector(7)
+    with pytest.raises(CertificationFailure, match=r"\[P, Q\] is not contained in N"):
+        S.commutator_value(e12, e23)
+    with pytest.raises(CertificationFailure, match=r"\[P, Q\] is not contained in N"):
+        phi_sigma(S, tuple((a + b) % 2 for a, b in zip(A.one, e12)))
+
+
+def _invariant_sigma_setups(A):
+    """SigmaData at A's top level for every n >= 2 with J^n < J^(n-1), every
+    step ideal L and every P-invariant sigma on N = 1 + J^n."""
+    lvl, out, n = top_level(A), [], 2
+    while lvl.radical_power(n - 1).dim > lvl.radical_power(n).dim:
+        N = lvl.one_plus(lvl.radical_power(n))
+        sigmas = [s for s in linear_characters(N) if s.is_invariant(lvl.P)]
+        out += [SigmaData(lvl, n, L, s) for L in _one_dim_ideal_steps(lvl, n) for s in sigmas]
+        n += 1
+    return out
+
+
+def test_j_sigma_against_the_oracle_for_every_invariant_sigma():
+    # all pairs (a in J, u in L) through commutator_value, on sigma that no
+    # descent need meet: the top level of each corpus algebra and of b3_f5,
+    # and b3_f2 and b4_f2 in a dense basis
+    corpus = [S for name in DEFAULT_CORPUS + ("b3_f5",)
+              for S in _invariant_sigma_setups(corpus_algebra(name))]
+    dense = [S for name in ("b3_f2", "b4_f2")
+             for S in _invariant_sigma_setups(rebased(fresh_corpus_algebra(name),
+                                                      random.Random(1)))]
+    assert len(corpus) == 49
+    for S in corpus + dense:
+        assert j_sigma(S).rows == j_sigma_oracle(S)
+
+
+def test_j_sigma_work_is_bounded_by_generators_not_by_p(monkeypatch):
+    # every invariant sigma at b5_f2's top level, |P| = 1024: J_sigma is
+    # read off (dim J + |gens(1 + J^2)|) |gens Q| commutators at most, and
+    # its one Subspace is built from at most dim J rows
+    setups = _invariant_sigma_setups(borel_algebra(2, 5))
+    lvl = setups[0].level
+    J, squares = lvl.radical, lvl.one_plus(lvl.radical_power(2))
+    calls, built = [], []
+    real_value, real_subspace = SigmaData.commutator_value, brw.gutkin.Subspace
+    monkeypatch.setattr(SigmaData, "commutator_value",
+                        lambda S, x, u: calls.append(1) or real_value(S, x, u))
+    monkeypatch.setattr(brw.gutkin, "Subspace",
+                        lambda A, rows: built.append(len(rows)) or real_subspace(A, rows))
+    codims = set()
+    for S in setups:
+        calls.clear()
+        built.clear()
+        codims.add(J.dim - j_sigma(S).dim)
+        bound = (J.dim + len(squares.generators())) * len(S.Q.generators())
+        assert len(calls) <= bound < lvl.P.order // 8
+        assert len(built) == 1 and built[0] <= J.dim
+    assert len(setups) == 49 and codims == {0, 1}
 
 
 def test_j_sigma_certificate_survives_optimized_mode():

@@ -20,9 +20,11 @@ by one Gram product mod a second prime l = 1 (mod m), above a bound on every
 complex embedding, and an exact check that Gal(Q(zeta_m)/Q) permutes the
 rows. Tables are kept on their group (FiniteGroup._table) next to its classes.
 
-A linear character is induced by counting its exponents per class of G
-(see induced_linear), with no classes of the subgroup; induced from G
-itself it is read at the class representatives.
+Ind_H^G lam = chi, for lam linear, is decided in one place, brw.gutkin's
+_induces, for the constructive witnesses and the brute search alike: lam's
+exponents are counted per class of G (induced_linear), with no classes of H
+and no Character of Ind lam, and |G| s_k = |C_k| |H| chi(g_k) is compared
+in Z. induce takes a Character only; no code in brw calls it.
 
 The Clifford correspondent of chi over a linear theta of a normal Q is the
 projection of Res chi to its theta-part on the stabilizer S = G_theta
@@ -67,13 +69,14 @@ class Character:
         self.conj = conj
         self.m = m
         self.rows = tuple(rows)
-        assert len(self.rows) == conj.k
+        if len(self.rows) != conj.k:
+            raise GroupMismatch("a character needs one value per class of its group")
 
     @property
     def degree(self):
         one = normal_form(self.rows[0], self.m)
         if any(one[1:]):
-            raise ValueError("the value at the identity is not rational")
+            raise LiftFailure("the value at the identity is not rational")
         return Fraction(one[0])
 
     def vectors(self, m):
@@ -494,35 +497,22 @@ def _class_sums(n, m, terms):
             for k in range(n)]
 
 
-def _induced(G: FiniteGroup, H: FiniteGroup, conj: ConjData, m, sums):
-    """The Character of G with value |G| s_k / (|C_k| |H|) at class k, for
-    per-class sums s_k in Q[C_m]."""
-    rows = []
-    for s, size in zip(sums, conj.sizes):
-        q = Fraction(G.order, size * H.order)
-        rows.append(tuple((e, _coeff(x * q)) for e, x in s))
-    return Character(G, conj, m, rows)
-
-
-def induce(G: FiniteGroup, H: FiniteGroup, chi) -> Character:
-    """Frobenius induction of a class function from H up to G.
-
-    chi is a Character of H, or a LinearChar lam of H, which is induced by
-    counting its exponents per class of G (induced_linear), with no classes
-    of H. A Character is summed over the elements of H in each class of G.
-    """
+def induce(G: FiniteGroup, H: FiniteGroup, chi: Character) -> Character:
+    """Frobenius induction of a Character chi of H up to G: with s_k the sum
+    of chi over the elements of H in class k of G, Ind chi (g_k) =
+    |G| s_k / (|C_k| |H|). A LinearChar is refused; brw.gutkin decides
+    Ind lam = chi on induced_linear's class sums instead."""
     conj = conjugacy_classes(G)
-    if isinstance(chi, LinearChar):
-        sums, = induced_linear(G, H, [chi])
-        return _induced(G, H, conj, chi.m, sums)
     _check_subgroup(G, H)
-    if chi.group is not H:
+    if not isinstance(chi, Character) or chi.group is not H:
         raise GroupMismatch("chi is not a character of H")
     class_of = chi.conj.class_of
     terms = ((k, e, x) for k, cls in enumerate(conj.classes) for xid in cls
              if (i := H.index.get(G.elements[xid])) is not None
              for e, x in chi.rows[class_of[i]])
-    return _induced(G, H, conj, chi.m, _class_sums(conj.k, chi.m, terms))
+    rows = [tuple((e, _coeff(x * Fraction(G.order, size * H.order))) for e, x in s)
+            for s, size in zip(_class_sums(conj.k, chi.m, terms), conj.sizes)]
+    return Character(G, conj, chi.m, rows)
 
 
 def restrict(G: FiniteGroup, H: FiniteGroup, chi: Character) -> Character:

@@ -1,4 +1,8 @@
-"""Exception hierarchy. Every error raised by the workbench derives from BrwError."""
+"""Exception hierarchy. Every error raised by the workbench derives from BrwError,
+and every precondition is checked with raise, never with assert, which python -O
+drops. The TypeError of Character.__hash__ and LinearChar.__hash__, the
+AttributeError of Cyclotomic.__setattr__ and the TypeError of exact._coeff are
+Python protocol errors (unhashable, immutable, not a number) and stay as they are."""
 
 
 class BrwError(Exception):
@@ -10,7 +14,7 @@ class DivisionByZero(BrwError, ZeroDivisionError):
 
 
 class InvalidConductor(BrwError):
-    """Cyclotomic conductor must be a positive integer."""
+    """A conductor must be a positive integer, and a multiple of the one it rewrites."""
 
 
 class SpecError(BrwError):

@@ -31,8 +31,8 @@ from itertools import product
 from math import lcm
 
 from .algebra import Algebra, Subspace, cached_decomposition, vec_add
-from .errors import (CertificationFailure, GroupMismatch, NotInsideRadical,
-                     NotNormal, TooLarge)
+from .errors import (CertificationFailure, GroupMismatch, InvalidConductor,
+                     NotInsideRadical, NotNormal, NotSubgroup, TooLarge)
 from .exact import rref
 
 DEFAULT_ORDER_CAP = 5000
@@ -57,7 +57,7 @@ class FiniteGroup:
         self.elements = elements
         self.index = {v: i for i, v in enumerate(self.elements)}
         if algebra.one not in self.index:
-            raise ValueError("identity missing from group element list")
+            raise NotSubgroup("identity missing from group element list")
         self.identity = self.index[algebra.one]
         self._gens = None
         self._right = None
@@ -515,7 +515,8 @@ class LinearChar:
 
     def rebase(self, m2):
         """Same character written with conductor m2 (m | m2)."""
-        assert m2 % self.m == 0
+        if m2 % self.m:
+            raise InvalidConductor(f"conductor {m2} is not a multiple of {self.m}")
         step = m2 // self.m
         return LinearChar(self.domain, m2, [e * step for e in self.exps])
 

@@ -24,8 +24,8 @@ from math import gcd, lcm
 from .algebra import (Algebra, Subalgebra, Subspace, _closure_rows, basic_decomposition,
                       bimodule_complement, bimodule_decompose, cached_decomposition,
                       check_scan_bound, enumerate_subalgebras, vec_add, vec_sub)
-from .chars import (Character, char_table, clifford_correspondent, induce,
-                    induced_linear, inner_product, restrict)
+from .chars import (Character, char_table, clifford_correspondent, induced_linear,
+                    inner_product, restrict)
 from .errors import (CertificationFailure, DecompositionFailure, NoExtension, NotInvariant,
                      PreconditionFailure, SpecError, VerificationFailure)
 from .exact import kernel_basis, normal_form, rref
@@ -95,7 +95,8 @@ def _root_exps(rows, mv, m, d=1):
 def linear_char_from_character(chi: Character) -> LinearChar:
     """Exponent table of a degree-one character (values must be roots of unity)
     at the exponent m of its domain."""
-    assert chi.degree == 1
+    if chi.degree != 1:
+        raise PreconditionFailure("a linear character needs a character of degree one")
     m = chi.group.exponent()
     class_exp = _root_exps(chi.rows, chi.m, m)
     if class_exp is None:
@@ -366,8 +367,9 @@ class GutkinWitness:
         self.induced_matches = None
 
     def verify(self):
-        ind = induce(self.group, self.H, self.lam)
-        self.induced_matches = (ind == self.target)
+        sums, = induced_linear(self.group, self.H, [self.lam])
+        self.induced_matches = (self.target.group is self.group
+                                and _induces(self.lam, sums, self.target, normal_form))
         return self.induced_matches
 
     @property
@@ -477,7 +479,7 @@ def _decompose(level: Level, chi: Character, steps):
 def gutkin_decompose(A: Algebra, chi: Character) -> GutkinWitness:
     """Write the irreducible chi of G = A^x (a character of G itself) as
     Ind_H^G(lambda) for H the unit group of a subalgebra and lambda linear;
-    the witness is verified by exact induction."""
+    the witness is verified by _induces, the brute search's decision."""
     level = top_level(A)
     if inner_product(chi, chi) != 1:
         raise PreconditionFailure("gutkin_decompose requires an irreducible character")
@@ -530,22 +532,24 @@ def brute_candidates(A: Algebra, G: FiniteGroup, degrees, max_dim=None):
     return [(B, index) for B in subs if (index := G.order // unit_order(A, B.rows)) in degrees]
 
 
+def _induces(lam, sums, chi, form):
+    """Whether Ind_H^G lam = chi, for lam linear on H with class sums s_k
+    (induced_linear) and chi on G: |G| s_k = |C_k| |H| chi(g_k) (Isaacs,
+    Character Theory of Finite Groups, (5.2)) on the normal forms that form
+    gives at lcm of the conductors, in Z, up to the first mismatching class."""
+    g, h, L = chi.group.order, lam.domain.order, lcm(lam.m, chi.m)
+    return all(all(a * g == b * size * h
+                   for a, b in zip(form(s, lam.m, L), form(x, chi.m, L)))
+               for s, x, size in zip(sums, chi.rows, chi.conj.sizes))
+
+
 def _decisions(G: FiniteGroup, H: FiniteGroup, targets):
     """[(lam, i)] for the linear lam of H, in order, that induce a target:
-    i is the first target (i, chi) with Ind_H^G lam = chi. With the class
-    sums s_k of lam (induced_linear), Ind lam (g_k) = chi(g_k) reads
-    |G| s_k = |C_k| |H| chi(g_k) on normal forms, compared in Z up to the
-    first mismatching class; each vector is reduced once per conductor."""
+    i is the first target (i, chi) with Ind_H^G lam = chi (_induces), each
+    vector reduced once per conductor."""
     lams = linear_characters(H)
     form = cache(normal_form)   # one reduction per (vector, m, L) in this call
-
-    def induces(sums, lam, chi):
-        L = lcm(lam.m, chi.m)
-        return all(all(a * G.order == b * size * H.order
-                       for a, b in zip(form(s, lam.m, L), form(x, chi.m, L)))
-                   for s, x, size in zip(sums, chi.rows, chi.conj.sizes))
-
-    found = ((lam, next((i for i, chi in targets if induces(sums, lam, chi)), None))
+    found = ((lam, next((i for i, chi in targets if _induces(lam, sums, chi, form)), None))
              for lam, sums in zip(lams, induced_linear(G, H, lams)))
     return [(lam, i) for lam, i in found if i is not None]
 

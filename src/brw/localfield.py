@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .algebra import Subalgebra, cached_decomposition
-from .errors import SpecError, TooLarge
+from .errors import GroupMismatch, SpecError, TooLarge
 from .exact import Cyclotomic, is_prime
 from .groups import LinearChar, abelian_invariants, dual_characters
 
@@ -18,18 +18,20 @@ from .groups import LinearChar, abelian_invariants, dual_characters
 class ResidueUnits:
     """(Z/p^k)^x as a plain multiplicative group of integer residues.
 
-    The order (p-1) p^(k-1) is checked against cap, when one is given,
-    before any residue is enumerated.
+    For k >= 1 the order (p-1) p^(k-1) is checked against cap, when one is
+    given, first: before p is trial-divided, in time that grows as sqrt(p),
+    and before any residue is enumerated.
     """
 
     def __init__(self, p, k, cap=None):
+        # p^bit_length(cap) > cap, so a larger exponent need not be computed
+        if (cap is not None and k > 0 and p > 1
+                and (p - 1) * p ** min(k - 1, cap.bit_length()) > cap):
+            raise TooLarge(f"|(Z/{p}^{k})^x| = {p - 1}*{p}^{k - 1} exceeds cap {cap}")
         if not is_prime(p):
             raise SpecError(f"residue characteristic must be a prime, got {p}")
         if k < 0:
             raise SpecError("level must be nonnegative")
-        # p^bit_length(cap) > cap, so a larger exponent need not be computed
-        if cap is not None and k and (p - 1) * p ** min(k - 1, cap.bit_length()) > cap:
-            raise TooLarge(f"|(Z/{p}^{k})^x| = {p - 1}*{p}^{k - 1} exceeds cap {cap}")
         self.p = p
         self.k = k
         self.modulus = p ** k
@@ -93,7 +95,8 @@ class SmoothCharLocal:
         return self.r ** val, Cyclotomic.root(L, e)
 
     def mul(self, other):
-        assert (self.p, self.k) == (other.p, other.k)
+        if (self.p, self.k) != (other.p, other.k):
+            raise GroupMismatch("characters live on different residue levels")
         m = lcm(self.phase_m, other.phase_m)
         e = self.phase_e * (m // self.phase_m) + other.phase_e * (m // other.phase_m)
         return SmoothCharLocal(self.p, self.k, self.unit_part.mul(other.unit_part),

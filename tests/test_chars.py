@@ -10,7 +10,8 @@ import brw.chars
 from brw.chars import (Character, CharTable, _charpoly, _class_matrix,
                        _orthonormal_at_split_prime, _root_of_order, _roots,
                        _split_prime, char_from_linear, char_table,
-                       clifford_correspondent, induce, inner_product, restrict)
+                       clifford_correspondent, induce, induced_linear, inner_product,
+                       restrict)
 from brw.corpus import DEFAULT_CORPUS, corpus_algebra
 from brw.errors import (CertificationFailure, GroupMismatch, NotOverTheta,
                         NotSubgroup, TooLarge)
@@ -391,17 +392,23 @@ def test_induction_transitivity(b3_f3, b4_f2):
 
 
 def test_induce_from_the_whole_group_against_counting():
-    # Ind_G^G lam read at the class representatives equals lam's exponents
-    # counted per class, conductors included; a copy of G that is not the
-    # interned group takes the counting path
+    # induced_linear's class sums of lam over G, read at the class
+    # representatives, equal lam's exponents counted per class, at lam's
+    # conductor; a copy of G that is not the interned group takes the
+    # counting path. Both are the sums of the Character oracle's Ind lam.
     for name in DEFAULT_CORPUS:
         G = unit_group(corpus_algebra(name))
+        conj = conjugacy_classes(G)
         copy = FiniteGroup(G.algebra, G.elements)
-        for lam in linear_characters(G):
-            fast = induce(G, G, lam)
-            counted = induce(G, copy, LinearChar(copy, lam.m, lam.exps))
-            assert [(v.m, v.coeffs) for v in values_of(fast)] == \
-                [(v.m, v.coeffs) for v in values_of(counted)], name
+        lams = linear_characters(G)
+        fast = induced_linear(G, G, lams)
+        counted = induced_linear(G, copy, [LinearChar(copy, lam.m, lam.exps) for lam in lams])
+        assert fast == counted, name
+        for lam, sums in zip(lams, fast):
+            oracle = induce(G, G, char_from_linear(lam))
+            assert oracle.m == lam.m
+            assert [tuple((e, x * size) for e, x in row)
+                    for row, size in zip(oracle.rows, conj.sizes)] == sums, name
 
 
 def test_linear_characters_are_constant_on_classes():
@@ -455,6 +462,49 @@ def test_characters_on_a_copy_of_a_group_are_refused(b2_f3):
     for call in calls:
         with pytest.raises(GroupMismatch):
             call()
+
+
+def test_induce_takes_characters_only(b2_f3):
+    # a LinearChar is refused with GroupMismatch, not an AttributeError:
+    # char_from_linear makes it a Character, which induce takes
+    G, P = unit_group(b2_f3), radical_subgroup(b2_f3)
+    for H in (G, P):
+        for lam in linear_characters(H):
+            with pytest.raises(GroupMismatch):
+                induce(G, H, lam)
+            assert induce(G, H, char_from_linear(lam)).degree == G.order // H.order
+
+
+def test_preconditions_raise_brw_errors_under_python_o():
+    # each precondition that was an assert or a ValueError raises its BrwError
+    # subclass, also under python -O, which strips assert statements
+    out = run_optimized("""
+        from brw.algebra import borel_algebra
+        from brw.chars import Character, char_table
+        from brw.errors import BrwError
+        from brw.groups import FiniteGroup, linear_characters, unit_group
+        from brw.gutkin import linear_char_from_character
+        from brw.localfield import ResidueUnits, SmoothCharLocal, trivial_unit_part
+        A = borel_algebra(3, 2)
+        G = unit_group(A)
+        tab = char_table(G)
+        lam = next(x for x in linear_characters(G) if x.m > 1)
+        chi = next(c for c in tab.irreducibles if c.degree == 2)
+        unit = lambda k: SmoothCharLocal(3, k, trivial_unit_part(ResidueUnits(3, k)), 1)
+        calls = [lambda: Character(G, tab.conj, 1, [((0, 1),)]),
+                 lambda: Character(G, tab.conj, 4, [((1, 1),)] * tab.conj.k).degree,
+                 lambda: FiniteGroup(A, tuple(x for x in G.elements if x != A.one)),
+                 lambda: lam.rebase(lam.m + 1),
+                 lambda: linear_char_from_character(chi),
+                 lambda: unit(1).mul(unit(2))]
+        for call in calls:
+            try:
+                call()
+            except BrwError as exc:
+                print(type(exc).__name__)
+    """)
+    assert out.split() == ["GroupMismatch", "LiftFailure", "NotSubgroup", "InvalidConductor",
+                           "PreconditionFailure", "GroupMismatch"]
 
 
 def test_clifford_requires_over_theta(b2_f3):
@@ -565,7 +615,7 @@ def test_character_equality_across_conductors(b3_f2, b3_f3, monkeypatch):
         tab = char_table(G)
         for chi in tab.irreducibles:
             w = gutkin_decompose(A, chi)
-            ind = induce(G, w.H, w.lam)
+            ind = induce(G, w.H, char_from_linear(w.lam))
             assert ind.m == w.lam.m
             assert [ind == psi for psi in tab.irreducibles] == [psi is chi for psi in tab.irreducibles]
             crossed["induced"] += ind.m != tab.conductor

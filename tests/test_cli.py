@@ -631,6 +631,21 @@ def test_local_level_is_capped(capsys):
     assert len(err) == 3 and all(line.startswith("cap exceeded: ") for line in err)
 
 
+@pytest.mark.parametrize("opt", [[], ["-O"]], ids=["plain", "optimized"])
+def test_local_cap_is_compared_before_p_is_trial_divided(tmp_path, opt):
+    # 10^18 + 3 is prime: trial division up to its square root takes minutes,
+    # so an exit within the timeout shows the cap was compared first; a large
+    # p that is not prime is refused by the cap as well
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    for cmd, p in (("chargroup", 10**18 + 3), ("factor", 10**18 + 3), ("chargroup", 10**18)):
+        out = subprocess.run([sys.executable, *opt, "-m", "brw.cli", "local", cmd, "--p", str(p),
+                              "--k", "1", "--out", str(tmp_path)],
+                             env=env, capture_output=True, text=True, timeout=20)
+        err = out.stderr.splitlines()
+        assert out.returncode == 3 and len(err) == 1 and err[0].startswith("cap exceeded: ")
+
+
 @pytest.mark.parametrize("spec", [
     {"p": 3, "dim": 1, "one": [1], "sc": [1]},
     {"p": 3, "dim": 1, "one": [1], "sc": [[["a"]]]},

@@ -1,5 +1,6 @@
 import random
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -9,8 +10,9 @@ from brw.algebra import (DEFAULT_DIM_BOUND, Subalgebra, Subspace,
                          basic_decomposition, bimodule_complement,
                          bimodule_decompose, borel_algebra, cached_decomposition,
                          enumerate_subalgebras, pattern_algebra, radical_power)
-from brw.chars import (Character, char_from_linear, char_table, induce,
+from brw.chars import (Character, char_from_linear, char_table, induce, induced_linear,
                        inner_product, restrict)
+from brw.cli import main
 from brw.corpus import DEFAULT_CORPUS, corpus_algebra
 from brw.errors import (CertificationFailure, DecompositionFailure, GroupMismatch,
                         NotInvariant, PreconditionFailure, SpecError)
@@ -18,7 +20,7 @@ from brw.exact import Cyclotomic, rref
 from brw.groups import (CharOrbit, FiniteGroup, char_orbit, char_orbits, conjugacy_classes,
                         ideal_subgroup, intern_group, linear_characters, radical_subgroup,
                         unit_group, unit_order, units_of_subspace)
-from brw.gutkin import (SigmaData, _kills_commutators, _one_dim_ideal_steps,
+from brw.gutkin import (GutkinWitness, SigmaData, _kills_commutators, _one_dim_ideal_steps,
                         _radical_seeds, brute_candidates, certify_stabilizer_subalgebra,
                         extend_character, get_level, gutkin_decompose,
                         ideal_intersection_test, j_sigma, phi_sigma, top_level,
@@ -747,9 +749,9 @@ def test_brute_diagonal(diag2_f3):
 def test_brute_linear_induction_against_class_functions(monkeypatch):
     # every (H, lambda) the brute search decides, once per unit group H: the
     # decision is the first target of degree [G:H] equal to Ind lambda, with
-    # lambda induced as a class function of H; inducing it by exponent counts
-    # gives the same values, conductors included; and H is built only when
-    # [G:H] is a degree
+    # lambda induced as a class function of H; the class sums of lambda's
+    # exponent counts (induced_linear) give the same values, conductors
+    # included; and H is built only when [G:H] is a degree
     decided, built = [], []
     real_decisions, real_units = brw.gutkin._decisions, brw.gutkin.units_of_subspace
 
@@ -776,17 +778,57 @@ def test_brute_linear_induction_against_class_functions(monkeypatch):
             targets = [(i, chi) for i, chi in enumerate(rep.table.irreducibles)
                        if chi.degree == G.order // H.order]
             expected = []
-            for lam in linear_characters(H):
+            conj = conjugacy_classes(G)
+            lams = linear_characters(H)
+            for lam, sums in zip(lams, induced_linear(G, H, lams)):
                 want = induce(G, H, char_from_linear(lam))
                 i = next((j for j, chi in targets if want == chi), None)
                 if i is not None:
                     expected.append((lam.exps, i))
-                got = induce(G, H, lam)
+                got = Character(G, conj, lam.m, [
+                    tuple((e, Fraction(x * G.order, size * H.order)) for e, x in s)
+                    for s, size in zip(sums, conj.sizes)])
                 assert [(v.m, v.coeffs) for v in values_of(got)] == \
                     [(v.m, v.coeffs) for v in values_of(want)]
             assert [(lam.exps, i) for lam, i in out] == expected
             count += len(linear_characters(H))
     assert count == 110   # one decision per (H, lambda), not one per (B, lambda)
+
+
+def test_verify_decides_every_linear_character_of_h_as_the_oracle_does():
+    # a constructive witness with its lambda replaced by any linear lambda' of
+    # its H verifies exactly when the Character oracle has Ind lambda' = chi,
+    # so verify refuses a wrong lambda as well as it accepts the right one
+    decided = {True: 0, False: 0}
+    for name in DEFAULT_CORPUS:
+        A = corpus_algebra(name)
+        G = unit_group(A)
+        for chi in char_table(G).irreducibles:
+            w = gutkin_decompose(A, chi)
+            for lam in linear_characters(w.H):
+                other = GutkinWitness(G, chi, w.steps, w.subalgebra, w.H, lam)
+                expected = induce(G, w.H, char_from_linear(lam)) == chi
+                assert other.verify() is expected is other.induced_matches, name
+                decided[expected] += 1
+    assert decided[True] and decided[False]
+
+
+def test_a_wrong_lambda_fails_the_decomposition_and_the_cli(monkeypatch, tmp_path, capsys):
+    # a leaf that returns another linear character of its group than chi is
+    # refused by verify: gutkin_decompose raises and brw gutkin exits 4
+    real = brw.gutkin.linear_char_from_character
+
+    def wrong(chi):
+        lam = real(chi)
+        return next(x for x in linear_characters(lam.domain) if x != lam)
+    monkeypatch.setattr(brw.gutkin, "linear_char_from_character", wrong)
+    message = "induced character does not match the target"
+    A = corpus_algebra("b2_f3")
+    chi = next(c for c in char_table(unit_group(A)).irreducibles if c.degree == 1)
+    with pytest.raises(DecompositionFailure, match=f"^{message}$"):
+        gutkin_decompose(A, chi)
+    assert main(["gutkin", "b2_f3", "--mode", "constructive", "--out", str(tmp_path)]) == 4
+    assert capsys.readouterr().err == f"verification failure: {message}\n"
 
 
 def _scanned_corpus():

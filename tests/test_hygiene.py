@@ -136,3 +136,21 @@ def test_groups_are_interned_and_compared_by_identity():
                             for x in (node.left, *node.comparators))):
                 found.append(f"{where}:{node.lineno} == or != on .elements")
     assert not found, found
+
+
+def test_no_assert_statements():
+    """Preconditions in src/brw raise a BrwError: python -O drops an assert,
+    and the CLI reports only BrwError as a one-line failure."""
+    found = [f"{os.path.basename(path)}:{node.lineno}" for path in _py_files(SRC)
+             for node in ast.walk(_parse(path)) if isinstance(node, ast.Assert)]
+    assert not found, found
+
+
+def test_src_never_calls_induce():
+    """Ind_H^G lam = chi is decided by gutkin._induces alone; chars.induce is
+    the tests' oracle and is called nowhere in src/brw."""
+    found = [f"{os.path.basename(path)}:{node.lineno}" for path in _py_files(SRC)
+             for node in ast.walk(_parse(path))
+             if isinstance(node, ast.Call)
+             and "induce" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+    assert not found, found

@@ -79,4 +79,6 @@ class DecompositionFailure(BrwError):
 
 
 class VerificationFailure(BrwError):
-    """Brute-force verification found an irreducible with no witness."""
+    """A report's check failed: the brute search found an irreducible with no
+    witness, the unitary/twist factorization does not multiply back to its
+    input, or a gutkin worker ended without sending its result."""

@@ -19,8 +19,8 @@ import brw.gutkin
 from brw.algebra import Algebra, Subalgebra
 from brw.cli import main
 from brw.corpus import DEFAULT_CORPUS, corpus_algebra, corpus_spec
-from brw.errors import SpecError
-from brw.localfield import InductionDatum, is_admissible_shape
+from brw.errors import SpecError, VerificationFailure
+from brw.localfield import InductionDatum, SmoothCharLocal, is_admissible_shape
 from helpers import matrix_algebra_2x2, polynomial_quotient, rebased, spec_certificate_oracle
 
 
@@ -251,6 +251,26 @@ def test_local_factor(tmp_path):
     assert rep["round_trip"] and rep["unitary"]["r"] == "1" and rep["twist"]["r"] == "3"
 
 
+def test_local_factor_failed_round_trip_writes_nothing(tmp_path, capsys, monkeypatch):
+    # a twist whose modulus is off by one: unitary * twist is not the input
+    real = brw.cli.factor_unitary
+
+    def off_by_one(chi):
+        unitary, twist = real(chi)
+        return unitary, SmoothCharLocal(twist.p, twist.k, twist.unit_part, twist.r + 1,
+                                        twist.phase_m, twist.phase_e)
+    monkeypatch.setattr(brw.cli, "factor_unitary", off_by_one)
+    out = tmp_path / "out"
+    out.mkdir()
+    code = main(["local", "factor", "--p", "3", "--k", "2", "--unit", "1", "--r", "1/3",
+                 "--phase", "6:5", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert captured.err == ("verification failure: unitary * twist differs from the "
+                            "input character\n")
+    assert list(out.iterdir()) == []
+
+
 def test_local_chargroup(tmp_path):
     code, out = run(tmp_path, "local", "chargroup", "--p", "2", "--k", "3")
     assert code == 0
@@ -467,6 +487,31 @@ def test_gutkin_worker_without_a_result(tmp_path, capsys, cpus, monkeypatch):
     assert capsys.readouterr().err == (
         "verification failure: gutkin worker 1 ended without a result (exit code 9)\n")
     assert_no_child_left()
+
+
+@pytest.mark.parametrize("mode", ["both", "brute"])
+def test_gutkin_brute_failure_exits_4_and_writes_nothing(tmp_path, capsys, cpus,
+                                                        monkeypatch, mode):
+    # a brute search that finds no witness for one spec ends the run: for one
+    # to three workers, one stderr line, nothing on stdout and no report
+    real = brw.cli.verify_gutkin_brute
+
+    def fails_on_b2_f3(A, **kwargs):
+        if A.p == 3:    # b2_f3 is the one spec over F_3 here
+            raise VerificationFailure("irreducibles without witness: [3]")
+        return real(A, **kwargs)
+    monkeypatch.setattr(brw.cli, "verify_gutkin_brute", fails_on_b2_f3)
+    for k in (1, 2, 3):
+        cpus(k)
+        out = tmp_path / f"w{k}"
+        out.mkdir()
+        assert main(["gutkin", "b2_f2", "b2_f3", "b3_f2", "--mode", mode,
+                     "--out", str(out)]) == 4, k
+        captured = capsys.readouterr()
+        assert captured.err == "verification failure: irreducibles without witness: [3]\n", k
+        assert captured.out == "", k
+        assert list(out.iterdir()) == [], k
+        assert_no_child_left()
 
 
 def test_spec_cost_reads_dim_off_the_spec_and_never_raises(tmp_path):

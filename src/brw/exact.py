@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .errors import CertificationFailure, DivisionByZero, InvalidConductor
+from .errors import CertificationFailure, DivisionByZero, InvalidConductor, TooLarge
 
 SUPPORTED_PRIMES = (2, 3, 5, 7)
 
@@ -25,14 +25,34 @@ SUPPORTED_PRIMES = (2, 3, 5, 7)
 # modular linear algebra on plain int rows (workhorse; any prime modulus)
 # ---------------------------------------------------------------------------
 
+MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# the least strong pseudoprime to all of them (Sorenson and Webster, 2015)
+MILLER_RABIN_BOUND = 3317044064679887385961981
+
+
 def is_prime(n):
+    """Whether n is prime: the strong probable-prime test to every base of
+    MILLER_RABIN_BASES, which decides it below MILLER_RABIN_BOUND. At or above
+    the bound an n with no factor among the bases raises TooLarge."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for b in MILLER_RABIN_BASES:
+        if n % b == 0:
+            return n == b
+    if n >= MILLER_RABIN_BOUND:
+        raise TooLarge(f"primality of {n} is decided only below {MILLER_RABIN_BOUND}")
+    s = ((n - 1) & (1 - n)).bit_length() - 1    # n - 1 = 2^s d, d odd
+    d = (n - 1) >> s
+    for b in MILLER_RABIN_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

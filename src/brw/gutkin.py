@@ -256,11 +256,12 @@ def ideal_intersection_test(level: Level, I: Subspace, S: SigmaData) -> bool:
 class ExtensionResult:
     stabilizer_identity = True   # extend_character returns one only when it holds
 
-    def __init__(self, sigma_data, extensions, jsig, single_orbit):
+    def __init__(self, sigma_data, extensions, jsig, single_orbit, orbit):
         self.sigma_data = sigma_data
         self.extensions = tuple(extensions)
         self.j_sigma = jsig
         self.single_orbit = single_orbit
+        self.orbit = orbit   # the P-orbit of theta
 
     @property
     def theta(self):
@@ -277,38 +278,34 @@ def _kills_commutators(Q: FiniteGroup, N: FiniteGroup, sigma: LinearChar) -> boo
 
 
 def extend_character(S: SigmaData) -> ExtensionResult:
-    """All extensions of sigma from N to Q, with their P-stabilizers and orbit.
+    """All extensions of sigma from N to Q, and the P-orbit of the first.
 
     Certifies: [Q,Q] <= ker sigma, on pairs of generators of Q (exact as
     sigma is P-invariant), there are exactly p = |Q/N| extensions, every
     extension has P-stabilizer 1 + J_sigma (the one interned group), and when
-    that stabilizer is proper the extensions form a single P-orbit.
+    that stabilizer is proper the extensions form a single P-orbit. One orbit
+    shows both: 1 + J_sigma >= 1 + J^2 >= [P, P] is normal in P, so all points
+    of an orbit share its stabilizer (when J_sigma = J, each is P-invariant).
     """
     level = S.level
     Q, N, sigma = S.Q, S.N, S.sigma
     if not _kills_commutators(Q, N, sigma):
         raise NoExtension("sigma does not kill [Q,Q]")
-    exts = []
-    for ch in linear_characters(Q):
-        if ch.restrict(N) == sigma:
-            exts.append(ch)
-    if not exts:
-        raise NoExtension("no extension of sigma to Q exists")
+    exts = [ch for ch in linear_characters(Q) if ch.restrict(N) == sigma]
     if len(exts) != Q.order // N.order:
         raise NoExtension(f"expected {Q.order // N.order} extensions, found {len(exts)}")
-    exts.sort(key=lambda ch: ch.exps)
     jsig = j_sigma(S)
     expected = one_plus(level.ambient, jsig)
-    orbits = [char_orbit(level.P, Q, ch) for ch in exts]
-    if any(orb.stabilizer is not expected for orb in orbits):
+    orbit = char_orbit(level.P, Q, exts[0])
+    if orbit.stabilizer is not expected or (
+            expected is level.P and not all(ch.is_invariant(level.P) for ch in exts)):
         raise CertificationFailure("P-stabilizer of an extension differs from 1 + J_sigma")
     single = None
     if expected is not level.P:
-        orbit_exps = {c.exps for c in orbits[0].orbit}
-        single = orbit_exps == {c.exps for c in exts}
+        single = {c.exps for c in orbit.orbit} == {c.exps for c in exts}
         if not single:
             raise CertificationFailure("extensions do not form a single P-orbit")
-    return ExtensionResult(S, exts, jsig, single)
+    return ExtensionResult(S, exts, jsig, single, orbit)
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +430,7 @@ def _decompose(level: Level, chi: Character, steps):
 
     step = {"algebra_dim": level.dim, "group_order": H.order}
     if psi.degree == 1:
-        Q, theta = P, linear_char_from_character(psi)
+        Q, theta, orbit = P, linear_char_from_character(psi), None
         step["branch"] = "linear-constituent"
     else:
         # deg psi >= 2: find the minimal scalar level n (J^n != 0 is guaranteed
@@ -460,10 +457,12 @@ def _decompose(level: Level, chi: Character, steps):
                 break
         else:
             raise DecompositionFailure("sigma kills all commutators [1+J, 1+L_i]")
-        Q, theta = S.Q, extend_character(S).theta
+        ext = extend_character(S)
+        Q, theta = S.Q, ext.theta
+        orbit = ext.orbit if P is H else None   # at p = 2, theta's orbit under H
         step.update(branch="sigma-extension", scalar_level=n)
 
-    orbit = char_orbit(H, Q, theta)
+    orbit = orbit or char_orbit(H, Q, theta)
     G_theta = orbit.stabilizer
     if G_theta.order == H.order:
         raise DecompositionFailure("stabilizer did not decrease at a nonlinear step")

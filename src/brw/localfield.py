@@ -19,8 +19,8 @@ class ResidueUnits:
     """(Z/p^k)^x as a plain multiplicative group of integer residues.
 
     For k >= 1 the order (p-1) p^(k-1) is checked against cap, when one is
-    given, first: before p is trial-divided, in time that grows as sqrt(p),
-    and before any residue is enumerated.
+    given, first: before p is tested for primality and before any residue is
+    enumerated.
     """
 
     def __init__(self, p, k, cap=None):

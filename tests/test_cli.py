@@ -20,6 +20,7 @@ from brw.algebra import Algebra, Subalgebra
 from brw.cli import main
 from brw.corpus import DEFAULT_CORPUS, corpus_algebra, corpus_spec
 from brw.errors import SpecError, VerificationFailure
+from brw.exact import MILLER_RABIN_BOUND
 from brw.localfield import InductionDatum, SmoothCharLocal, is_admissible_shape
 from helpers import matrix_algebra_2x2, polynomial_quotient, rebased, spec_certificate_oracle
 
@@ -678,9 +679,8 @@ def test_local_level_is_capped(capsys):
 
 @pytest.mark.parametrize("opt", [[], ["-O"]], ids=["plain", "optimized"])
 def test_local_cap_is_compared_before_p_is_trial_divided(tmp_path, opt):
-    # 10^18 + 3 is prime: trial division up to its square root takes minutes,
-    # so an exit within the timeout shows the cap was compared first; a large
-    # p that is not prime is refused by the cap as well
+    # 10^18, which is not prime, exits 3 and not 2: the cap is compared before
+    # p is tested; the prime 10^18 + 3 is refused as well
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
     for cmd, p in (("chargroup", 10**18 + 3), ("factor", 10**18 + 3), ("chargroup", 10**18)):
@@ -689,6 +689,23 @@ def test_local_cap_is_compared_before_p_is_trial_divided(tmp_path, opt):
                              env=env, capture_output=True, text=True, timeout=20)
         err = out.stderr.splitlines()
         assert out.returncode == 3 and len(err) == 1 and err[0].startswith("cap exceeded: ")
+
+
+@pytest.mark.parametrize("opt", [[], ["-O"]], ids=["plain", "optimized"])
+def test_local_factor_at_level_zero_decides_primality_at_once(tmp_path, opt):
+    # k = 0 caps nothing, so p itself is tested: 10^18 + 3 is prime, and the
+    # least strong pseudoprime to every Miller-Rabin base is past the test's
+    # bound, which is refused as a cap
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    for p, code in ((10**18 + 3, 0), (MILLER_RABIN_BOUND, 3)):
+        start = time.perf_counter()
+        out = subprocess.run([sys.executable, *opt, "-m", "brw.cli", "local", "factor",
+                              "--p", str(p), "--k", "0", "--out", str(tmp_path)],
+                             env=env, capture_output=True, text=True, timeout=30)
+        assert out.returncode == code and time.perf_counter() - start < 5, out.stderr
+        err = out.stderr.splitlines()
+        assert err == [] if code == 0 else len(err) == 1 and err[0].startswith("cap exceeded: ")
 
 
 @pytest.mark.parametrize("spec", [

@@ -5,9 +5,10 @@ from math import gcd
 
 import pytest
 
-from brw.errors import DivisionByZero, InvalidConductor
-from brw.exact import (SUPPORTED_PRIMES, Cyclotomic, cyclotomic_polynomial,
-                       kernel_basis, mod_inv, normal_form, rref)
+from brw.errors import DivisionByZero, InvalidConductor, TooLarge
+from brw.exact import (MILLER_RABIN_BASES, MILLER_RABIN_BOUND, SUPPORTED_PRIMES, Cyclotomic,
+                       cyclotomic_polynomial, is_prime, kernel_basis, mod_inv, normal_form,
+                       rref)
 from helpers import Cyc, conjugate, euler_phi, trace
 
 
@@ -17,6 +18,27 @@ def test_mod_inv_of_zero(p):
         with pytest.raises(DivisionByZero):
             mod_inv(a, p)
     assert all(a * mod_inv(a, p) % p == 1 for a in range(1, p))
+
+
+def test_is_prime_against_trial_division():
+    primes = []
+    for n in range(2 * 10**5):
+        prime = n >= 2 and all(n % q for q in primes if q * q <= n)
+        if prime:
+            primes.append(n)
+        assert is_prime(n) == prime, n
+
+
+def test_is_prime_on_strong_pseudoprimes_and_at_its_bound():
+    # strong pseudoprimes to the bases 2..7, 2..31 and 2..37: all composite
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n), n
+    assert is_prime(10**18 + 3)
+    # the bound is itself a strong pseudoprime to every base: not decided
+    assert all(MILLER_RABIN_BOUND % b for b in MILLER_RABIN_BASES)
+    with pytest.raises(TooLarge):
+        is_prime(MILLER_RABIN_BOUND)
+    assert not is_prime(2 * MILLER_RABIN_BOUND) and not is_prime(41 * MILLER_RABIN_BOUND)
 
 
 def test_cyclotomic_examples():

@@ -26,6 +26,8 @@ from .exact import (SUPPORTED_PRIMES, kernel_basis, mat_mul_vec, mod_inv,
 # on closure computations for the lattice walk
 DEFAULT_DIM_BOUND = {2: 6, 3: 5, 5: 4, 7: 4}
 DEFAULT_SCAN_BUDGET = 200_000
+# the CLI's default cap on the order of A^x (--cap-order, BRW_CAP_ORDER)
+DEFAULT_ORDER_CAP = 5000
 
 
 def vec_add(u, v, p):

@@ -13,10 +13,21 @@ process when profiling or tracing.
 Exit codes: 0 success, 2 spec error, 3 cap exceeded, 4 verification failure.
 A report is written only when everything in it is verified: any verification
 failure exits 4 with one stderr line and writes nothing.
+
+Importing this module runs errors, exact, algebra and corpus only. The layers
+groups, chars, gutkin and localfield are deferred (_deferred): each is
+compiled and run when a command first reads one of its names. So `corpus`, a
+spec error and `info` on a non-split algebra load none of them, `info` loads
+groups, `chartable` groups and chars, `orbits` groups, chars and gutkin,
+`local` groups and localfield, and `gutkin` all four, before it forks.
+The layers are registered in sys.modules rather than imported inside each
+command because perfbench/tracer.py reads them from sys.modules right after
+importing this module; it loads each one as it wraps it.
 """
 
 import argparse
 import csv
+import importlib.util
 import io
 import json
 import math
@@ -25,19 +36,33 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .algebra import (Ideal, Subalgebra, _check_int_array, cached_decomposition,
-                      is_split_basic, radical_power)
-from .chars import char_table
+from .algebra import (DEFAULT_ORDER_CAP, Ideal, Subalgebra, _check_int_array,
+                      cached_decomposition, is_split_basic, radical_power)
 from .corpus import ALL_CORPUS, DEFAULT_CORPUS, load_spec, read_json, spec_algebra
 from .errors import (BrwError, NotInsideRadical, NotSplitBasic, SpecError,
                      TooLarge, VerificationFailure)
 from .exact import Cyclotomic
-from .groups import (DEFAULT_ORDER_CAP, char_orbits, ideal_subgroup,
-                     radical_subgroup, torus_subgroup, unit_group)
-from .gutkin import (certify_stabilizer_subalgebra, gutkin_decompose,
-                     verify_gutkin_brute)
-from .localfield import (InductionDatum, LocalCharGroup, SmoothCharLocal,
-                         factor_unitary, unit_characters)
+
+
+def _deferred(name):
+    """The module brw.<name>, compiled and run when one of its attributes is
+    first read. It is put in sys.modules and on the brw package now, as an
+    import would put it, so `import brw.<name>` and sys.modules find it."""
+    fullname = f"{__package__}.{name}"
+    if fullname not in sys.modules:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        setattr(sys.modules[__package__], name, module)
+        spec.loader.exec_module(module)
+    return sys.modules[fullname]
+
+
+groups = _deferred("groups")
+chars = _deferred("chars")
+gutkin = _deferred("gutkin")
+localfield = _deferred("localfield")
 
 EXIT_OK = 0
 EXIT_SPEC = 2
@@ -99,13 +124,13 @@ def cmd_info(args):
     }
     if ok:
         dec = cached_decomposition(A)
-        G = unit_group(A, cap=args.cap_order)
+        G = groups.unit_group(A, cap=args.cap_order)
         report.update({
             "idempotents": [list(e) for e in dec.idempotents],
             "radical_dims": [J.dim for J in dec.powers],
             "group_order": G.order,
-            "torus_order": torus_subgroup(A).order,
-            "radical_group_order": radical_subgroup(A).order,
+            "torus_order": groups.torus_subgroup(A).order,
+            "radical_group_order": groups.radical_subgroup(A).order,
         })
     _emit(args, f"info_{name}", report)
     return EXIT_OK
@@ -118,8 +143,8 @@ def cmd_info(args):
 def cmd_chartable(args):
     name, spec = load_spec(args.spec)
     A = spec_algebra(spec)
-    G = unit_group(A, cap=args.cap_order)
-    table = char_table(G)
+    G = groups.unit_group(A, cap=args.cap_order)
+    table = chars.char_table(G)
     buf = io.StringIO()
     buf.write(f"# brw.chartable/{REPORT_VERSION} spec={name} group_order={G.order} "
               f"classes={table.conj.k} conductor={table.conductor} "
@@ -139,8 +164,8 @@ def cmd_chartable(args):
 
 def _gutkin_one(name, spec, args):
     A = spec_algebra(spec)
-    G = unit_group(A, cap=args.cap_order)
-    table = char_table(G)
+    G = groups.unit_group(A, cap=args.cap_order)
+    table = chars.char_table(G)
     block = {
         "spec_name": name,
         "group_order": G.order,
@@ -152,7 +177,7 @@ def _gutkin_one(name, spec, args):
     brute_report = None
     if args.mode in ("brute", "both"):
         try:
-            brute_report = verify_gutkin_brute(A, max_dim=args.cap_scan)
+            brute_report = gutkin.verify_gutkin_brute(A, max_dim=args.cap_scan)
         except TooLarge as exc:
             if args.mode == "brute":   # the one search asked for did not run
                 raise
@@ -162,9 +187,10 @@ def _gutkin_one(name, spec, args):
     for i, chi in enumerate(table.irreducibles):
         entry = {"index": i, "degree": int(chi.degree)}
         if constructive:
-            witness = gutkin_decompose(A, chi)
+            witness = gutkin.gutkin_decompose(A, chi)
             summary = witness.summary()
-            summary["admissible_shape"] = InductionDatum(A, witness.subalgebra).diag_contained
+            summary["admissible_shape"] = localfield.InductionDatum(
+                A, witness.subalgebra).diag_contained
             entry["constructive"] = summary
         if args.mode in ("brute", "both"):
             entry["brute"] = (brute_report.per_irr[i] if brute_report is not None
@@ -301,6 +327,8 @@ def _gutkin_blocks(items, args):
 
 def cmd_gutkin(args):
     names = list(args.spec) if args.spec else list(DEFAULT_CORPUS)
+    for layer in (gutkin, localfield):   # run once here, not in each forked worker
+        vars(layer)
     results = _gutkin_blocks(names, args)
     report = {
         "schema": "brw.gutkin/1",
@@ -337,15 +365,15 @@ def _resolve_ideal(A, text):
 def cmd_orbits(args):
     name, spec = load_spec(args.spec)
     A = spec_algebra(spec)
-    G = unit_group(A, cap=args.cap_order)
+    G = groups.unit_group(A, cap=args.cap_order)
     label, I = _resolve_ideal(A, args.ideal)
     try:
-        Q = ideal_subgroup(A, I)
+        Q = groups.ideal_subgroup(A, I)
     except NotInsideRadical as exc:
         raise SpecError(f"--ideal: {exc}")
     orbits = []
-    for orb in char_orbits(G, Q):
-        sub = certify_stabilizer_subalgebra(A, orb.stabilizer)
+    for orb in groups.char_orbits(G, Q):
+        sub = gutkin.certify_stabilizer_subalgebra(A, orb.stabilizer)
         orbits.append({
             "base_exps": list(orb.base.exps),
             "conductor": orb.base.m,
@@ -407,7 +435,7 @@ def _witness_bases(path, name, dim):
 
 def cmd_local(args):
     if args.local_cmd == "chargroup":
-        grp = LocalCharGroup(args.p, args.k, cap=args.cap_order)
+        grp = localfield.LocalCharGroup(args.p, args.k, cap=args.cap_order)
         report = {
             "schema": "brw.local.chargroup/1",
             "config": _config_block(args),
@@ -416,13 +444,13 @@ def cmd_local(args):
         _emit(args, f"chargroup_p{args.p}k{args.k}", report)
         return EXIT_OK
     if args.local_cmd == "factor":
-        chars = unit_characters(args.p, args.k, cap=args.cap_order)
-        if not (0 <= args.unit < len(chars)):
-            raise SpecError(f"--unit index out of range (0..{len(chars) - 1})")
+        units = localfield.unit_characters(args.p, args.k, cap=args.cap_order)
+        if not (0 <= args.unit < len(units)):
+            raise SpecError(f"--unit index out of range (0..{len(units) - 1})")
         m, e = _parse_phase(args.phase)
-        chi = SmoothCharLocal(args.p, args.k, chars[args.unit],
-                              _parse_fraction(args.r), m, e)
-        unitary, twist = factor_unitary(chi)
+        chi = localfield.SmoothCharLocal(args.p, args.k, units[args.unit],
+                                         _parse_fraction(args.r), m, e)
+        unitary, twist = localfield.factor_unitary(chi)
         if unitary.mul(twist) != chi:
             raise VerificationFailure("unitary * twist differs from the input character")
         report = {
@@ -450,7 +478,7 @@ def cmd_local(args):
             out.append({
                 "index": index,
                 "degree": degree,
-                "admissible_shape": InductionDatum(A, B).diag_contained,
+                "admissible_shape": localfield.InductionDatum(A, B).diag_contained,
             })
         report = {
             "schema": "brw.local.admissible/1",

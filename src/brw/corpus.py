@@ -11,7 +11,6 @@ one process share its groups, classes and tables.
 """
 
 import json
-from importlib import resources
 
 from .algebra import Algebra, algebra_from_spec
 from .errors import SpecError
@@ -31,6 +30,7 @@ ALL_CORPUS = DEFAULT_CORPUS + GATED_CORPUS
 def corpus_spec(name: str) -> dict:
     if name not in ALL_CORPUS:
         raise SpecError(f"unknown corpus spec '{name}'")
+    from importlib import resources   # here, so no other path pays for its import
     path = resources.files("brw").joinpath(f"corpus_specs/{name}.json")
     return json.loads(path.read_text("utf-8"))
 

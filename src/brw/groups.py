@@ -35,8 +35,6 @@ from .errors import (CertificationFailure, GroupMismatch, InvalidConductor,
                      NotInsideRadical, NotNormal, NotSubgroup, TooLarge)
 from .exact import rref
 
-DEFAULT_ORDER_CAP = 5000
-
 
 def intern_group(algebra, elements):
     """The algebra's one FiniteGroup on this element set, so that the

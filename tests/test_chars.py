@@ -4,8 +4,8 @@ from math import isqrt, lcm
 
 import pytest
 
-from brw.algebra import (Algebra, algebra_from_spec, borel_algebra, pattern_algebra,
-                         radical_power)
+from brw.algebra import (DEFAULT_ORDER_CAP, Algebra, algebra_from_spec, borel_algebra,
+                         pattern_algebra, radical_power)
 import brw.chars
 from brw.chars import (Character, CharTable, _charpoly, _class_matrix,
                        _orthonormal_at_split_prime, _root_of_order, _roots,
@@ -16,10 +16,9 @@ from brw.corpus import DEFAULT_CORPUS, corpus_algebra
 from brw.errors import (CertificationFailure, GroupMismatch, NotOverTheta,
                         NotSubgroup, TooLarge)
 from brw.exact import Cyclotomic, is_prime, kernel_basis
-from brw.groups import (DEFAULT_ORDER_CAP, FiniteGroup, LinearChar, center,
-                        conjugacy_classes, ideal_subgroup, linear_characters,
-                        radical_subgroup, set_product, torus_subgroup,
-                        unit_group)
+from brw.groups import (FiniteGroup, LinearChar, center, conjugacy_classes,
+                        ideal_subgroup, linear_characters, radical_subgroup,
+                        set_product, torus_subgroup, unit_group)
 from brw.gutkin import gutkin_decompose, linear_char_from_character, top_level
 from helpers import (Cyc, character_of, conjugate, constituents, lift_oracle, rebased,
                      regular_character, rows_orthonormal, run_optimized, trivial_character,

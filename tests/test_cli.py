@@ -16,6 +16,7 @@ import brw.algebra
 import brw.cli
 import brw.corpus
 import brw.gutkin
+import brw.localfield
 from brw.algebra import Algebra, Subalgebra
 from brw.cli import main
 from brw.corpus import DEFAULT_CORPUS, corpus_algebra, corpus_spec
@@ -254,13 +255,13 @@ def test_local_factor(tmp_path):
 
 def test_local_factor_failed_round_trip_writes_nothing(tmp_path, capsys, monkeypatch):
     # a twist whose modulus is off by one: unitary * twist is not the input
-    real = brw.cli.factor_unitary
+    real = brw.localfield.factor_unitary
 
     def off_by_one(chi):
         unitary, twist = real(chi)
         return unitary, SmoothCharLocal(twist.p, twist.k, twist.unit_part, twist.r + 1,
                                         twist.phase_m, twist.phase_e)
-    monkeypatch.setattr(brw.cli, "factor_unitary", off_by_one)
+    monkeypatch.setattr(brw.localfield, "factor_unitary", off_by_one)
     out = tmp_path / "out"
     out.mkdir()
     code = main(["local", "factor", "--p", "3", "--k", "2", "--unit", "1", "--r", "1/3",
@@ -495,13 +496,13 @@ def test_gutkin_brute_failure_exits_4_and_writes_nothing(tmp_path, capsys, cpus,
                                                         monkeypatch, mode):
     # a brute search that finds no witness for one spec ends the run: for one
     # to three workers, one stderr line, nothing on stdout and no report
-    real = brw.cli.verify_gutkin_brute
+    real = brw.gutkin.verify_gutkin_brute
 
     def fails_on_b2_f3(A, **kwargs):
         if A.p == 3:    # b2_f3 is the one spec over F_3 here
             raise VerificationFailure("irreducibles without witness: [3]")
         return real(A, **kwargs)
-    monkeypatch.setattr(brw.cli, "verify_gutkin_brute", fails_on_b2_f3)
+    monkeypatch.setattr(brw.gutkin, "verify_gutkin_brute", fails_on_b2_f3)
     for k in (1, 2, 3):
         cpus(k)
         out = tmp_path / f"w{k}"
@@ -619,6 +620,121 @@ def test_gutkin_interrupt_reaps_every_child(tmp_path, cpus, monkeypatch):
         main(["gutkin", "b2_f2", "b2_f3", "b3_f2", "--out", str(tmp_path)])
     assert time.perf_counter() - start < 30
     assert_no_child_left()
+
+
+# A fresh process that logs "pid module" for every brw module it compiles and
+# "pid fork" for every os.fork, imports brw.cli, logs "pid imported", then
+# runs the CLI on argv[2:] with two CPUs. An empty pycache prefix makes every
+# import compile its source.
+_COMPILE_LOG = """
+import importlib.machinery, os, sys
+log = os.open(sys.argv[1], os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+
+def note(what):
+    os.write(log, f"{os.getpid()} {what}\\n".encode())
+
+real_compile = importlib.machinery.SourceFileLoader.source_to_code
+
+def source_to_code(self, data, path, **kwargs):
+    if os.path.basename(os.path.dirname(path)) == "brw":
+        note(os.path.basename(path)[:-3])
+    return real_compile(self, data, path, **kwargs)
+
+importlib.machinery.SourceFileLoader.source_to_code = source_to_code
+real_fork = os.fork
+
+def fork():
+    note("fork")
+    return real_fork()
+
+os.fork = fork
+import brw.cli
+note("imported")
+brw.cli._cpu_count = lambda: 2
+sys.exit(brw.cli.main(sys.argv[2:]))
+"""
+
+
+def compile_log(tmp_path, *argv):
+    """[(pid, event)] of one _COMPILE_LOG process, and its own pid."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPYCACHEPREFIX=str(tmp_path / "pycache"))
+    log = tmp_path / "compiled.log"
+    proc = subprocess.Popen([sys.executable, "-c", _COMPILE_LOG, str(log), *argv,
+                             "--out", str(tmp_path / "out")], env=env,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode in (0, 2), err
+    events = [line.split(" ", 1) for line in log.read_text().splitlines()]
+    return [(int(pid), what) for pid, what in events], proc.pid
+
+
+@pytest.mark.parametrize("argv,layers", [
+    (["corpus"], []),
+    (["info", "missing.json"], []),                       # a spec error
+    (["info", "b2_f2"], ["groups"]),
+    (["chartable", "b2_f3"], ["chars", "groups"]),
+    (["local", "chargroup", "--p", "3", "--k", "2"], ["groups", "localfield"]),
+    (["orbits", "b2_f3"], ["chars", "groups", "gutkin"]),
+], ids=["corpus", "spec-error", "info", "chartable", "chargroup", "orbits"])
+def test_each_command_compiles_only_the_layers_it_runs(tmp_path, argv, layers):
+    events, pid = compile_log(tmp_path, *argv)
+    assert {p for p, _ in events} == {pid}
+    at = [what for _, what in events].index("imported")
+    assert sorted(what for _, what in events[:at]) == \
+        ["__init__", "algebra", "cli", "corpus", "errors", "exact"]
+    assert sorted(what for _, what in events[at + 1:]) == layers
+
+
+def test_gutkin_compiles_every_layer_before_its_first_fork(tmp_path):
+    # the forked workers find all four deferred layers run and compile nothing
+    events, pid = compile_log(tmp_path, "gutkin", "b2_f2", "diag2_f2", "--mode", "both")
+    first_fork = events.index((pid, "fork"))
+    assert {"groups", "chars", "gutkin", "localfield"} <= {w for _, w in events[:first_fork]}
+    assert all(p == pid for p, _ in events)
+    assert (tmp_path / "out" / "gutkin.json").exists()
+
+
+def test_a_layer_deferred_by_the_cli_imports_as_usual(tmp_path):
+    # brw.cli registers brw.gutkin without running it; an import then runs it
+    # once, binds it on the package and gives its usable functions
+    code = """
+import sys
+import brw.cli
+import brw.gutkin
+from brw.chars import char_table
+from brw.corpus import corpus_algebra
+from brw.groups import unit_group
+from brw.gutkin import gutkin_decompose
+assert brw.gutkin is sys.modules["brw.gutkin"] is brw.cli.gutkin
+assert gutkin_decompose is brw.gutkin.gutkin_decompose
+A = corpus_algebra("b2_f3")
+table = char_table(unit_group(A))
+print(all(gutkin_decompose(A, chi).induced_matches for chi in table.irreducibles))
+"""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0 and out.stdout == "True\n", out.stderr
+
+
+def test_reading_a_spec_file_does_not_import_importlib_resources(tmp_path):
+    # only a corpus spec is read through importlib.resources; -S keeps site
+    # from importing it first
+    path = tmp_path / "f9.json"
+    path.write_text(json.dumps(F9_SPEC))
+    code = f"""
+import sys
+import brw.cli
+from brw.corpus import load_spec
+load_spec({str(path)!r})
+print("importlib.resources" in sys.modules)
+"""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0 and out.stdout == "False\n", out.stderr
 
 
 def test_corpus_listing(capsys):
